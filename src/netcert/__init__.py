@@ -22,8 +22,6 @@ from .blackbox import (
     build_platoon_class,
     build_room_class,
     internal_inputs,
-    platoon_step,
-    room_step,
     simulate_network,
     validate_benchmark,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "eval_template",
     "grid_samples",
     "internal_inputs",
-    "platoon_step",
-    "room_step",
     "simulate_network",
     "solve_scp",
     "validate_benchmark",

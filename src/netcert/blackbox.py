@@ -9,7 +9,7 @@ state boxes and away from their unsafe boxes, which is checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,34 +20,10 @@ from .core import (
     SafetySpec,
     StcTemplate,
     SubsystemClass,
+    TransitionOracle,
 )
 
 TOPOLOGY_KINDS = ("cascade", "ring", "dense-decay")
-
-
-@dataclass(frozen=True)
-class TransitionOracle:
-    """Deterministic black-box transition handle.
-
-    ``step`` maps a single (state, input) pair to the next state.
-    ``step_batch``, when provided, evaluates many pairs at once; it must
-    agree with ``step`` pointwise and exists purely so that dense grid
-    diagnostics stay fast.
-    """
-
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    step_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __call__(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return np.asarray(self.step(np.asarray(x, float), np.asarray(d, float)), float)
-
-    def batch(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Evaluate rows of (x, d); falls back to a pointwise loop."""
-        x = np.atleast_2d(np.asarray(x, float))
-        d = np.atleast_2d(np.asarray(d, float))
-        if self.step_batch is not None:
-            return np.asarray(self.step_batch(x, d), float)
-        return np.stack([self(x[i], d[i]) for i in range(x.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -82,29 +58,10 @@ ROOM_A = 0.9
 ROOM_B = 0.06
 ROOM_C = 0.4
 
-
-def room_step(x: float, d: float, a: float = ROOM_A, b: float = ROOM_B, c: float = ROOM_C) -> float:
-    """Next temperature of one room given its own and its neighbors' states."""
-    return a * x + b * d + c
-
-
 # Vehicle platoon benchmark: two states per vehicle, weak neighbor coupling.
 PLATOON_A = np.array([[0.9, 0.08], [-0.04, 0.88]])
 PLATOON_E = 0.01 * np.eye(2)
 PLATOON_C = np.array([0.01, 0.15])
-
-
-def platoon_step(
-    x: np.ndarray,
-    d: np.ndarray,
-    a: np.ndarray = PLATOON_A,
-    e: np.ndarray = PLATOON_E,
-    c: np.ndarray = PLATOON_C,
-) -> np.ndarray:
-    """Next state of one vehicle: A x + E d + c."""
-    x = np.asarray(x, float).reshape(2)
-    d = np.asarray(d, float).reshape(2)
-    return np.asarray(a, float) @ x + np.asarray(e, float) @ d + np.asarray(c, float)
 
 
 def _affine_oracle(a: np.ndarray, e: np.ndarray, c: np.ndarray) -> TransitionOracle:
@@ -112,13 +69,10 @@ def _affine_oracle(a: np.ndarray, e: np.ndarray, c: np.ndarray) -> TransitionOra
     e = np.asarray(e, float)
     c = np.asarray(c, float)
 
-    def step(x, d):
-        return a @ np.asarray(x, float) + e @ np.asarray(d, float) + c
-
     def step_batch(x, d):
-        return np.atleast_2d(x) @ a.T + np.atleast_2d(d) @ e.T + c
+        return x @ a.T + d @ e.T + c
 
-    return TransitionOracle(step=step, step_batch=step_batch)
+    return TransitionOracle(step_batch)
 
 
 ROOM_TEMPLATE_EXPONENTS = [[4], [2], [0]]

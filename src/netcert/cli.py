@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,8 +49,6 @@ EXIT_COMPUTE_ERROR = 3
 
 def _apply_overrides(cfg, args) -> None:
     """Command-line flags override the corresponding config scalars."""
-    from .scp import ScpOptions
-
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
     if args.surrogate_size is not None:
@@ -58,20 +57,12 @@ def _apply_overrides(cfg, args) -> None:
         cfg.topology_kind = args.topology
     if args.no_refine:
         cfg.refine_enabled = False
-    if args.coeff_bound is not None or args.gap is not None:
-        cfg.scp = ScpOptions(
-            coeff_bound=args.coeff_bound if args.coeff_bound is not None else cfg.scp.coeff_bound,
-            gap=args.gap if args.gap is not None else cfg.scp.gap,
-            feasibility_tol=cfg.scp.feasibility_tol,
-        )
+    if args.coeff_bound is not None:
+        cfg.scp = replace(cfg.scp, coeff_bound=args.coeff_bound)
+    if args.gap is not None:
+        cfg.scp = replace(cfg.scp, gap=args.gap)
     if args.seed is not None:
-        lip = cfg.lipschitz
-        cfg.lipschitz = LipschitzConfig(
-            gamma=lip.gamma,
-            inner_count=lip.inner_count,
-            outer_count=lip.outer_count,
-            seed=args.seed,
-        )
+        cfg.lipschitz = replace(cfg.lipschitz, seed=args.seed)
     if args.export_lp:
         cfg.export_lp = True
 

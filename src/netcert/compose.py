@@ -223,11 +223,8 @@ def eval_network_certificate(
     if len(assignment) != len(states):
         raise DimensionError("one class id per subsystem state is required")
     total = 0.0
-    cache: dict[str, tuple[StcTemplate, CoefficientVector]] = {}
-    for state, cid in zip(states, assignment):
-        if cid not in cache:
-            cert = certificate.class_by_id(cid)
-            cache[cid] = (cert.template(), cert.coefficient_vector())
-        template, coeffs = cache[cid]
-        total += eval_template(template, coeffs, np.asarray(state, float))
+    for cid in dict.fromkeys(assignment):
+        cert = certificate.class_by_id(cid)
+        points = [np.asarray(x, float).reshape(-1) for x, c in zip(states, assignment) if c == cid]
+        total += float(np.sum(eval_template(cert.template(), cert.coefficient_vector(), points)))
     return total

@@ -8,7 +8,7 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -161,23 +161,10 @@ class CoefficientVector:
 
 
 def eval_template(
-    template: StcTemplate, coeffs: CoefficientVector, x: np.ndarray
-) -> float:
-    """Value of the certificate sum_j coeffs[j] * prod_k x[k]**e[j,k]."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if xv.size != template.state_dim:
-        raise DimensionError(f"state has dimension {xv.size}, expected {template.state_dim}")
-    if len(coeffs) != template.term_count:
-        raise DimensionError(
-            f"coefficient vector has length {len(coeffs)}, template has {template.term_count} terms"
-        )
-    return float(template.basis_values(xv[None, :])[0] @ coeffs.coeffs)
-
-
-def eval_template_batch(
     template: StcTemplate, coeffs: CoefficientVector, points: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``eval_template`` over rows of ``points``."""
+    """Certificate value sum_j coeffs[j] * prod_k x[k]**e[j,k] at each row of
+    ``points``; one value per row."""
     if len(coeffs) != template.term_count:
         raise DimensionError(
             f"coefficient vector has length {len(coeffs)}, template has {template.term_count} terms"
@@ -240,19 +227,9 @@ class SupplyRate:
         )
 
 
-def eval_supply(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> float:
-    """d^T s11 d + 2 d^T s12 x + x^T s22 x."""
-    dv = np.asarray(d, dtype=float).reshape(-1)
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if dv.size != rate.input_dim:
-        raise DimensionError(f"input has dimension {dv.size}, expected {rate.input_dim}")
-    if xv.size != rate.state_dim:
-        raise DimensionError(f"state has dimension {xv.size}, expected {rate.state_dim}")
-    return float(dv @ rate.s11 @ dv + 2.0 * (dv @ rate.s12 @ xv) + xv @ rate.s22 @ xv)
-
-
-def eval_supply_batch(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized ``eval_supply`` over matching rows of ``d`` and ``x``."""
+def eval_supply(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d^T s11 d + 2 d^T s12 x + x^T s22 x at each matching row of ``d`` and
+    ``x``; one value per row."""
     dm = np.atleast_2d(np.asarray(d, dtype=float))
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     if dm.shape[1] != rate.input_dim or xm.shape[1] != rate.state_dim:
@@ -263,13 +240,22 @@ def eval_supply_batch(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> np.ndar
     return quad_d + cross + quad_x
 
 
-# A transition oracle maps (state, input) -> next state.  The pipeline only
-# ever calls it pointwise and treats it as an opaque black box; concrete
-# benchmark oracles live in netcert.blackbox.
-OracleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+@dataclass(frozen=True)
+class TransitionOracle:
+    """Deterministic black-box transition handle.
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .blackbox import TransitionOracle
+    ``step_batch`` maps (N, n) states and (N, m) inputs to the (N, n) next
+    states, row by row.  The pipeline treats it as opaque: it only ever
+    queries next states, never inspects how they are computed.
+    """
+
+    step_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def batch(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Next states for the rows of (x, d)."""
+        x = np.atleast_2d(np.asarray(x, float))
+        d = np.atleast_2d(np.asarray(d, float))
+        return np.asarray(self.step_batch(x, d), float)
 
 
 @dataclass(frozen=True)
@@ -284,7 +270,7 @@ class SubsystemClass:
     input_box: IntervalBox
     safety: SafetySpec
     template: StcTemplate
-    oracle: Optional["TransitionOracle"] = None
+    oracle: Optional[TransitionOracle] = None
 
     def __post_init__(self):
         if self.state_box.dim != self.state_dim:

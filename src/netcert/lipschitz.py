@@ -21,7 +21,7 @@ from .core import (
     IntervalBox,
     InvariantError,
     SubsystemClass,
-    eval_template_batch,
+    eval_template,
 )
 from .scp import ScpSolution
 
@@ -140,35 +140,28 @@ def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, flo
 def estimate_lipschitz(
     target: BatchTarget, box: IntervalBox, config: LipschitzConfig
 ) -> LipschitzEstimate:
-    """Run the batched slope maxima and extract the fitted upper endpoint.
-
-    Degenerate maxima (zero variance, e.g. affine targets) and failed fits
-    fall back to the plain maximum, which is still a valid lower estimate.
-    """
+    """Run the batched slope maxima and extract the fitted upper endpoint."""
     rng = np.random.default_rng(config.seed)
     maxima = np.array(
         [float(np.max(slope_batch(target, box, config, rng))) for _ in range(config.outer_count)]
     )
-    if float(np.var(maxima)) < 1e-12:
+    return _estimate_from_maxima(maxima)
+
+
+def _estimate_from_maxima(maxima: np.ndarray) -> LipschitzEstimate:
+    """Fitted upper endpoint of the batch maxima.
+
+    Degenerate maxima (zero variance, e.g. affine targets) and failed fits
+    fall back to the plain maximum, which is still a valid lower estimate.
+    """
+    top = float(np.max(maxima))
+    fit = None if float(np.var(maxima)) < 1e-12 else _fit_reverse_weibull(maxima)
+    if fit is None or not np.isfinite(fit[0]) or fit[0] < top:
         return LipschitzEstimate(
-            value=float(np.max(maxima)),
-            max_slope_samples=tuple(maxima),
-            fit=None,
-            fallback_used=True,
-        )
-    fit = _fit_reverse_weibull(maxima)
-    if fit is None or not np.isfinite(fit[0]) or fit[0] < np.max(maxima):
-        return LipschitzEstimate(
-            value=float(np.max(maxima)),
-            max_slope_samples=tuple(maxima),
-            fit=None,
-            fallback_used=True,
+            value=top, max_slope_samples=tuple(maxima), fit=None, fallback_used=True
         )
     return LipschitzEstimate(
-        value=float(fit[0]),
-        max_slope_samples=tuple(maxima),
-        fit=fit,
-        fallback_used=False,
+        value=float(fit[0]), max_slope_samples=tuple(maxima), fit=fit, fallback_used=False
     )
 
 
@@ -176,7 +169,7 @@ def certificate_target(cls: SubsystemClass, solution: ScpSolution) -> BatchTarge
     """x -> B*(x) over the state box."""
 
     def target(points: np.ndarray) -> np.ndarray:
-        return eval_template_batch(cls.template, solution.coeffs, points)
+        return eval_template(cls.template, solution.coeffs, points)
 
     return target
 
@@ -191,7 +184,7 @@ def decrease_target(cls: SubsystemClass, solution: ScpSolution) -> BatchTarget:
         pts = np.atleast_2d(points)
         x, d = pts[:, :n], pts[:, n:]
         fx = cls.oracle.batch(x, d)
-        return eval_template_batch(cls.template, solution.coeffs, fx) - eval_template_batch(
+        return eval_template(cls.template, solution.coeffs, fx) - eval_template(
             cls.template, solution.coeffs, x
         )
 
@@ -240,9 +233,4 @@ def estimate_from_pairs(
     slopes = slopes[rng.permutation(slopes.size)]
     batches = np.array_split(slopes, config.outer_count)
     maxima = np.array([float(np.max(b)) for b in batches if b.size])
-    if float(np.var(maxima)) < 1e-12:
-        return LipschitzEstimate(float(np.max(maxima)), tuple(maxima), None, True)
-    fit = _fit_reverse_weibull(maxima)
-    if fit is None or fit[0] < np.max(maxima):
-        return LipschitzEstimate(float(np.max(maxima)), tuple(maxima), None, True)
-    return LipschitzEstimate(float(fit[0]), tuple(maxima), fit, False)
+    return _estimate_from_maxima(maxima)

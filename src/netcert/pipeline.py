@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .core import (
     SafetySpec,
     StcTemplate,
     SubsystemClass,
-    eval_template_batch,
+    eval_template,
 )
 from .lipschitz import (
     LipschitzConfig,
@@ -145,16 +145,7 @@ def build_class(cc: ClassConfig) -> SubsystemClass:
             raise ConfigError(f"class {cc.id!r}: {exc}") from exc
         if not cc.counts_state or not cc.counts_input:
             raise ConfigError(f"class {cc.id!r} needs counts_state and counts_input")
-        return SubsystemClass(
-            id=cc.id,
-            state_dim=cls.state_dim,
-            input_dim=cls.input_dim,
-            state_box=cls.state_box,
-            input_box=cls.input_box,
-            safety=cls.safety,
-            template=cls.template,
-            oracle=cls.oracle,
-        )
+        return replace(cls, id=cc.id)
     # external data class
     required = ("state_dim", "input_dim", "state_box", "input_box", "initial_box", "unsafe_box")
     for name in required:
@@ -382,9 +373,9 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
         # no oracle: the certificate slope is still sampleable, the decrease
         # slope comes from quotients between recorded transitions
         l1 = estimate_lipschitz(certificate_target(cls, solution), cls.state_box, cfg.lipschitz)
-        gamma_vals = eval_template_batch(
-            cls.template, solution.coeffs, samples.fx
-        ) - eval_template_batch(cls.template, solution.coeffs, samples.x)
+        gamma_vals = eval_template(cls.template, solution.coeffs, samples.fx) - eval_template(
+            cls.template, solution.coeffs, samples.x
+        )
         l2 = estimate_from_pairs(samples.joint, gamma_vals, cfg.lipschitz)
     margins = class_margins(
         eta=solution.eta,

@@ -108,21 +108,24 @@ class VariableLayout:
     def _tri_pairs(n: int) -> list[tuple[int, int]]:
         return [(i, j) for i in range(n) for j in range(i, n)]
 
-    def supply_row(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def supply_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Coefficients of the supply value d'S11 d + 2 d'S12 x + x'S22 x as a
-        linear function of the stored block entries."""
-        row = np.zeros(self.size)
-        cols = iter(range(self.s11.start, self.s11.stop))
-        for i, j in self._tri_pairs(self.input_dim):
-            row[next(cols)] = d[i] * d[j] if i == j else 2.0 * d[i] * d[j]
-        cols = iter(range(self.s12.start, self.s12.stop))
-        for i in range(self.input_dim):
-            for j in range(self.state_dim):
-                row[next(cols)] = 2.0 * d[i] * x[j]
-        cols = iter(range(self.s22.start, self.s22.stop))
-        for i, j in self._tri_pairs(self.state_dim):
-            row[next(cols)] = x[i] * x[j] if i == j else 2.0 * x[i] * x[j]
-        return row
+        linear function of the stored block entries, one (size,) row per
+        matching row of ``d`` and ``x``."""
+        p = self.input_dim
+        # operand pairs of z = [d, x] per stored entry, in column order
+        pairs = (
+            self._tri_pairs(p)
+            + [(i, p + j) for i in range(p) for j in range(self.state_dim)]
+            + [(p + i, p + j) for i, j in self._tri_pairs(self.state_dim)]
+        )
+        left, right = np.array(pairs).T
+        z = np.hstack([d, x])
+        rows = np.zeros((z.shape[0], self.size))
+        # an off-diagonal entry appears twice in the quadratic form
+        factor = np.where(left == right, 1.0, 2.0)
+        rows[:, self.s11.start : self.s22.stop] = factor * z[:, left] * z[:, right]
+        return rows
 
     def unpack(self, v: np.ndarray) -> dict:
         p, n = self.input_dim, self.state_dim
@@ -251,39 +254,25 @@ def build_scp(
             "use a denser state grid"
         )
 
-    rows, rhs, groups = [], [], []
-
-    def add(row: np.ndarray, bound: float, group: str):
-        rows.append(row)
-        rhs.append(bound)
-        groups.append(group)
-
-    for i in np.flatnonzero(in_initial):
-        row = np.zeros(layout.size)
-        row[layout.theta] = phi_x[i]
-        row[layout.sigma] = -1.0
-        row[layout.eta] = -1.0
-        add(row, 0.0, "initial")
-    for i in np.flatnonzero(in_unsafe):
-        row = np.zeros(layout.size)
-        row[layout.theta] = -phi_x[i]
-        row[layout.phi] = 1.0
-        row[layout.eta] = -1.0
-        add(row, 0.0, "unsafe")
-    for i in range(samples.count):
-        srow = layout.supply_row(samples.d[i], samples.x[i])
-        row = -srow
-        row[layout.theta] = phi_fx[i] - phi_x[i]
-        row[layout.eta] = -1.0
-        add(row, 0.0, "decrease")
-    for i in range(samples.count):
-        row = layout.supply_row(samples.d[i], samples.x[i])
-        row[layout.beta] = -1.0
-        add(row, 0.0, "supply")
-    gap_row = np.zeros(layout.size)
-    gap_row[layout.sigma] = 1.0
-    gap_row[layout.phi] = -1.0
-    add(gap_row, -options.gap, "gap")
+    counts = (int(in_initial.sum()), int(in_unsafe.sum()), samples.count, samples.count, 1)
+    groups = [g for g, k in zip(ROW_GROUPS, counts) for _ in range(k)]
+    a_ub = np.zeros((len(groups), layout.size))
+    b_ub = np.zeros(len(groups))
+    initial, unsafe, decrease, supply, gap = np.split(a_ub, np.cumsum(counts)[:-1])
+    initial[:, layout.theta] = phi_x[in_initial]
+    initial[:, layout.sigma] = -1.0
+    initial[:, layout.eta] = -1.0
+    unsafe[:, layout.theta] = -phi_x[in_unsafe]
+    unsafe[:, layout.phi] = 1.0
+    unsafe[:, layout.eta] = -1.0
+    supply[:] = layout.supply_rows(samples.d, samples.x)
+    decrease[:] = -supply
+    decrease[:, layout.theta] = phi_fx - phi_x
+    decrease[:, layout.eta] = -1.0
+    supply[:, layout.beta] = -1.0
+    gap[:, layout.sigma] = 1.0
+    gap[:, layout.phi] = -1.0
+    b_ub[-1] = -options.gap
 
     b = options.coeff_bound
     bounds: list[tuple[Optional[float], Optional[float]]] = [(-b, b)] * (layout.size - 2)
@@ -301,8 +290,8 @@ def build_scp(
     names += ["eta", "beta"]
     return LinearProgram(
         c=c,
-        a_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        a_ub=a_ub,
+        b_ub=b_ub,
         bounds=bounds,
         row_groups=groups,
         var_names=names,
@@ -368,20 +357,21 @@ def check_solution(
     samples: SampleSet,
     options: ScpOptions = ScpOptions(),
 ) -> ResidualReport:
-    """Independent re-substitution of every sampled condition."""
-    viol = {g: 0.0 for g in ROW_GROUPS}
-    coeffs, rate = solution.coeffs, solution.supply
-    for i in range(samples.count):
-        x, d, fx = samples.x[i], samples.d[i], samples.fx[i]
-        bx = eval_template(cls.template, coeffs, x)
-        if cls.safety.initial.contains(x):
-            viol["initial"] = max(viol["initial"], bx - solution.sigma - solution.eta)
-        if cls.safety.unsafe.contains(x):
-            viol["unsafe"] = max(viol["unsafe"], -bx + solution.phi - solution.eta)
-        s = eval_supply(rate, d, x)
-        bfx = eval_template(cls.template, coeffs, fx)
-        viol["decrease"] = max(viol["decrease"], bfx - bx - s - solution.eta)
-        viol["supply"] = max(viol["supply"], s - solution.beta)
+    """Independent re-substitution of every sampled condition through the
+    domain evaluators, never through the assembled matrices."""
+    coeffs = solution.coeffs
+    bx = eval_template(cls.template, coeffs, samples.x)
+    bfx = eval_template(cls.template, coeffs, samples.fx)
+    s = eval_supply(solution.supply, samples.d, samples.x)
+    in_initial = cls.safety.initial.contains(samples.x)
+    in_unsafe = cls.safety.unsafe.contains(samples.x)
+    rows = {
+        "initial": bx[in_initial] - solution.sigma - solution.eta,
+        "unsafe": -bx[in_unsafe] + solution.phi - solution.eta,
+        "decrease": bfx - bx - s - solution.eta,
+        "supply": s - solution.beta,
+    }
+    viol = {g: float(np.max(v, initial=0.0)) for g, v in rows.items()}
     viol["gap"] = solution.sigma + options.gap - solution.phi
     return ResidualReport(max_violation=viol, tolerance=options.feasibility_tol)
 

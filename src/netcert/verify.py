@@ -19,8 +19,8 @@ from .blackbox import Topology, simulate_network
 from .core import (
     InvariantError,
     SubsystemClass,
-    eval_supply_batch,
-    eval_template_batch,
+    eval_supply,
+    eval_template,
 )
 from .sampling import grid_samples
 from .scp import ScpSolution
@@ -65,8 +65,8 @@ def check_level_sets(
         raise InvariantError("level-set check needs an optimal solution")
     init_pts = grid_samples(cls.safety.initial, counts)
     unsafe_pts = grid_samples(cls.safety.unsafe, counts)
-    init_vals = eval_template_batch(cls.template, solution.coeffs, init_pts)
-    unsafe_vals = eval_template_batch(cls.template, solution.coeffs, unsafe_pts)
+    init_vals = eval_template(cls.template, solution.coeffs, init_pts)
+    unsafe_vals = eval_template(cls.template, solution.coeffs, unsafe_pts)
     imax = int(np.argmax(init_vals))
     umin = int(np.argmin(unsafe_vals))
     return LevelSetReport(
@@ -131,9 +131,9 @@ def decrease_heatmap(
             x, d = block[:, :n], block[:, n:]
             fx = cls.oracle.batch(x, d)
             vals = (
-                eval_template_batch(cls.template, solution.coeffs, fx)
-                - eval_template_batch(cls.template, solution.coeffs, x)
-                - eval_supply_batch(solution.supply, d, x)
+                eval_template(cls.template, solution.coeffs, fx)
+                - eval_template(cls.template, solution.coeffs, x)
+                - eval_supply(solution.supply, d, x)
             )
             i = int(np.argmax(vals))
             if vals[i] > best_val:
@@ -161,7 +161,7 @@ def surface_data(
     """(points, certificate values, sigma, phi) over the state box, for
     plotting the certificate surface against its level contours."""
     pts = grid_samples(cls.state_box, counts)
-    vals = eval_template_batch(cls.template, solution.coeffs, pts)
+    vals = eval_template(cls.template, solution.coeffs, pts)
     return pts, vals, solution.sigma, solution.phi
 
 

@@ -101,12 +101,6 @@ def make_drift_class(drop: float = 0.5) -> SubsystemClass:
     any increasing affine certificate by the same margin, so this class is
     genuinely certifiable and exercises the certified code path."""
 
-    def step(x, d):
-        return np.asarray(x, float) - drop
-
-    def step_batch(x, d):
-        return np.atleast_2d(x) - drop
-
     return SubsystemClass(
         id="drift",
         state_dim=1,
@@ -118,7 +112,7 @@ def make_drift_class(drop: float = 0.5) -> SubsystemClass:
             unsafe=IntervalBox([3.5], [4.0]),
         ),
         template=StcTemplate(state_dim=1, exponents=[[1], [0]]),
-        oracle=TransitionOracle(step=step, step_batch=step_batch),
+        oracle=TransitionOracle(lambda x, d: x - drop),
     )
 
 

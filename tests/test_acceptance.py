@@ -113,11 +113,11 @@ def test_criterion_3_room_level_sets(room_class, room_reference_solution):
     t0 = time.perf_counter()
     report = check_level_sets(room_class, room_reference_solution, (201,))
     at_11 = eval_template(
-        room_class.template, room_reference_solution.coeffs, np.array([11.0])
-    )
+        room_class.template, room_reference_solution.coeffs, np.array([[11.0]])
+    )[0]
     at_12 = eval_template(
-        room_class.template, room_reference_solution.coeffs, np.array([12.0])
-    )
+        room_class.template, room_reference_solution.coeffs, np.array([[12.0]])
+    )[0]
     elapsed = time.perf_counter() - t0
     ok = (
         abs(report.initial_max - 135.6791) <= 1e-6

@@ -4,9 +4,9 @@ import pytest
 from netcert.blackbox import (
     TOPOLOGY_KINDS,
     Topology,
+    build_platoon_class,
+    build_room_class,
     internal_inputs,
-    platoon_step,
-    room_step,
     simulate_network,
     validate_benchmark,
 )
@@ -14,27 +14,31 @@ from netcert.core import DimensionError, IntervalBox, InvariantError
 
 
 class TestRoomStep:
+    oracle = build_room_class().oracle
+
     def test_fixed_point(self):
-        assert room_step(10.0, 10.0) == pytest.approx(10.0, abs=1e-12)
+        assert self.oracle.batch([[10.0]], [[10.0]])[0, 0] == pytest.approx(10.0, abs=1e-12)
 
     def test_hot_corner(self):
-        assert room_step(13.0, 13.0) == pytest.approx(12.88, abs=1e-12)
+        assert self.oracle.batch([[13.0]], [[13.0]])[0, 0] == pytest.approx(12.88, abs=1e-12)
 
     def test_mixed_point(self):
-        assert room_step(11.0, 12.0) == pytest.approx(11.02, abs=1e-12)
+        assert self.oracle.batch([[11.0]], [[12.0]])[0, 0] == pytest.approx(11.02, abs=1e-12)
 
 
 class TestPlatoonStep:
+    oracle = build_platoon_class().oracle
+
     def test_fixed_point(self):
-        out = platoon_step(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        out = self.oracle.batch([[1.0, 1.0]], [[1.0, 1.0]])[0]
         assert np.allclose(out, [1.0, 1.0], atol=1e-12)
 
     def test_affine_constant(self):
-        out = platoon_step(np.zeros(2), np.zeros(2))
+        out = self.oracle.batch(np.zeros((1, 2)), np.zeros((1, 2)))[0]
         assert np.allclose(out, [0.01, 0.15], atol=1e-15)
 
     def test_low_corner(self):
-        out = platoon_step(np.array([0.8, 0.8]), np.array([0.8, 0.8]))
+        out = self.oracle.batch([[0.8, 0.8]], [[0.8, 0.8]])[0]
         assert np.allclose(out, [0.802, 0.830], atol=1e-12)
 
 

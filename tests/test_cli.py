@@ -257,8 +257,8 @@ class TestBenchmarkOverrides:
             counts_input=(3,),
         )
         cls = build_class(cc)
-        out = cls.oracle(np.array([10.0]), np.array([10.0]))
-        assert out[0] == pytest.approx(10.05, abs=1e-12)
+        out = cls.oracle.batch(np.array([[10.0]]), np.array([[10.0]]))
+        assert out[0, 0] == pytest.approx(10.05, abs=1e-12)
 
     def test_template_override(self):
         from netcert.pipeline import ClassConfig, build_class

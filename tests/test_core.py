@@ -10,9 +10,7 @@ from netcert.core import (
     StcTemplate,
     SupplyRate,
     eval_supply,
-    eval_supply_batch,
     eval_template,
-    eval_template_batch,
 )
 
 ROOM_TEMPLATE = StcTemplate(state_dim=1, exponents=[[4], [2], [0]])
@@ -57,24 +55,24 @@ class TestSafetySpec:
 
 class TestEvalTemplate:
     def test_room_polynomial_at_11(self):
-        assert eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [11.0]) == pytest.approx(
+        assert eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [[11.0]])[0] == pytest.approx(
             135.6791, abs=1e-10
         )
 
     def test_room_polynomial_at_12(self):
-        assert eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [12.0]) == pytest.approx(
+        assert eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [[12.0]])[0] == pytest.approx(
             211.6136, abs=1e-10
         )
 
     def test_zero_coefficients(self):
         zero = CoefficientVector([0.0, 0.0, 0.0])
-        assert eval_template(ROOM_TEMPLATE, zero, [7.3]) == 0.0
+        assert eval_template(ROOM_TEMPLATE, zero, [[7.3]])[0] == 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [1.0, 2.0])
+            eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [[1.0, 2.0]])
         with pytest.raises(DimensionError):
-            eval_template(ROOM_TEMPLATE, CoefficientVector([1.0]), [1.0])
+            eval_template(ROOM_TEMPLATE, CoefficientVector([1.0]), [[1.0]])
 
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(42)
@@ -87,33 +85,27 @@ class TestEvalTemplate:
             c1 = rng.normal(size=terms)
             c2 = rng.normal(size=terms)
             lam = float(rng.normal())
-            x = rng.uniform(-2, 2, size=dim)
-            v1 = eval_template(template, CoefficientVector(c1), x)
-            v2 = eval_template(template, CoefficientVector(c2), x)
-            vsum = eval_template(template, CoefficientVector(c1 + c2), x)
-            vscaled = eval_template(template, CoefficientVector(lam * c1), x)
+            x = rng.uniform(-2, 2, size=(1, dim))
+            v1 = eval_template(template, CoefficientVector(c1), x)[0]
+            v2 = eval_template(template, CoefficientVector(c2), x)[0]
+            vsum = eval_template(template, CoefficientVector(c1 + c2), x)[0]
+            vscaled = eval_template(template, CoefficientVector(lam * c1), x)[0]
             assert vsum == pytest.approx(v1 + v2, abs=1e-10, rel=1e-10)
             assert vscaled == pytest.approx(lam * v1, abs=1e-10, rel=1e-10)
-
-    def test_batch_matches_scalar(self):
-        pts = np.linspace(10, 13, 7)[:, None]
-        batch = eval_template_batch(ROOM_TEMPLATE, ROOM_COEFFS, pts)
-        for p, v in zip(pts, batch):
-            assert v == pytest.approx(eval_template(ROOM_TEMPLATE, ROOM_COEFFS, p))
 
 
 class TestSupplyRate:
     def test_room_supply_value(self):
         rate = SupplyRate([[0.01]], [[0.0]], [[-0.1]])
-        assert eval_supply(rate, [1.0], [10.0]) == pytest.approx(-9.99, abs=1e-12)
+        assert eval_supply(rate, [[1.0]], [[10.0]])[0] == pytest.approx(-9.99, abs=1e-12)
 
     def test_zero_vectors(self):
         rate = SupplyRate([[0.3]], [[-2.0]], [[1.7]])
-        assert eval_supply(rate, [0.0], [0.0]) == 0.0
+        assert eval_supply(rate, [[0.0]], [[0.0]])[0] == 0.0
 
     def test_pure_cross_term(self):
         rate = SupplyRate([[0.0]], [[1.0]], [[0.0]])
-        assert eval_supply(rate, [2.0], [3.0]) == pytest.approx(12.0, abs=1e-12)
+        assert eval_supply(rate, [[2.0]], [[3.0]])[0] == pytest.approx(12.0, abs=1e-12)
 
     def test_rejects_asymmetric_blocks(self):
         with pytest.raises(InvariantError):
@@ -130,24 +122,16 @@ class TestSupplyRate:
             s22 = 0.5 * (s22 + s22.T)
             s12 = rng.normal(size=(p, n))
             rate = SupplyRate(s11, s12, s22)
-            d = rng.normal(size=p)
-            x = rng.normal(size=n)
-            v = np.concatenate([d, x])
+            d = rng.normal(size=(1, p))
+            x = rng.normal(size=(1, n))
+            v = np.concatenate([d[0], x[0]])
             expected = float(v @ rate.block_matrix() @ v)
-            assert eval_supply(rate, d, x) == pytest.approx(expected, abs=1e-12, rel=1e-12)
-
-    def test_batch_matches_scalar(self):
-        rate = SupplyRate([[0.5]], [[0.25]], [[-1.0]])
-        d = np.array([[1.0], [2.0]])
-        x = np.array([[3.0], [0.5]])
-        batch = eval_supply_batch(rate, d, x)
-        for i in range(2):
-            assert batch[i] == pytest.approx(eval_supply(rate, d[i], x[i]))
+            assert eval_supply(rate, d, x)[0] == pytest.approx(expected, abs=1e-12, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         rate = SupplyRate([[1.0]], [[0.0]], [[1.0]])
         with pytest.raises(DimensionError):
-            eval_supply(rate, [1.0, 2.0], [1.0])
+            eval_supply(rate, [[1.0, 2.0]], [[1.0]])
 
 
 class TestTemplateInvariants:

@@ -157,7 +157,7 @@ class TestEstimateForClass:
 
         identity = replace(
             room_class,
-            oracle=TransitionOracle(step=lambda x, d: x, step_batch=lambda x, d: np.atleast_2d(x)),
+            oracle=TransitionOracle(lambda x, d: x),
         )
         sol = ScpSolution(
             coeffs=CoefficientVector([0.0151, -0.7, -0.7]),

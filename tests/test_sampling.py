@@ -127,10 +127,7 @@ class TestCollectPairs:
         from dataclasses import replace
 
         cls = make_drift_class()
-        bad_oracle = TransitionOracle(
-            step=lambda x, d: np.array([np.nan]),
-            step_batch=lambda x, d: np.full((np.atleast_2d(x).shape[0], 1), np.nan),
-        )
+        bad_oracle = TransitionOracle(lambda x, d: np.full((x.shape[0], 1), np.nan))
         bad = replace(cls, oracle=bad_oracle)
         with pytest.raises(DataFaultError, match="x="):
             collect_pairs(bad, (3,), (3,))

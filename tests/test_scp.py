@@ -130,10 +130,14 @@ class TestBuildScp:
         with pytest.raises(CoverageError):
             build_scp(room_class, midonly, ScpOptions())
 
-    def test_matrix_rows_match_evaluators(self, room_class, room_samples):
+    @pytest.mark.parametrize("class_name", ["room", "platoon"])
+    def test_matrix_rows_match_evaluators(self, class_name, request):
         """Row values computed from the assembled matrices agree with direct
-        recomputation through the domain evaluators."""
-        lp = build_scp(room_class, room_samples, ScpOptions())
+        recomputation through the domain evaluators.  Platoon's 2x2 supply
+        blocks exercise the doubled off-diagonal coefficients."""
+        cls = request.getfixturevalue(f"{class_name}_class")
+        samples = request.getfixturevalue(f"{class_name}_samples")
+        lp = build_scp(cls, samples, ScpOptions())
         layout = lp.layout
         rng = np.random.default_rng(3)
         v = rng.normal(size=layout.size)
@@ -147,15 +151,15 @@ class TestBuildScp:
         unsafe_rows = iter(idx["unsafe"])
         dec_rows = iter(idx["decrease"])
         sup_rows = iter(idx["supply"])
-        for i in range(room_samples.count):
-            x, d, fx = room_samples.x[i], room_samples.d[i], room_samples.fx[i]
-            bx = eval_template(room_class.template, coeffs, x)
-            s = eval_supply(parts["supply"], d, x)
-            bfx = eval_template(room_class.template, coeffs, fx)
-            if room_class.safety.initial.contains(x):
+        for i in range(samples.count):
+            x, d, fx = samples.x[i : i + 1], samples.d[i : i + 1], samples.fx[i : i + 1]
+            bx = eval_template(cls.template, coeffs, x)[0]
+            s = eval_supply(parts["supply"], d, x)[0]
+            bfx = eval_template(cls.template, coeffs, fx)[0]
+            if cls.safety.initial.contains(x[0]):
                 expected = bx - parts["sigma"] - parts["eta"]
                 assert row_vals[next(init_rows)] == pytest.approx(expected, abs=1e-10)
-            if room_class.safety.unsafe.contains(x):
+            if cls.safety.unsafe.contains(x[0]):
                 expected = -bx + parts["phi"] - parts["eta"]
                 assert row_vals[next(unsafe_rows)] == pytest.approx(expected, abs=1e-10)
             assert row_vals[next(dec_rows)] == pytest.approx(

@@ -84,7 +84,7 @@ class TestDecreaseHeatmap:
     def test_identity_oracle_zero_grid(self, room_class, room_reference_solution):
         identity = replace(
             room_class,
-            oracle=TransitionOracle(step=lambda x, d: x, step_batch=lambda x, d: np.atleast_2d(x)),
+            oracle=TransitionOracle(lambda x, d: x),
         )
         sol = replace(room_reference_solution, supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]))
         heat = decrease_heatmap(identity, sol, (21, 21))
@@ -103,10 +103,7 @@ class TestDecreaseHeatmap:
                 initial=IntervalBox([-0.1], [0.1]), unsafe=IntervalBox([0.9], [1.0])
             ),
             template=StcTemplate(state_dim=1, exponents=[[2]]),
-            oracle=TransitionOracle(
-                step=lambda x, d: 0.5 * np.asarray(x),
-                step_batch=lambda x, d: 0.5 * np.atleast_2d(x),
-            ),
+            oracle=TransitionOracle(lambda x, d: 0.5 * x),
         )
         sol = make_solution([1.0], sigma=0.01, phi=0.81)
         heat = decrease_heatmap(cls, sol, (41, 5))
