@@ -8,11 +8,13 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+_BASIS_BLOCK = 4096  # rows of the basis matrix filled at a time
 
 
 class DimensionError(ValueError):
@@ -137,14 +139,38 @@ class StcTemplate:
         """Evaluate all basis monomials at each row of ``points``.
 
         Returns an (N, term_count) matrix; column j is the j-th monomial.
+
+        The values are bit-identical to
+        ``np.prod(pts[:, None, :] ** exponents[None], axis=2)``: the same
+        vector ``pow`` per factor (a contiguous exponent array as long as the
+        base, never a scalar or broadcast one, which NumPy routes to
+        ``square`` and friends that round differently), multiplied left to
+        right.  Each distinct power is computed once per coordinate instead
+        of once per term.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.state_dim:
             raise DimensionError(
                 f"points have dimension {pts.shape[1]}, template expects {self.state_dim}"
             )
-        # pts[:, None, :] ** exponents -> (N, terms, dim); product over dim
-        return np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
+        n = pts.shape[0]
+        basis = np.empty((n, self.term_count))
+        terms = self.exponents.tolist()
+        powers = [set(self.exponents[:, k].tolist()) for k in range(self.state_dim)]
+        # a cache-sized block of rows at a time: its power tables stay small
+        # and the strided column writes stay inside the cache
+        for start in range(0, n, _BASIS_BLOCK):
+            block = pts[start : start + _BASIS_BLOCK]
+            m = block.shape[0]
+            tables = [
+                {e: np.power(np.ascontiguousarray(block[:, k]), np.full(m, float(e))) for e in es}
+                for k, es in enumerate(powers)
+            ]
+            for j, term in enumerate(terms):
+                basis[start : start + m, j] = reduce(
+                    np.multiply, [tables[k][e] for k, e in enumerate(term)]
+                )
+        return basis
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .core import (
     eval_supply,
     eval_template,
 )
-from .sampling import grid_samples
+from .sampling import DataFaultError, dispersion_of_grid, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
 _CHUNK = 200_000  # dense joint grids are evaluated in blocks of this many points
@@ -103,20 +103,27 @@ def decrease_heatmap(
 ) -> HeatmapSummary:
     """Tabulate the shifted decrease condition over a dense X x D grid.
 
-    Large grids are streamed in chunks; pass ``csv_path`` to also persist
-    the full table (x..., d..., value).
+    The joint grid is the product of a state grid and an input grid, rows
+    in state-major order.  The basis of B(x) is computed once per state
+    point; the (x, d) rows are assembled ``_CHUNK`` at a time from their
+    flat index (state ``i // |D|``, input ``i % |D|``), so memory stays
+    O(chunk) however large the grid grows.  Each block goes through the same
+    evaluator calls as the materialised joint grid would, which keeps every
+    value bit-identical to it.  Pass ``csv_path`` to also persist the full
+    table (x..., d..., value).  A non-finite oracle output or decrease value
+    raises ``DataFaultError`` naming its (x, d).
     """
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle; heatmap unavailable")
     if solution.status != "optimal":
         raise InvariantError("heatmap needs an optimal solution")
-    from .sampling import dispersion_of_grid
-
-    joint = cls.joint_box
-    pts = grid_samples(joint, counts)
     n = cls.state_dim
+    xs = grid_samples(cls.state_box, counts[:n])
+    ds = grid_samples(cls.input_box, counts[n:])
+    basis_x = cls.template.basis_values(xs)
+    total = xs.shape[0] * ds.shape[0]
     best_val = -np.inf
-    best_pt = pts[0]
+    best_pt = None
     writer = None
     fh = None
     if csv_path is not None:
@@ -126,31 +133,39 @@ def decrease_heatmap(
             [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)] + ["value"]
         )
     try:
-        for start in range(0, pts.shape[0], _CHUNK):
-            block = pts[start : start + _CHUNK]
+        for start in range(0, total, _CHUNK):
+            xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
+            block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
+            bx = basis_x.take(xi, axis=0) @ solution.coeffs.coeffs
+            del xi, di  # only O(chunk) floats stay alive through the evaluator calls
             x, d = block[:, :n], block[:, n:]
             fx = cls.oracle.batch(x, d)
             vals = (
                 eval_template(cls.template, solution.coeffs, fx)
-                - eval_template(cls.template, solution.coeffs, x)
+                - bx
                 - eval_supply(solution.supply, d, x)
             )
+            if not (np.isfinite(vals).all() and np.isfinite(fx).all()):
+                i = int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
+                raise DataFaultError(
+                    f"non-finite oracle output or decrease value at x={x[i].tolist()}, "
+                    f"d={d[i].tolist()}"
+                )
             i = int(np.argmax(vals))
             if vals[i] > best_val:
                 best_val = float(vals[i])
-                best_pt = block[i]
+                best_pt = block[i].copy()
             if writer is not None:
-                for row, v in zip(block, vals):
-                    writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+                write_csv_rows(writer, block, vals)
     finally:
         if fh is not None:
             fh.close()
-    theta_grid = dispersion_of_grid(joint, counts)
+    theta_grid = dispersion_of_grid(cls.joint_box, counts)
     return HeatmapSummary(
         max_value=best_val,
         argmax=best_pt,
         grid_counts=tuple(int(c) for c in counts),
-        point_count=pts.shape[0],
+        point_count=total,
         diagnostic_threshold=solution.eta + l2 * theta_grid,
     )
 
@@ -208,8 +223,7 @@ def write_surface_csv(path, cls: SubsystemClass, points: np.ndarray, values: np.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{k}" for k in range(cls.state_dim)] + ["B"])
-        for row, v in zip(points, values):
-            writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+        write_csv_rows(writer, points, values)
 
 
 def write_levels_csv(path, report: LevelSetReport) -> None:
@@ -232,8 +246,6 @@ def write_trajectories_csv(path, cls: SubsystemClass, portrait: PortraitResult) 
         )
         for t_idx, traj in enumerate(portrait.trajectories):
             steps, nodes, _ = traj.states.shape
-            for s in range(steps):
-                for node in range(nodes):
-                    writer.writerow(
-                        [t_idx, s, node] + [repr(float(v)) for v in traj.states[s, node]]
-                    )
+            step, node = np.divmod(np.arange(steps * nodes), nodes)
+            lead = np.column_stack([np.full(steps * nodes, t_idx), step, node])
+            write_csv_rows(writer, traj.states.reshape(steps * nodes, -1), lead=lead)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from netcert.blackbox import build_platoon_class, build_room_class
 from netcert.core import (
     CoefficientVector,
     DimensionError,
@@ -92,6 +96,58 @@ class TestEvalTemplate:
             vscaled = eval_template(template, CoefficientVector(lam * c1), x)[0]
             assert vsum == pytest.approx(v1 + v2, abs=1e-10, rel=1e-10)
             assert vscaled == pytest.approx(lam * v1, abs=1e-10, rel=1e-10)
+
+
+def reference_basis(template: StcTemplate, pts: np.ndarray) -> np.ndarray:
+    """The basis as the (N, terms, dim) power array reduced over dim."""
+    return np.prod(pts[:, None, :] ** template.exponents[None], axis=2)
+
+
+# Equality with the reference must be exact, not approximate.  The
+# reverse-Weibull fit behind L1 amplifies last-bit changes of B: a 1e-14
+# relative perturbation of platoon's 30 batch maxima moves the fitted L1 from
+# 4253.8252 to 4253.5466 (6.5e-5 relative), so evaluator bits are part of the
+# certificate's contract.
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-3.0, 3.0),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestBasisValues:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_bitwise(self, data):
+        dim = data.draw(st.integers(1, 3))
+        exponents = data.draw(
+            hnp.arrays(
+                np.int64, st.tuples(st.integers(1, 10), st.just(dim)), elements=st.integers(0, 6)
+            )
+        )
+        pts = data.draw(
+            hnp.arrays(
+                np.float64, st.tuples(st.integers(1, 40), st.just(dim)), elements=COORDINATES
+            )
+        )
+        template = StcTemplate(state_dim=dim, exponents=exponents)
+        assert np.array_equal(template.basis_values(pts), reference_basis(template, pts))
+
+    @pytest.mark.parametrize(
+        "build", [build_room_class, build_platoon_class], ids=["room", "platoon"]
+    )
+    def test_benchmark_templates_bitwise(self, build):
+        cls = build()
+        box = cls.state_box
+        rng = np.random.default_rng(3)
+        inside = rng.uniform(box.lower, box.upper, (10_000, cls.state_dim))
+        around = rng.uniform(-2 * box.upper, 2 * box.upper, (10_000, cls.state_dim))
+        around[::7, 0] = 0.0
+        pts = np.vstack([inside, around])
+        expected = reference_basis(cls.template, pts)
+        assert np.array_equal(cls.template.basis_values(pts), expected)
+        # a single row gives the same bits as the same row inside a batch
+        assert np.array_equal(cls.template.basis_values(pts[5]), expected[5:6])
 
 
 class TestSupplyRate:

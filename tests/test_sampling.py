@@ -1,6 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+
+import netcert.sampling as sampling_mod
 
 from netcert.core import DimensionError, IntervalBox, InvariantError
 from netcert.sampling import (
@@ -12,6 +16,7 @@ from netcert.sampling import (
     grid_samples,
     load_samples_csv,
     save_samples_csv,
+    write_csv_rows,
 )
 
 
@@ -175,3 +180,21 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataFaultError):
             load_samples_csv(path, 1, 1, IntervalBox([0.0, 0.0], [1.0, 1.0]))
+
+    def test_row_writer_matches_per_row_loop(self, tmp_path, monkeypatch):
+        """Block-wise writing gives the bytes of one ``writerow`` per row."""
+        monkeypatch.setattr(sampling_mod, "_CSV_BLOCK", 7)
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(30, 2)) * 10.0 ** rng.integers(-300, 300, (30, 2))
+        tail = rng.normal(size=30)
+        tail[::4] = -0.0
+        lead = rng.integers(0, 1000, (30, 3))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for ints, row, v in zip(lead, values, tail):
+                writer.writerow(
+                    [int(i) for i in ints] + [repr(float(c)) for c in row] + [repr(float(v))]
+                )
+        with open(tmp_path / "new.csv", "w", newline="") as fh:
+            write_csv_rows(csv.writer(fh), values, tail, lead=lead)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

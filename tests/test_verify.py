@@ -1,4 +1,6 @@
 import csv
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +14,12 @@ from netcert.core import (
     StcTemplate,
     SubsystemClass,
     SupplyRate,
+    eval_supply,
+    eval_template,
 )
+from netcert.sampling import DataFaultError, grid_samples
 from netcert.scp import ScpSolution
+import netcert.verify as verify_mod
 from netcert.verify import (
     check_level_sets,
     decrease_heatmap,
@@ -130,6 +136,105 @@ class TestDecreaseHeatmap:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x0", "d0", "value"]
         assert len(rows) == 1 + 36
+
+
+def joint_grid_heatmap(cls, solution, counts, chunk, csv_path):
+    """Reference for ``decrease_heatmap``: the joint grid materialised, fed
+    to the evaluators ``chunk`` rows at a time, and written row by row."""
+    pts = grid_samples(cls.joint_box, counts)
+    n = cls.state_dim
+    vals = []
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
+        x, d = block[:, :n], block[:, n:]
+        vals.append(
+            eval_template(cls.template, solution.coeffs, cls.oracle.batch(x, d))
+            - eval_template(cls.template, solution.coeffs, x)
+            - eval_supply(solution.supply, d, x)
+        )
+    vals = np.concatenate(vals)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)] + ["value"]
+        )
+        for row, v in zip(pts, vals):
+            writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+    return pts, vals
+
+
+class TestProductGridHeatmap:
+    """The heatmap walks the X x D product grid from flat indices; it must
+    reproduce the materialised joint grid bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 97], ids=["chunk1", "chunk97"])
+    @pytest.mark.parametrize(
+        "name, counts", [("room", (13, 11)), ("platoon", (3, 4, 2, 5))], ids=["room", "platoon"]
+    )
+    def test_matches_joint_grid(self, request, tmp_path, monkeypatch, name, counts, chunk):
+        cls = request.getfixturevalue(f"{name}_class")
+        solution = request.getfixturevalue(f"{name}_solution")
+        monkeypatch.setattr(verify_mod, "_CHUNK", chunk)
+        pts, vals = joint_grid_heatmap(cls, solution, counts, chunk, tmp_path / "ref.csv")
+        heat = decrease_heatmap(cls, solution, counts, csv_path=tmp_path / "heat.csv")
+        i = int(np.argmax(vals))
+        assert heat.max_value == vals[i]
+        assert np.array_equal(heat.argmax, pts[i])
+        assert heat.point_count == pts.shape[0]
+        assert (tmp_path / "heat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_one_nan_is_a_data_fault(self, room_class, room_solution, monkeypatch):
+        # the poisoned point sits in the fourth block, after blocks of finite values
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        target = float(grid_samples(room_class.state_box, (21,))[17, 0])
+
+        def poisoned(x, d):
+            fx = room_class.oracle.batch(x, d)
+            fx[(x[:, 0] == target) & (d[:, 0] == 13.0)] = np.nan
+            return fx
+
+        cls = replace(room_class, oracle=TransitionOracle(poisoned))
+        with pytest.raises(DataFaultError, match=re.escape(f"x=[{target}], d=[13.0]")):
+            decrease_heatmap(cls, room_solution, (21, 21))
+
+    def test_all_nan_is_a_data_fault(self, room_class, room_solution):
+        nan_oracle = TransitionOracle(lambda x, d: np.full(x.shape, np.nan))
+        cls = replace(room_class, oracle=nan_oracle)
+        with pytest.raises(DataFaultError, match=re.escape("x=[10.0], d=[10.0]")):
+            decrease_heatmap(cls, room_solution, (21, 21))
+
+    @pytest.mark.parametrize(
+        "name, counts", [("room", (40, 30)), ("platoon", (5, 6, 4, 3))], ids=["room", "platoon"]
+    )
+    def test_grids_requested_per_factor(self, request, monkeypatch, name, counts):
+        cls = request.getfixturevalue(f"{name}_class")
+        solution = request.getfixturevalue(f"{name}_solution")
+        rows = []
+
+        def recording(box, per_dim):
+            pts = grid_samples(box, per_dim)
+            rows.append(pts.shape[0])
+            return pts
+
+        monkeypatch.setattr(verify_mod, "grid_samples", recording)
+        heat = decrease_heatmap(cls, solution, counts)
+        n = cls.state_dim
+        assert heat.point_count == int(np.prod(counts))
+        assert max(rows) <= max(int(np.prod(counts[:n])), int(np.prod(counts[n:])))
+
+    def test_memory_stays_per_chunk(self, room_class, room_solution, monkeypatch):
+        """A 16x larger grid at a fixed chunk size keeps the allocation peak
+        within 1.5x."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 2_000)
+        peaks = []
+        for counts in ((60, 60), (240, 240)):
+            tracemalloc.start()
+            try:
+                decrease_heatmap(room_class, room_solution, counts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestSurfaceData:
