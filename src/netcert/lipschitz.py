@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import weibull_max
+from scipy.special import xlogy
 
 from .core import (
     IntervalBox,
@@ -98,6 +98,39 @@ def slope_batch(
     return np.abs(fb - fp) / dist
 
 
+def _weibull_max_logpdf(
+    x: np.ndarray, loc: float, scale: float, shape: float
+) -> Optional[np.ndarray]:
+    """``scipy.stats.weibull_max.logpdf(x, shape, loc=loc, scale=scale)``,
+    bit for bit, or None where scipy would return -inf or nan somewhere: a
+    parameter that is not positive or a point outside the support
+    ``(x - loc) / scale <= 0``.
+
+    The operations are scipy's own (``rv_continuous.logpdf`` -> ``argsreduce``
+    -> ``weibull_max_gen._logpdf``), because the fit amplifies last-bit
+    changes: the parameters are broadcast to contiguous full-length arrays
+    (a scalar exponent takes NumPy's ``square``/``sqrt`` fast paths in
+    ``pow``, which round differently), and ``xlogy`` is kept rather than
+    ``np.log``, whose vectorised kernel may round differently.
+    """
+    y = np.asarray((x - loc) / scale, dtype=float)
+    if not (shape > 0 and scale > 0 and np.all(y <= 0)):
+        return None
+    c = np.full(y.size, shape)
+    return np.log(c) + xlogy(c - 1, -y) - pow(-y, c) - np.log(np.full(y.size, scale))
+
+
+def _reverse_weibull_nll(params: np.ndarray, maxima: np.ndarray) -> float:
+    """Negative log-likelihood of (location, scale, shape), with a 1e30
+    penalty wall wherever a density value is not finite."""
+    loc, scale, shape = params
+    with np.errstate(all="ignore"):
+        ll = _weibull_max_logpdf(maxima, loc, scale, shape)
+    if ll is None or not np.all(np.isfinite(ll)):
+        return 1e30
+    return -float(np.sum(ll))
+
+
 def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, float]]:
     """Maximum-likelihood (location, scale, shape) with the location bounded
     below by the sample maximum, so the fitted endpoint dominates the data.
@@ -107,20 +140,13 @@ def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, flo
     spacing = span / maxima.size
     scale0 = max(float(np.std(maxima)), 1e-12)
 
-    def nll(params: np.ndarray) -> float:
-        loc, scale, shape = params
-        with np.errstate(all="ignore"):
-            ll = weibull_max.logpdf(maxima, shape, loc=loc, scale=scale)
-        if not np.all(np.isfinite(ll)):
-            return 1e30
-        return -float(np.sum(ll))
-
     best = None
     with np.errstate(all="ignore"):  # the penalty wall makes numdiff noisy
         for shape0 in (0.8, 1.5, 3.0):
             res = minimize(
-                nll,
+                _reverse_weibull_nll,
                 x0=np.array([top + spacing, scale0, shape0]),
+                args=(maxima,),
                 method="L-BFGS-B",
                 bounds=[
                     (top + 1e-12 + 1e-9 * max(1.0, abs(top)), top + 10.0 * max(span, scale0)),
@@ -223,14 +249,17 @@ def estimate_from_pairs(
 
     tree = cKDTree(pts)
     pairs = tree.query_pairs(config.gamma, output_type="ndarray")
-    if pairs.shape[0] < config.outer_count:
-        raise InvariantError(
-            "too few recorded pairs within gamma of each other; increase gamma"
-        )
     dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
     keep = dist > 0
+    distinct = int(np.count_nonzero(keep))
+    if distinct < config.outer_count:
+        raise InvariantError(
+            f"only {distinct} pairs of distinct recorded points lie within gamma of each "
+            f"other ({pairs.shape[0] - distinct} coincide), fewer than outer_count = "
+            f"{config.outer_count}; increase gamma"
+        )
     slopes = np.abs(vals[pairs[keep, 0]] - vals[pairs[keep, 1]]) / dist[keep]
     slopes = slopes[rng.permutation(slopes.size)]
     batches = np.array_split(slopes, config.outer_count)
-    maxima = np.array([float(np.max(b)) for b in batches if b.size])
+    maxima = np.array([float(np.max(b)) for b in batches])
     return _estimate_from_maxima(maxima)

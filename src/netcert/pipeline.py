@@ -18,6 +18,8 @@ import numpy as np
 from . import __version__
 from .blackbox import BENCHMARKS, Topology
 from .compose import (
+    CONDITION_M1,
+    CONDITION_M2,
     ClassCertificate,
     ClassMargins,
     NetworkCertificate,
@@ -566,12 +568,34 @@ def render_report(certificate: NetworkCertificate) -> str:
             f"[{cert.class_id}] m1={m.m1!r} m2={m.m2!r} gap={m.gap!r} "
             f"({'satisfied' if m.satisfied else 'violated'})"
         )
+    margins = {cert.class_id: cert.margins for cert in certificate.classes}
     for cid, condition, amount in certificate.failures:
         lines.append(
             f"[{cid}] condition {condition} violated by {amount!r}; "
-            "collect more samples (smaller dispersion) and retry"
+            + _failure_advice(margins[cid], condition)
         )
     return "\n".join(lines)
+
+
+def _failure_advice(m: ClassMargins, condition: str) -> str:
+    """Whether a smaller dispersion could satisfy a violated condition at
+    this optimum: m1 = eta* + L1*theta and m2 = eta* + beta* + L2*theta
+    shrink towards their theta-free part, which must be negative."""
+    if condition == CONDITION_M1:
+        free, slope, part = m.eta, m.l1, "eta*"
+    elif condition == CONDITION_M2:
+        free, slope, part = m.eta + m.beta, m.l2, "eta*+beta*"
+    else:
+        return "phi* - sigma* does not depend on the dispersion"
+    if free >= 0.0:
+        return (
+            f"{part} = {free!r} >= 0, so the margin stays positive however small "
+            "the dispersion theta > 0 gets; more samples cannot satisfy it at this optimum"
+        )
+    return (
+        f"theta < {-free / slope!r} (now {m.theta!r}) would satisfy it at this optimum; "
+        "collect more samples (smaller dispersion) and retry"
+    )
 
 
 # ---------------------------------------------------------------------------

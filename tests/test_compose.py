@@ -10,6 +10,7 @@ from netcert.compose import (
 )
 from netcert.core import InvariantError
 from netcert.lipschitz import LipschitzConfig, estimate_for_class
+from netcert.pipeline import render_report
 from netcert.verify import phase_portrait
 
 from tests.conftest import (
@@ -128,6 +129,38 @@ class TestCertifyPolicy:
         cert = certify([make_class_certificate(m)], reference_size=10)
         assert cert.network_levels() == (20.0, 30.0)
         assert cert.network_levels({"c": 3}) == (6.0, 9.0)
+
+
+class TestFailureReport:
+    """The report advises more samples only when a smaller dispersion could
+    satisfy the violated margin at the current optimum."""
+
+    def _advice(self, **kw):
+        m = class_margins(sigma=0.0, phi=1.0, class_id="c", **kw)
+        lines = render_report(certify([make_class_certificate(m)])).splitlines()
+        return {line.split()[2]: line for line in lines if "violated by" in line}
+
+    def test_dispersion_bound_when_theta_free_part_negative(self):
+        advice = self._advice(eta=-1.0, beta=0.5, l1=4.0, l2=8.0, theta=0.5)
+        assert "theta < 0.25 (now 0.5) would satisfy it" in advice["m1"]
+        assert "theta < 0.0625 (now 0.5) would satisfy it" in advice["m2"]
+        assert all("collect more samples" in line for line in advice.values())
+        # just below the tighter bound both margins hold
+        assert class_margins(eta=-1.0, beta=0.5, l1=4.0, l2=8.0, theta=0.0624, phi=1.0).satisfied
+
+    def test_positive_at_zero_dispersion_is_named(self):
+        """Room's optimum: eta* = 3.8e-5 > 0, so no theta can help."""
+        advice = self._advice(eta=3.8e-05, beta=-9.2e-10, l1=0.0028, l2=0.00065, theta=0.07)
+        assert "eta* = 3.8e-05 >= 0" in advice["m1"]
+        assert f"eta*+beta* = {3.8e-05 + -9.2e-10!r} >= 0" in advice["m2"]
+        for line in advice.values():
+            assert "stays positive however small" in line
+            assert "collect more samples" not in line
+
+    def test_each_margin_judged_on_its_own(self):
+        advice = self._advice(eta=-1e-3, beta=2e-3, l1=1.0, l2=1.0, theta=0.01)
+        assert "theta < 0.001 (now 0.01)" in advice["m1"]
+        assert "stays positive however small" in advice["m2"]
 
 
 class TestEvalNetworkCertificate:

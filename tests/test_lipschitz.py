@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import weibull_max
 
+from netcert import lipschitz
 from netcert.core import CoefficientVector, IntervalBox, InvariantError
 from netcert.lipschitz import (
     LipschitzConfig,
+    _fit_reverse_weibull,
+    _reverse_weibull_nll,
+    _weibull_max_logpdf,
     estimate_for_class,
     estimate_from_pairs,
     estimate_lipschitz,
@@ -198,3 +206,83 @@ class TestEstimateFromPairs:
         cfg = LipschitzConfig(gamma=0.1, inner_count=5, outer_count=5, seed=0)
         with pytest.raises(InvariantError):
             estimate_from_pairs(pts, vals, cfg)
+
+    def test_all_pairs_duplicate_rejected(self):
+        pts = np.zeros((12, 1))  # 66 pairs, every one at distance 0
+        cfg = LipschitzConfig(gamma=0.1, inner_count=5, outer_count=5, seed=0)
+        with pytest.raises(InvariantError, match="only 0 pairs of distinct"):
+            estimate_from_pairs(pts, np.zeros(12), cfg)
+
+    def test_duplicates_do_not_count_towards_outer_count(self):
+        """55 pairs within gamma, but only 10 join distinct points: too few
+        for 30 batches, which would otherwise fit 10 maxima."""
+        pts = np.vstack([np.zeros((10, 1)), [[0.05]]])
+        vals = 2.0 * pts[:, 0]
+        cfg = LipschitzConfig(gamma=0.1, inner_count=5, outer_count=30, seed=0)
+        with pytest.raises(InvariantError, match=r"only 10 pairs .* \(45 coincide\)"):
+            estimate_from_pairs(pts, vals, cfg)
+
+
+def reference_nll(params, maxima):
+    """The likelihood as written on scipy.stats.weibull_max."""
+    loc, scale, shape = params
+    with np.errstate(all="ignore"):
+        ll = weibull_max.logpdf(maxima, shape, loc=loc, scale=scale)
+    if not np.all(np.isfinite(ll)):
+        return 1e30
+    return -float(np.sum(ll))
+
+
+MAXIMA = hnp.arrays(float, st.integers(2, 63), elements=st.floats(-1e3, 1e3))
+SCALES = st.just(1e-12) | st.floats(-12.0, 4.0).map(lambda e: 10.0**e)
+SHAPES = st.sampled_from([0.05, 1.0, 2.0, 50.0]) | st.floats(0.05, 50.0)
+OFFSETS = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
+SHIPPED = LipschitzConfig(gamma=0.1, inner_count=200, outer_count=30, seed=7)
+
+
+class TestReverseWeibullLikelihood:
+    """The written-out density must equal scipy's bit for bit: the fit
+    amplifies last-bit changes into the stored L1 and L2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(maxima=MAXIMA, offset=st.just(0.0) | OFFSETS, scale=SCALES, shape=SHAPES)
+    def test_matches_scipy_bitwise(self, maxima, offset, scale, shape):
+        params = np.array([np.max(maxima) + offset, scale, shape])  # offset 0: top at loc
+        with np.errstate(all="ignore"):
+            got = _weibull_max_logpdf(maxima, *params)
+            ref = weibull_max.logpdf(maxima, shape, loc=params[0], scale=scale)
+        assert got is not None
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert _reverse_weibull_nll(params, maxima) == reference_nll(params, maxima)
+
+    @settings(max_examples=100, deadline=None)
+    @given(maxima=MAXIMA, drop=OFFSETS, scale=SCALES, shape=SHAPES)
+    def test_points_above_loc_are_penalised(self, maxima, drop, scale, shape):
+        params = np.array([np.max(maxima) - drop, scale, shape])
+        assume(params[0] < np.max(maxima))
+        assert _weibull_max_logpdf(maxima, *params) is None
+        assert _reverse_weibull_nll(params, maxima) == reference_nll(params, maxima) == 1e30
+
+    @pytest.mark.parametrize("shape", [0.05, 1.0, 2.0, 50.0])
+    def test_point_at_loc_matches_scipy(self, shape):
+        """At y = 0 scipy's support test passes; shape 1 gives a finite
+        density there, which must not be penalised."""
+        maxima = np.array([0.25, 0.5, 1.0])
+        params = np.array([1.0, 0.5, shape])
+        with np.errstate(all="ignore"):
+            ref = weibull_max.logpdf(maxima, shape, loc=1.0, scale=0.5)
+            assert np.array_equal(_weibull_max_logpdf(maxima, *params), ref)
+        assert _reverse_weibull_nll(params, maxima) == reference_nll(params, maxima)
+        assert (reference_nll(params, maxima) < 1e30) == (shape == 1.0)
+
+    @pytest.mark.parametrize("case", ["room", "platoon"])
+    def test_fit_matches_scipy_likelihood(self, case, request, monkeypatch):
+        cls = request.getfixturevalue(f"{case}_class")
+        solution = request.getfixturevalue(f"{case}_solution")
+        for est in estimate_for_class(cls, solution, SHIPPED):
+            maxima = np.array(est.max_slope_samples)
+            assert np.var(maxima) >= 1e-12  # the fit runs, no fallback
+            fit = _fit_reverse_weibull(maxima)
+            with monkeypatch.context() as m:
+                m.setattr(lipschitz, "_reverse_weibull_nll", reference_nll)
+                assert fit == _fit_reverse_weibull(maxima)
