@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,13 +26,14 @@ from .pipeline import (
     ConfigError,
     PipelineError,
     build_class,
+    config_from_dict,
+    config_to_dict,
     load_certificate,
     load_config,
     run_pipeline,
     render_report,
 )
-from .sampling import CoverageError
-from .scp import ScpSolution
+from .sampling import CoverageError, DataFaultError
 from .verify import (
     check_level_sets,
     decrease_heatmap,
@@ -47,36 +47,49 @@ EXIT_CONFIG_ERROR = 2
 EXIT_COMPUTE_ERROR = 3
 
 
-def _apply_overrides(cfg, args) -> None:
-    """Command-line flags override the corresponding config scalars."""
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    if args.surrogate_size is not None:
-        cfg.surrogate_size = args.surrogate_size
-    if args.topology is not None:
-        cfg.topology_kind = args.topology
-    if args.no_refine:
-        cfg.refine_enabled = False
-    if args.coeff_bound is not None:
-        cfg.scp = replace(cfg.scp, coeff_bound=args.coeff_bound)
-    if args.gap is not None:
-        cfg.scp = replace(cfg.scp, gap=args.gap)
-    if args.seed is not None:
-        cfg.lipschitz = replace(cfg.lipschitz, seed=args.seed)
-    if args.export_lp:
-        cfg.export_lp = True
+# flag -> (config path it sets, argparse keywords); a flag's value is checked
+# like the same value in the file, before any compute
+CONFIG_FLAGS = {
+    "--output-dir": ("output_dir", {}),
+    "--surrogate-size": ("topology.surrogate_size", {"type": int}),
+    "--topology": ("topology.kind", {"choices": TOPOLOGY_KINDS}),
+    "--coeff-bound": ("scp.coeff_bound", {"type": float}),
+    "--gap": ("scp.gap", {"type": float}),
+    "--seed": ("lipschitz.seed", {"type": int}),
+    "--no-refine": ("refine.enabled", {"action": "store_const", "const": False}),
+    "--export-lp": ("export_lp", {"action": "store_const", "const": True}),
+}
+
+
+def _add_config_flags(parser, *flags) -> None:
+    for flag in flags:
+        path, kwargs = CONFIG_FLAGS[flag]
+        parser.add_argument(flag, dest=path, default=None, **kwargs)
+
+
+def _load_config(args):
+    """The configuration file with every given config flag set over it."""
+    doc = config_to_dict(load_config(args.config))
+    for path, _ in CONFIG_FLAGS.values():
+        value = getattr(args, path, None)
+        if value is not None:
+            *sections, key = path.split(".")
+            target = doc
+            for name in sections:
+                target = target[name]
+            target[key] = value
+    return config_from_dict(doc)
 
 
 def cmd_synth(args) -> int:
     try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
+        cfg = _load_config(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         result = run_pipeline(cfg)
-    except (PipelineError, CoverageError) as exc:
+    except (PipelineError, CoverageError, DataFaultError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR
     print(render_report(result.certificate))
@@ -86,24 +99,9 @@ def cmd_synth(args) -> int:
     return EXIT_CERTIFIED if result.certificate.certified else EXIT_NOT_CERTIFIED
 
 
-def _solution_from_class_certificate(cert) -> ScpSolution:
-    return ScpSolution(
-        coeffs=cert.coefficient_vector(),
-        sigma=cert.sigma,
-        phi=cert.phi,
-        supply=cert.supply(),
-        eta=cert.eta,
-        beta=cert.beta,
-        objective=cert.eta + cert.beta,
-        status="optimal",
-    )
-
-
 def _classes_from_certificate(cert):
     """Rebuild the class definitions from the config embedded in the
     certificate's provenance."""
-    from .pipeline import config_from_dict
-
     doc = cert.provenance.get("config")
     if doc is None:
         raise CertificateFormatError(
@@ -124,7 +122,7 @@ def cmd_verify(args) -> int:
     print(f"stored verdict: {cert.verdict}")
     for ccert in cert.classes:
         cls = classes[ccert.class_id]
-        sol = _solution_from_class_certificate(ccert)
+        sol = ccert.solution()
         counts = (args.grid_per_dim,) * cls.state_dim
         levels = check_level_sets(cls, sol, counts)
         print(
@@ -142,7 +140,7 @@ def cmd_verify(args) -> int:
             )
             ok &= heat.passed
             portrait = phase_portrait(
-                cls, cfg.topology(), (args.trajectories,) * cls.state_dim, args.steps
+                cls, cfg.topology, (args.trajectories,) * cls.state_dim, args.steps
             )
             print(
                 f"[{ccert.class_id}] portrait: {portrait.unsafe_entries} unsafe entries"
@@ -182,7 +180,7 @@ def cmd_lipschitz(args) -> int:
     if cls.oracle is None:
         print("class has no oracle; cannot rebuild the decrease map", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    sol = _solution_from_class_certificate(ccert)
+    sol = ccert.solution()
     l1, l2 = estimate_for_class(cls, sol, config)
     print(f"L1 = {l1.value!r} (fallback: {l1.fallback_used})")
     print(f"L2 = {l2.value!r} (fallback: {l2.fallback_used})")
@@ -192,14 +190,10 @@ def cmd_lipschitz(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = load_config(args.config)
+        cfg = _load_config(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if args.topology is not None:
-        cfg.topology_kind = args.topology
-    if args.surrogate_size is not None:
-        cfg.surrogate_size = args.surrogate_size
     unsafe_total = 0
     for cc in cfg.classes:
         cls = build_class(cc)
@@ -207,11 +201,11 @@ def cmd_simulate(args) -> int:
             print(f"[{cc.id}] data-backed class; nothing to simulate")
             continue
         counts = (args.trajectories,) * cls.state_dim
-        portrait = phase_portrait(cls, cfg.topology(), counts, args.steps)
+        portrait = phase_portrait(cls, cfg.topology, counts, args.steps)
         unsafe_total += portrait.unsafe_entries
         print(
             f"[{cc.id}] {portrait.initial_points.shape[0]} trajectories, "
-            f"{args.steps} steps, topology {cfg.topology_kind}: "
+            f"{args.steps} steps, topology {cfg.topology.kind}: "
             f"{portrait.unsafe_entries} unsafe entries"
         )
         if args.output is not None:
@@ -252,14 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="run the full synthesis pipeline")
     synth.add_argument("--config", required=True)
-    synth.add_argument("--output-dir", default=None)
-    synth.add_argument("--surrogate-size", type=int, default=None)
-    synth.add_argument("--topology", choices=TOPOLOGY_KINDS, default=None)
-    synth.add_argument("--coeff-bound", type=float, default=None)
-    synth.add_argument("--gap", type=float, default=None)
-    synth.add_argument("--seed", type=int, default=None)
-    synth.add_argument("--no-refine", action="store_true")
-    synth.add_argument("--export-lp", action="store_true")
+    _add_config_flags(synth, *CONFIG_FLAGS)
     synth.set_defaults(func=cmd_synth)
 
     verify = sub.add_parser("verify", help="re-check a stored certificate")
@@ -281,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="surrogate phase portraits")
     simulate.add_argument("--config", required=True)
-    simulate.add_argument("--topology", choices=TOPOLOGY_KINDS, default=None)
-    simulate.add_argument("--surrogate-size", type=int, default=None)
+    _add_config_flags(simulate, "--topology", "--surrogate-size")
     simulate.add_argument("--trajectories", type=int, default=5)
     simulate.add_argument("--steps", type=int, default=100)
     simulate.add_argument("--output", default=None)

@@ -23,6 +23,8 @@ from .core import (
     SupplyRate,
     eval_template,
 )
+from .lipschitz import LipschitzConfig
+from .scp import ScpSolution
 
 CONDITION_GAP = "gap"  # phi* - sigma* > 0
 CONDITION_M1 = "m1"  # eta* + L1 * theta <= 0
@@ -111,23 +113,42 @@ class ClassCertificate:
     l1: float
     l2: float
     theta: float
-    margins: ClassMargins
     sample_count: int
     grid_spec: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-    lipschitz_config: Optional[dict] = None
+    lipschitz_config: Optional[LipschitzConfig] = None
     l1_fallback: bool = False
     l2_fallback: bool = False
+
+    @property
+    def margins(self) -> ClassMargins:
+        return class_margins(
+            eta=self.eta,
+            beta=self.beta,
+            l1=self.l1,
+            l2=self.l2,
+            theta=self.theta,
+            sigma=self.sigma,
+            phi=self.phi,
+            class_id=self.class_id,
+        )
 
     def template(self) -> StcTemplate:
         exps = np.array(self.template_exponents, dtype=int)
         return StcTemplate(state_dim=exps.shape[1], exponents=exps)
 
-    def coefficient_vector(self) -> CoefficientVector:
-        return CoefficientVector(np.array(self.coeffs))
-
-    def supply(self) -> SupplyRate:
-        return SupplyRate(
-            np.array(self.supply_s11), np.array(self.supply_s12), np.array(self.supply_s22)
+    def solution(self) -> ScpSolution:
+        """The stored scenario optimum, in the form the verifiers take."""
+        return ScpSolution(
+            coeffs=CoefficientVector(np.array(self.coeffs)),
+            sigma=self.sigma,
+            phi=self.phi,
+            supply=SupplyRate(
+                np.array(self.supply_s11), np.array(self.supply_s12), np.array(self.supply_s22)
+            ),
+            eta=self.eta,
+            beta=self.beta,
+            objective=self.eta + self.beta,
+            status="optimal",
         )
 
 
@@ -226,5 +247,5 @@ def eval_network_certificate(
     for cid in dict.fromkeys(assignment):
         cert = certificate.class_by_id(cid)
         points = [np.asarray(x, float).reshape(-1) for x, c in zip(states, assignment) if c == cid]
-        total += float(np.sum(eval_template(cert.template(), cert.coefficient_vector(), points)))
+        total += float(np.sum(eval_template(cert.template(), cert.solution().coeffs, points)))
     return total

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,6 @@ from .compose import (
     ClassMargins,
     NetworkCertificate,
     certify,
-    class_margins,
 )
 from .core import (
     IntervalBox,
@@ -48,7 +48,14 @@ from .sampling import (
     load_samples_csv,
     save_samples_csv,
 )
-from .scp import ScpOptions, build_scp, check_solution, export_lp_text, solve_scp
+from .scp import (
+    ScpOptions,
+    ScpSolution,
+    build_scp,
+    check_solution,
+    export_lp_text,
+    solve_scp,
+)
 from .verify import (
     check_level_sets,
     decrease_heatmap,
@@ -93,30 +100,34 @@ class ClassConfig:
     unsafe_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
 
+# the keys only one kind of class takes; id and template_exponents apply to both
+BENCHMARK_CLASS_KEYS = ("benchmark_params", "counts_state", "counts_input")
+DATA_CLASS_KEYS = ("state_dim", "input_dim", "state_box", "input_box", "initial_box", "unsafe_box")
+
+
+@dataclass(frozen=True)
+class RefineConfig:
+    """Grid refinement: failing benchmark classes are re-run with doubled
+    grid counts, at most ``max_retries`` times."""
+
+    enabled: bool = True
+    max_retries: int = 2
+
+
 @dataclass
 class PipelineConfig:
     classes: list[ClassConfig]
     output_dir: str = "netcert-out"
-    surrogate_size: int = 10
-    topology_kind: str = "ring"
-    weight_decay: float = 0.5
+    topology: Topology = field(default_factory=lambda: Topology(kind="ring", surrogate_size=10))
     scp: ScpOptions = field(default_factory=ScpOptions)
     lipschitz: LipschitzConfig = field(
         default_factory=lambda: LipschitzConfig(gamma=0.1, inner_count=200, outer_count=30, seed=7)
     )
-    refine_enabled: bool = True
-    refine_max_retries: int = 2
+    refine: RefineConfig = field(default_factory=RefineConfig)
     portrait_counts: tuple[int, ...] = ()
     portrait_steps: int = 100
     verify_multiplier: int = 10
     export_lp: bool = False
-
-    def topology(self) -> Topology:
-        return Topology(
-            kind=self.topology_kind,
-            surrogate_size=self.surrogate_size,
-            weight_decay=self.weight_decay,
-        )
 
 
 def _box_from_pair(pair, what: str) -> IntervalBox:
@@ -135,6 +146,14 @@ def build_class(cc: ClassConfig) -> SubsystemClass:
             f"class {cc.id!r} must name exactly one of 'benchmark' or 'data_csv'"
         )
     if cc.benchmark is not None:
+        kind, foreign = "benchmark", DATA_CLASS_KEYS
+    else:
+        kind, foreign = "data", BENCHMARK_CLASS_KEYS
+    defaults = _defaults(ClassConfig)
+    for name in foreign:
+        if getattr(cc, name) != defaults[name]:
+            raise ConfigError(f"{kind} class {cc.id!r} does not take {name!r}")
+    if cc.benchmark is not None:
         if cc.benchmark not in BENCHMARKS:
             raise ConfigError(
                 f"unknown benchmark {cc.benchmark!r}; available: {sorted(BENCHMARKS)}"
@@ -148,9 +167,7 @@ def build_class(cc: ClassConfig) -> SubsystemClass:
         if not cc.counts_state or not cc.counts_input:
             raise ConfigError(f"class {cc.id!r} needs counts_state and counts_input")
         return replace(cls, id=cc.id)
-    # external data class
-    required = ("state_dim", "input_dim", "state_box", "input_box", "initial_box", "unsafe_box")
-    for name in required:
+    for name in DATA_CLASS_KEYS:
         if getattr(cc, name) is None:
             raise ConfigError(f"data class {cc.id!r} is missing {name!r}")
     if cc.template_exponents is None:
@@ -177,8 +194,92 @@ def build_class(cc: ClassConfig) -> SubsystemClass:
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization: versioned JSON, flat key-value style
+# JSON schema.  Config and certificate records are read and written through
+# their dataclasses, so each field list and each default is written once.
 # ---------------------------------------------------------------------------
+
+
+def _defaults(kind) -> dict:
+    """Default value of every field of dataclass ``kind`` that has one."""
+    out = {}
+    for f in fields(kind):
+        if f.default is not MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            out[f.name] = f.default_factory()
+    return out
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _read(kind, doc, path: str, base=None):
+    """Dataclass ``kind`` from the JSON object ``doc``: ``base`` (or the
+    dataclass defaults) updated by the document's keys, each coerced to its
+    field's type.  Unknown, missing or ill-typed keys and values the
+    dataclass rejects raise ConfigError naming their path."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'document'} must be a JSON object")
+    hints = typing.get_type_hints(kind)
+    defaults = _defaults(kind)
+    names = [f.name for f in fields(kind) if f.init]
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"unknown key {_at(path, key)!r}")
+    if base is None:
+        for name in names:
+            if name not in doc and name not in defaults:
+                raise ConfigError(f"missing key {_at(path, name)!r}")
+    values = {
+        key: _coerce(hints[key], value, _at(path, key), defaults.get(key))
+        for key, value in doc.items()
+    }
+    try:
+        return kind(**values) if base is None else replace(base, **values)
+    except InvariantError as exc:
+        raise ConfigError(f"{path or 'document'}: {exc}") from exc
+
+
+def _coerce(hint, value, path: str, default=None):
+    """``value`` as type ``hint``: records are read by ``_read`` (updating
+    ``default``), sequences item by item, numbers and flags by conversion."""
+    if is_dataclass(hint):
+        return _read(hint, value, path, default)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _coerce(args[0], value, path)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        item_hints = [args[0]] * len(value) if origin is list or args[-1] is ... else args
+        if len(item_hints) != len(value):
+            raise ConfigError(f"{path} must have {len(item_hints)} entries")
+        items = enumerate(zip(item_hints, value))
+        return origin(_coerce(h, v, f"{path}[{i}]") for i, (h, v) in items)
+    if hint in (str, dict):
+        if not isinstance(value, hint):
+            raise ConfigError(f"{path} must be a JSON {'string' if hint is str else 'object'}")
+        return hint(value)
+    try:
+        return hint(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _plain(value, omit_defaults: bool = False):
+    """JSON form of a record: dataclasses become objects, tuples lists.
+    With ``omit_defaults`` the fields still at their default are left out."""
+    if is_dataclass(value):
+        defaults = _defaults(type(value)) if omit_defaults else {}
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in fields(value)
+            if f.name not in defaults or getattr(value, f.name) != defaults[f.name]
+        }
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
@@ -188,132 +289,19 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         raise ConfigError(
             f"unsupported config version {doc.get('version')!r}; expected {CONFIG_VERSION}"
         )
-    classes = []
-    for raw in doc.get("classes", []):
-        known = {
-            "id", "benchmark", "benchmark_params", "data_csv", "counts_state",
-            "counts_input", "template_exponents", "state_dim", "input_dim",
-            "state_box", "input_box", "initial_box", "unsafe_box",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown class keys: {sorted(unknown)}")
-        if "id" not in raw:
-            raise ConfigError("every class needs an 'id'")
-        cc = ClassConfig(
-            id=raw["id"],
-            benchmark=raw.get("benchmark"),
-            benchmark_params=dict(raw.get("benchmark_params", {})),
-            data_csv=raw.get("data_csv"),
-            counts_state=tuple(raw.get("counts_state", ())),
-            counts_input=tuple(raw.get("counts_input", ())),
-            template_exponents=(
-                tuple(tuple(int(e) for e in row) for row in raw["template_exponents"])
-                if raw.get("template_exponents") is not None
-                else None
-            ),
-            state_dim=raw.get("state_dim"),
-            input_dim=raw.get("input_dim"),
-            state_box=raw.get("state_box"),
-            input_box=raw.get("input_box"),
-            initial_box=raw.get("initial_box"),
-            unsafe_box=raw.get("unsafe_box"),
-        )
-        classes.append(cc)
-    if not classes:
+    cfg = _read(PipelineConfig, {k: v for k, v in doc.items() if k != "version"}, "")
+    if not cfg.classes:
         raise ConfigError("configuration defines no classes")
-    scp_doc = doc.get("scp", {})
-    lip_doc = doc.get("lipschitz", {})
-    refine_doc = doc.get("refine", {})
-    topo_doc = doc.get("topology", {})
-    try:
-        scp = ScpOptions(
-            coeff_bound=float(scp_doc.get("coeff_bound", 200.0)),
-            gap=float(scp_doc.get("gap", 1e-3)),
-            feasibility_tol=float(scp_doc.get("feasibility_tol", 1e-8)),
-        )
-        lip = LipschitzConfig(
-            gamma=float(lip_doc.get("gamma", 0.1)),
-            inner_count=int(lip_doc.get("inner_count", 200)),
-            outer_count=int(lip_doc.get("outer_count", 30)),
-            seed=int(lip_doc.get("seed", 7)),
-        )
-    except InvariantError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = PipelineConfig(
-        classes=classes,
-        output_dir=doc.get("output_dir", "netcert-out"),
-        surrogate_size=int(topo_doc.get("surrogate_size", doc.get("surrogate_size", 10))),
-        topology_kind=topo_doc.get("kind", "ring"),
-        weight_decay=float(topo_doc.get("weight_decay", 0.5)),
-        scp=scp,
-        lipschitz=lip,
-        refine_enabled=bool(refine_doc.get("enabled", True)),
-        refine_max_retries=int(refine_doc.get("max_retries", 2)),
-        portrait_counts=tuple(doc.get("portrait_counts", ())),
-        portrait_steps=int(doc.get("portrait_steps", 100)),
-        verify_multiplier=int(doc.get("verify_multiplier", 10)),
-        export_lp=bool(doc.get("export_lp", False)),
-    )
     # materialize every class now so config errors surface before compute
-    for cc in classes:
+    for cc in cfg.classes:
         build_class(cc)
-    try:
-        cfg.topology()
-    except InvariantError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    classes = []
-    for cc in cfg.classes:
-        entry: dict = {"id": cc.id}
-        if cc.benchmark is not None:
-            entry["benchmark"] = cc.benchmark
-            if cc.benchmark_params:
-                entry["benchmark_params"] = cc.benchmark_params
-            entry["counts_state"] = list(cc.counts_state)
-            entry["counts_input"] = list(cc.counts_input)
-        else:
-            entry.update(
-                data_csv=cc.data_csv,
-                state_dim=cc.state_dim,
-                input_dim=cc.input_dim,
-                state_box=cc.state_box,
-                input_box=cc.input_box,
-                initial_box=cc.initial_box,
-                unsafe_box=cc.unsafe_box,
-            )
-        if cc.template_exponents is not None:
-            entry["template_exponents"] = [list(r) for r in cc.template_exponents]
-        classes.append(entry)
-    return {
-        "version": CONFIG_VERSION,
-        "output_dir": cfg.output_dir,
-        "topology": {
-            "kind": cfg.topology_kind,
-            "weight_decay": cfg.weight_decay,
-            "surrogate_size": cfg.surrogate_size,
-        },
-        "scp": {
-            "coeff_bound": cfg.scp.coeff_bound,
-            "gap": cfg.scp.gap,
-            "feasibility_tol": cfg.scp.feasibility_tol,
-        },
-        "lipschitz": {
-            "gamma": cfg.lipschitz.gamma,
-            "inner_count": cfg.lipschitz.inner_count,
-            "outer_count": cfg.lipschitz.outer_count,
-            "seed": cfg.lipschitz.seed,
-        },
-        "refine": {"enabled": cfg.refine_enabled, "max_retries": cfg.refine_max_retries},
-        "portrait_counts": list(cfg.portrait_counts),
-        "portrait_steps": cfg.portrait_steps,
-        "verify_multiplier": cfg.verify_multiplier,
-        "export_lp": cfg.export_lp,
-        "classes": classes,
-    }
+    # a class entry names only the keys it sets, hence only its own kind's
+    classes = [_plain(cc, omit_defaults=True) for cc in cfg.classes]
+    return {"version": CONFIG_VERSION, **_plain(cfg), "classes": classes}
 
 
 def load_config(path) -> PipelineConfig:
@@ -340,7 +328,7 @@ class ClassRun:
     solution: ScpSolution
     l1: LipschitzEstimate
     l2: LipschitzEstimate
-    margins: ClassMargins
+    certificate: ClassCertificate
 
 
 class PipelineError(RuntimeError):
@@ -379,49 +367,38 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
             cls.template, solution.coeffs, samples.x
         )
         l2 = estimate_from_pairs(samples.joint, gamma_vals, cfg.lipschitz)
-    margins = class_margins(
-        eta=solution.eta,
-        beta=solution.beta,
-        l1=l1.value,
-        l2=l2.value,
-        theta=samples.dispersion,
-        sigma=solution.sigma,
-        phi=solution.phi,
-        class_id=cc.id,
-    )
     return ClassRun(
-        cls=cls, config=cc, samples=samples, solution=solution, l1=l1, l2=l2, margins=margins
+        cls=cls,
+        config=cc,
+        samples=samples,
+        solution=solution,
+        l1=l1,
+        l2=l2,
+        certificate=ClassCertificate(
+            class_id=cc.id,
+            template_exponents=_rows(cls.template.exponents),
+            coeffs=tuple(solution.coeffs.coeffs.tolist()),
+            sigma=solution.sigma,
+            phi=solution.phi,
+            supply_s11=_rows(solution.supply.s11),
+            supply_s12=_rows(solution.supply.s12),
+            supply_s22=_rows(solution.supply.s22),
+            eta=solution.eta,
+            beta=solution.beta,
+            l1=l1.value,
+            l2=l2.value,
+            theta=samples.dispersion,
+            sample_count=samples.count,
+            grid_spec=samples.grid_spec,
+            lipschitz_config=cfg.lipschitz,
+            l1_fallback=l1.fallback_used,
+            l2_fallback=l2.fallback_used,
+        ),
     )
 
 
-def _class_certificate(run: ClassRun, cfg: PipelineConfig) -> ClassCertificate:
-    sol = run.solution
-    return ClassCertificate(
-        class_id=run.config.id,
-        template_exponents=tuple(tuple(int(e) for e in row) for row in run.cls.template.exponents),
-        coeffs=tuple(float(v) for v in sol.coeffs.coeffs),
-        sigma=sol.sigma,
-        phi=sol.phi,
-        supply_s11=tuple(tuple(float(v) for v in row) for row in sol.supply.s11),
-        supply_s12=tuple(tuple(float(v) for v in row) for row in sol.supply.s12),
-        supply_s22=tuple(tuple(float(v) for v in row) for row in sol.supply.s22),
-        eta=sol.eta,
-        beta=sol.beta,
-        l1=run.l1.value,
-        l2=run.l2.value,
-        theta=run.samples.dispersion,
-        margins=run.margins,
-        sample_count=run.samples.count,
-        grid_spec=run.samples.grid_spec,
-        lipschitz_config={
-            "gamma": cfg.lipschitz.gamma,
-            "inner_count": cfg.lipschitz.inner_count,
-            "outer_count": cfg.lipschitz.outer_count,
-            "seed": cfg.lipschitz.seed,
-        },
-        l1_fallback=run.l1.fallback_used,
-        l2_fallback=run.l2.fallback_used,
-    )
+def _rows(matrix: np.ndarray) -> tuple[tuple, ...]:
+    return tuple(map(tuple, matrix.tolist()))
 
 
 @dataclass
@@ -441,8 +418,8 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     for cc in cfg.classes:
         runs[cc.id] = _run_class(cc, cfg)
     rounds = 0
-    while cfg.refine_enabled and rounds < cfg.refine_max_retries:
-        failing = [cc for cc in cfg.classes if not runs[cc.id].margins.satisfied]
+    while cfg.refine.enabled and rounds < cfg.refine.max_retries:
+        failing = [cc for cc in cfg.classes if not runs[cc.id].certificate.margins.satisfied]
         refinable = [cc for cc in failing if cc.data_csv is None]
         if not failing or not refinable:
             break
@@ -460,8 +437,8 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     # path out keeps runs into different directories byte-identical
     embedded_config.pop("output_dir", None)
     certificate = certify(
-        [_class_certificate(runs[cc.id], cfg) for cc in cfg.classes],
-        reference_size=cfg.surrogate_size,
+        [runs[cc.id].certificate for cc in cfg.classes],
+        reference_size=cfg.topology.surrogate_size,
         provenance={
             "tool_version": __version__,
             "config": embedded_config,
@@ -522,15 +499,15 @@ def write_run_outputs(
             )
             portrait_counts = cfg.portrait_counts or (5,) * run.cls.state_dim
             portrait = phase_portrait(
-                run.cls, cfg.topology(), portrait_counts, cfg.portrait_steps
+                run.cls, cfg.topology, portrait_counts, cfg.portrait_steps
             )
             write_trajectories_csv(
-                os.path.join(out, f"{cid}_trajectories_{cfg.topology_kind}.csv"),
+                os.path.join(out, f"{cid}_trajectories_{cfg.topology.kind}.csv"),
                 run.cls,
                 portrait,
             )
             report_lines.append(
-                f"[{cid}] phase portrait ({cfg.topology_kind}): "
+                f"[{cid}] phase portrait ({cfg.topology.kind}): "
                 f"{portrait.unsafe_entries} unsafe entries out of "
                 f"{portrait.initial_points.shape[0]} trajectories"
             )
@@ -603,48 +580,31 @@ def _failure_advice(m: ClassMargins, condition: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+FAILURE_KEYS = ("class_id", "condition", "amount")  # one entry of "failures"
+MARGIN_KEYS = ("m1", "m2", "gap")  # stored with each class, recomputed on load
+
+
+def _failures_to_list(failures) -> list[dict]:
+    return [dict(zip(FAILURE_KEYS, failure)) for failure in failures]
+
+
+def _margins_to_dict(cert: ClassCertificate) -> dict:
+    return {key: getattr(cert.margins, key) for key in MARGIN_KEYS}
+
+
 def certificate_to_dict(cert: NetworkCertificate) -> dict:
     return {
         "version": CERTIFICATE_VERSION,
-        "verdict": cert.verdict,
-        "reference_size": cert.reference_size,
-        "failures": [
-            {"class_id": cid, "condition": cond, "amount": amount}
-            for cid, cond, amount in cert.failures
-        ],
-        "classes": [
-            {
-                "class_id": c.class_id,
-                "template_exponents": [list(r) for r in c.template_exponents],
-                "coeffs": list(c.coeffs),
-                "sigma": c.sigma,
-                "phi": c.phi,
-                "supply_s11": [list(r) for r in c.supply_s11],
-                "supply_s12": [list(r) for r in c.supply_s12],
-                "supply_s22": [list(r) for r in c.supply_s22],
-                "eta": c.eta,
-                "beta": c.beta,
-                "l1": c.l1,
-                "l2": c.l2,
-                "theta": c.theta,
-                "m1": c.margins.m1,
-                "m2": c.margins.m2,
-                "gap": c.margins.gap,
-                "sample_count": c.sample_count,
-                "grid_spec": (
-                    [list(c.grid_spec[0]), list(c.grid_spec[1])] if c.grid_spec else None
-                ),
-                "lipschitz_config": c.lipschitz_config,
-                "l1_fallback": c.l1_fallback,
-                "l2_fallback": c.l2_fallback,
-            }
-            for c in cert.classes
-        ],
-        "provenance": cert.provenance,
+        **_plain(cert),
+        "failures": _failures_to_list(cert.failures),
+        "classes": [{**_plain(c), **_margins_to_dict(c)} for c in cert.classes],
     }
 
 
 def certificate_from_dict(doc: dict) -> NetworkCertificate:
+    """Rebuild the certificate from its classes with ``certify``.  The stored
+    verdict, failures and margins must equal the recomputed ones exactly:
+    the same arithmetic on the same stored floats gives the same bits."""
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate document must be a JSON object")
     if doc.get("version") != CERTIFICATE_VERSION:
@@ -652,57 +612,39 @@ def certificate_from_dict(doc: dict) -> NetworkCertificate:
             f"unsupported certificate version {doc.get('version')!r}; "
             f"expected {CERTIFICATE_VERSION}"
         )
+    known = {"version", *(f.name for f in fields(NetworkCertificate))}
     try:
+        for key in doc:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r}")
+        entries = _coerce(list[dict], doc["classes"], "classes")
         classes = []
-        for c in doc["classes"]:
-            margins = class_margins(
-                eta=c["eta"],
-                beta=c["beta"],
-                l1=c["l1"],
-                l2=c["l2"],
-                theta=c["theta"],
-                sigma=c["sigma"],
-                phi=c["phi"],
-                class_id=c["class_id"],
-            )
-            classes.append(
-                ClassCertificate(
-                    class_id=c["class_id"],
-                    template_exponents=tuple(tuple(int(e) for e in r) for r in c["template_exponents"]),
-                    coeffs=tuple(float(v) for v in c["coeffs"]),
-                    sigma=float(c["sigma"]),
-                    phi=float(c["phi"]),
-                    supply_s11=tuple(tuple(float(v) for v in r) for r in c["supply_s11"]),
-                    supply_s12=tuple(tuple(float(v) for v in r) for r in c["supply_s12"]),
-                    supply_s22=tuple(tuple(float(v) for v in r) for r in c["supply_s22"]),
-                    eta=float(c["eta"]),
-                    beta=float(c["beta"]),
-                    l1=float(c["l1"]),
-                    l2=float(c["l2"]),
-                    theta=float(c["theta"]),
-                    margins=margins,
-                    sample_count=int(c["sample_count"]),
-                    grid_spec=(
-                        (tuple(c["grid_spec"][0]), tuple(c["grid_spec"][1]))
-                        if c.get("grid_spec")
-                        else None
-                    ),
-                    lipschitz_config=c.get("lipschitz_config"),
-                    l1_fallback=bool(c.get("l1_fallback", False)),
-                    l2_fallback=bool(c.get("l2_fallback", False)),
-                )
-            )
-        return NetworkCertificate(
-            classes=tuple(classes),
-            verdict=doc["verdict"],
-            failures=tuple(
-                (f["class_id"], f["condition"], float(f["amount"])) for f in doc["failures"]
-            ),
-            reference_size=int(doc["reference_size"]),
-            provenance=dict(doc.get("provenance", {})),
+        for i, entry in enumerate(entries):
+            record = {k: v for k, v in entry.items() if k not in MARGIN_KEYS}
+            classes.append(_read(ClassCertificate, record, f"classes[{i}]"))
+        cert = certify(
+            classes,
+            reference_size=_coerce(int, doc["reference_size"], "reference_size"),
+            provenance=_coerce(dict, doc.get("provenance", {}), "provenance"),
         )
+        stored = {
+            "verdict": doc["verdict"],
+            "failures": doc["failures"],
+            "margins": [{key: e[key] for key in MARGIN_KEYS} for e in entries],
+        }
+        recomputed = {
+            "verdict": cert.verdict,
+            "failures": _failures_to_list(cert.failures),
+            "margins": [_margins_to_dict(c) for c in cert.classes],
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"malformed certificate document: {exc}") from exc
+    for key, value in stored.items():
+        if value != recomputed[key]:
+            raise CertificateFormatError(
+                f"stored {key} {value!r} differ from the recomputed {recomputed[key]!r}"
+            )
+    return cert
 
 
 def store_certificate(cert: NetworkCertificate, path) -> None:

@@ -65,6 +65,8 @@ def test_traced_benchmark_sees_every_layer(tmp_path):
         ]
     )
     assert proc.returncode == 1, proc.stderr
+    # a name traced.py cannot patch also exits 1, but writes no trace
+    assert trace.exists(), proc.stderr
     names = {span[0] for span in json.loads(trace.read_text())["spans"]}
     missing = [name for name in EXPECTED_SPANS if name not in names]
     assert not missing, f"traced run recorded no span for {missing}"

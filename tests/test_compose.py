@@ -40,7 +40,6 @@ def make_class_certificate(margins, class_id="c", coeffs=(1.0, 0.0)):
         l1=margins.l1,
         l2=margins.l2,
         theta=margins.theta,
-        margins=margins,
         sample_count=100,
         grid_spec=((10,), (10,)),
     )
@@ -205,16 +204,6 @@ class TestEvalNetworkCertificate:
 def drift_certificate(drift_class, drift_samples, drift_solution):
     cfg = LipschitzConfig(gamma=0.2, inner_count=100, outer_count=20, seed=5)
     l1, l2 = estimate_for_class(drift_class, drift_solution, cfg)
-    margins = class_margins(
-        eta=drift_solution.eta,
-        beta=drift_solution.beta,
-        l1=l1.value,
-        l2=l2.value,
-        theta=drift_samples.dispersion,
-        sigma=drift_solution.sigma,
-        phi=drift_solution.phi,
-        class_id="drift",
-    )
     cert = ClassCertificate(
         class_id="drift",
         template_exponents=((1,), (0,)),
@@ -229,7 +218,6 @@ def drift_certificate(drift_class, drift_samples, drift_solution):
         l1=l1.value,
         l2=l2.value,
         theta=drift_samples.dispersion,
-        margins=margins,
         sample_count=drift_samples.count,
         grid_spec=drift_samples.grid_spec,
     )
