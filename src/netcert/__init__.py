@@ -23,7 +23,6 @@ from .blackbox import (
     build_room_class,
     internal_inputs,
     simulate_network,
-    validate_benchmark,
 )
 from .sampling import (
     SampleSet,
@@ -73,5 +72,4 @@ __all__ = [
     "internal_inputs",
     "simulate_network",
     "solve_scp",
-    "validate_benchmark",
 ]

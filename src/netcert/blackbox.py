@@ -3,8 +3,8 @@
 The rest of the pipeline treats the transition maps defined here as opaque
 oracles: it only ever queries next states, never inspects coefficients.
 The benchmarks are stable affine maps whose trajectories stay inside their
-state boxes and away from their unsafe boxes, which is checked by
-``validate_benchmark``.
+state boxes and away from their unsafe boxes; ``tests/test_blackbox.py``
+checks this by simulating the surrogate from the initial boxes.
 """
 from __future__ import annotations
 
@@ -248,54 +248,4 @@ def simulate_network(
         first_unsafe_step=first_unsafe,
         first_exit_step=first_exit,
         clamp_events=clamp_total,
-    )
-
-
-@dataclass
-class BenchmarkValidation:
-    """Result of the pre-pipeline sanity run on one benchmark."""
-
-    class_id: str
-    runs: int
-    unsafe_entries: int
-    box_exits: int
-    clamp_events: int
-
-    @property
-    def passed(self) -> bool:
-        return self.unsafe_entries == 0 and self.box_exits == 0 and self.clamp_events == 0
-
-
-def validate_benchmark(
-    cls: SubsystemClass,
-    steps: int = 100,
-    grid_per_dim: int = 5,
-    surrogate_size: int = 10,
-    kinds: Sequence[str] = TOPOLOGY_KINDS,
-) -> BenchmarkValidation:
-    """Simulate the surrogate from a grid of the initial box and count
-    unsafe entries, box exits, and input clamps.  All three must be zero
-    before the benchmark may feed the certification pipeline.
-
-    Every run starts all copies at the same initial grid point, which is the
-    worst case for symmetric topologies (inputs equal states).
-    """
-    from .sampling import grid_samples  # local import avoids a cycle
-
-    initial_points = grid_samples(cls.safety.initial, (grid_per_dim,) * cls.state_dim)
-    unsafe = exits = clamps = runs = 0
-    for kind in kinds:
-        topo = Topology(kind=kind, surrogate_size=surrogate_size)
-        for point in initial_points:
-            traj = simulate_network(cls, topo, np.tile(point, (surrogate_size, 1)), steps)
-            runs += 1
-            unsafe += traj.first_unsafe_step is not None
-            exits += traj.first_exit_step is not None
-            clamps += traj.clamp_events
-    return BenchmarkValidation(
-        class_id=cls.id,
-        runs=runs,
-        unsafe_entries=unsafe,
-        box_exits=exits,
-        clamp_events=clamps,
     )

@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
         ok &= levels.passed
         if cls.oracle is not None:
             joint_counts = (args.grid_per_dim,) * cls.joint_box.dim
-            heat = decrease_heatmap(cls, sol, joint_counts, l2=ccert.l2)
+            heat = decrease_heatmap(cls, sol, joint_counts)
             print(
                 f"[{ccert.class_id}] decrease heatmap max {heat.max_value!r} "
                 f"({'<= 0, ok' if heat.passed else '> 0, FAIL'})"

@@ -147,8 +147,6 @@ class ClassCertificate:
             ),
             eta=self.eta,
             beta=self.beta,
-            objective=self.eta + self.beta,
-            status="optimal",
         )
 
 

@@ -140,13 +140,13 @@ class StcTemplate:
 
         Returns an (N, term_count) matrix; column j is the j-th monomial.
 
-        The values are bit-identical to
-        ``np.prod(pts[:, None, :] ** exponents[None], axis=2)``: the same
-        vector ``pow`` per factor (a contiguous exponent array as long as the
-        base, never a scalar or broadcast one, which NumPy routes to
-        ``square`` and friends that round differently), multiplied left to
-        right.  Each distinct power is computed once per coordinate instead
-        of once per term.
+        The values are bit-identical to ``np.prod(np.power(base, exps),
+        axis=2)`` with the points and exponents both materialised at the
+        (N, terms, dim) shape: the same vector ``pow`` per factor (a
+        contiguous exponent array as long as the base, never a scalar or
+        broadcast one, which NumPy routes to ``square`` and friends that
+        round differently), multiplied left to right.  Each distinct power
+        is computed once per coordinate instead of once per term.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.state_dim:

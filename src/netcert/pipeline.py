@@ -9,6 +9,8 @@ are serialized in shortest round-trip form.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -51,6 +53,7 @@ from .sampling import (
 from .scp import (
     ScpOptions,
     ScpSolution,
+    ScpSolveError,
     build_scp,
     check_solution,
     export_lp_text,
@@ -241,9 +244,13 @@ def _read(kind, doc, path: str, base=None):
         raise ConfigError(f"{path or 'document'}: {exc}") from exc
 
 
+JSON_KINDS = {str: "string", dict: "object", bool: "boolean"}
+
+
 def _coerce(hint, value, path: str, default=None):
     """``value`` as type ``hint``: records are read by ``_read`` (updating
-    ``default``), sequences item by item, numbers and flags by conversion."""
+    ``default``), sequences item by item.  A flag must be a JSON boolean, an
+    int an integral number and a float a finite one; a bool is no number."""
     if is_dataclass(hint):
         return _read(hint, value, path, default)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -257,13 +264,20 @@ def _coerce(hint, value, path: str, default=None):
             raise ConfigError(f"{path} must have {len(item_hints)} entries")
         items = enumerate(zip(item_hints, value))
         return origin(_coerce(h, v, f"{path}[{i}]") for i, (h, v) in items)
-    if hint in (str, dict):
+    if hint in (str, dict, bool):
         if not isinstance(value, hint):
-            raise ConfigError(f"{path} must be a JSON {'string' if hint is str else 'object'}")
-        return hint(value)
+            raise ConfigError(f"{path} must be a JSON {JSON_KINDS[hint]}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path} must be a JSON number")
+    if not isinstance(value, numbers.Integral):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, not {value!r}")
+        if hint is int and not float(value).is_integer():
+            raise ConfigError(f"{path} must be an integer, not {value!r}")
     try:
         return hint(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -345,12 +359,10 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
         counts = counts_override or (cc.counts_state, cc.counts_input)
         samples = collect_pairs(cls, counts[0], counts[1])
     lp = build_scp(cls, samples, cfg.scp)
-    solution = solve_scp(lp)
-    if solution.status != "optimal":
-        raise PipelineError(
-            f"class {cc.id!r}: scenario program {solution.status}"
-            + (f" (worst group: {solution.failed_group})" if solution.failed_group else "")
-        )
+    try:
+        solution = solve_scp(lp)
+    except ScpSolveError as exc:
+        raise PipelineError(f"class {cc.id!r}: {exc}") from exc
     residuals = check_solution(solution, cls, samples, cfg.scp)
     if not residuals.passed:
         raise PipelineError(
@@ -413,10 +425,7 @@ class PipelineResult:
 def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineResult:
     """Collect, solve, estimate, and compose; refine failing classes by
     doubling their grid counts up to the configured retry limit."""
-    counts: dict[str, Optional[tuple]] = {cc.id: None for cc in cfg.classes}
-    runs: dict[str, ClassRun] = {}
-    for cc in cfg.classes:
-        runs[cc.id] = _run_class(cc, cfg)
+    runs = {cc.id: _run_class(cc, cfg) for cc in cfg.classes}
     rounds = 0
     while cfg.refine.enabled and rounds < cfg.refine.max_retries:
         failing = [cc for cc in cfg.classes if not runs[cc.id].certificate.margins.satisfied]
@@ -425,12 +434,7 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
             break
         rounds += 1
         for cc in refinable:
-            prev = counts[cc.id] or (cc.counts_state, cc.counts_input)
-            denser = (
-                tuple(2 * c for c in prev[0]),
-                tuple(2 * c for c in prev[1]),
-            )
-            counts[cc.id] = denser
+            denser = tuple(tuple(2 * c for c in part) for part in runs[cc.id].samples.grid_spec)
             runs[cc.id] = _run_class(cc, cfg, counts_override=denser)
     embedded_config = config_to_dict(cfg)
     # where the artifacts land does not shape the certificate; leaving the
@@ -489,9 +493,7 @@ def write_run_outputs(
                 if points <= HEATMAP_CSV_POINT_CAP
                 else None
             )
-            heat = decrease_heatmap(
-                run.cls, run.solution, joint_counts, l2=run.l2.value, csv_path=csv_path
-            )
+            heat = decrease_heatmap(run.cls, run.solution, joint_counts, csv_path=csv_path)
             report_lines.append(
                 f"[{cid}] decrease heatmap: max {heat.max_value!r} at "
                 f"{heat.argmax.tolist()} over {heat.point_count} points "

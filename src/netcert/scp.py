@@ -34,6 +34,10 @@ class ScpOptions:
     coeff_bound      box bound on every non-slack decision variable
     gap              enforced separation phi - sigma >= gap
     feasibility_tol  residual tolerance for declaring a solution valid
+
+    Every row but the gap row has a free slack (eta or beta), and sigma and
+    phi lie in [-coeff_bound, coeff_bound], so the program is feasible and
+    bounded exactly when 0 <= gap <= 2 * coeff_bound.
     """
 
     coeff_bound: float = 200.0
@@ -43,10 +47,13 @@ class ScpOptions:
     def __post_init__(self):
         if not (np.isfinite(self.coeff_bound) and self.coeff_bound > 0):
             raise InvariantError("coeff_bound must be finite and positive")
-        if self.gap < 0:
-            raise InvariantError("gap must be non-negative")
-        if self.feasibility_tol <= 0:
-            raise InvariantError("feasibility_tol must be positive")
+        if not 0 <= self.gap <= 2 * self.coeff_bound:
+            raise InvariantError(
+                f"gap must lie in [0, 2 * coeff_bound] = [0, {2 * self.coeff_bound!r}], "
+                "else the scenario program is infeasible"
+            )
+        if not (np.isfinite(self.feasibility_tol) and self.feasibility_tol > 0):
+            raise InvariantError("feasibility_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ class LinearProgram:
 class LpResult:
     x: Optional[np.ndarray]
     objective: Optional[float]
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | infeasible | unbounded | failed
     message: str = ""
 
 
@@ -188,20 +195,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     return LpResult(x=x, objective=fun, status=status, message=str(res.message))
 
 
-def most_violated_group(lp: LinearProgram) -> str:
-    """Diagnose an infeasible program: minimize a single elastic slack added
-    to every row and report the group of the rows that stay tight."""
-    m, nv = lp.a_ub.shape
-    a = np.hstack([lp.a_ub, -np.ones((m, 1))])
-    c = np.zeros(nv + 1)
-    c[-1] = 1.0
-    res = linprog(c, A_ub=a, b_ub=lp.b_ub, bounds=lp.bounds + [(0, None)], method="highs")
-    if res.x is None:
-        return "unknown"
-    residuals = lp.a_ub @ res.x[:-1] - lp.b_ub
-    return lp.row_groups[int(np.argmax(residuals))]
-
-
 @dataclass
 class ScpSolution:
     """Optimizer of the scenario program for one class."""
@@ -212,13 +205,12 @@ class ScpSolution:
     supply: SupplyRate
     eta: float
     beta: float
-    objective: float
-    status: str
-    failed_group: Optional[str] = None
 
-    def __post_init__(self):
-        if self.status == "optimal" and abs(self.objective - (self.eta + self.beta)) > 1e-12:
-            raise InvariantError("objective must equal eta + beta")
+
+class ScpSolveError(RuntimeError):
+    """HiGHS ended without an optimum.  With valid ``ScpOptions`` the program
+    is feasible and bounded, so this is a solver failure (a time limit,
+    numerical trouble)."""
 
 
 def build_scp(
@@ -300,28 +292,14 @@ def build_scp(
 
 
 def solve_scp(lp: LinearProgram) -> ScpSolution:
-    """Solve a program built by ``build_scp`` and unpack the optimizer."""
+    """Solve a program built by ``build_scp`` and unpack the optimizer;
+    raise ``ScpSolveError`` naming HiGHS's status when there is none."""
     if lp.layout is None:
         raise InvariantError("solve_scp needs a program built by build_scp")
     result = solve_lp(lp)
-    if result.status == "unbounded":
-        # box bounds on all non-slack variables preclude this
-        raise AssertionError("scenario program reported unbounded despite box bounds")
-    layout = lp.layout
     if result.status != "optimal":
-        zeros = layout.unpack(np.zeros(layout.size))
-        return ScpSolution(
-            coeffs=CoefficientVector(zeros["theta"]),
-            sigma=0.0,
-            phi=0.0,
-            supply=zeros["supply"],
-            eta=float("nan"),
-            beta=float("nan"),
-            objective=float("nan"),
-            status=result.status,
-            failed_group=most_violated_group(lp) if result.status == "infeasible" else None,
-        )
-    parts = layout.unpack(result.x)
+        raise ScpSolveError(f"scenario program {result.status}: {result.message}")
+    parts = lp.layout.unpack(result.x)
     return ScpSolution(
         coeffs=CoefficientVector(parts["theta"]),
         sigma=parts["sigma"],
@@ -329,8 +307,6 @@ def solve_scp(lp: LinearProgram) -> ScpSolution:
         supply=parts["supply"],
         eta=parts["eta"],
         beta=parts["beta"],
-        objective=parts["eta"] + parts["beta"],
-        status="optimal",
     )
 
 

@@ -22,7 +22,7 @@ from .core import (
     eval_supply,
     eval_template,
 )
-from .sampling import DataFaultError, dispersion_of_grid, grid_samples, write_csv_rows
+from .sampling import DataFaultError, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
 _CHUNK = 200_000  # dense joint grids are evaluated in blocks of this many points
@@ -61,8 +61,6 @@ def check_level_sets(
     cls: SubsystemClass, solution: ScpSolution, counts: Sequence[int]
 ) -> LevelSetReport:
     """Evaluate the certificate on dense grids of both safety boxes."""
-    if solution.status != "optimal":
-        raise InvariantError("level-set check needs an optimal solution")
     init_pts = grid_samples(cls.safety.initial, counts)
     unsafe_pts = grid_samples(cls.safety.unsafe, counts)
     init_vals = eval_template(cls.template, solution.coeffs, init_pts)
@@ -85,9 +83,7 @@ class HeatmapSummary:
 
     max_value: float
     argmax: np.ndarray
-    grid_counts: tuple[int, ...]
     point_count: int
-    diagnostic_threshold: float  # eta* + L2 * grid dispersion, when available
 
     @property
     def passed(self) -> bool:
@@ -98,7 +94,6 @@ def decrease_heatmap(
     cls: SubsystemClass,
     solution: ScpSolution,
     counts: Sequence[int],
-    l2: float = 0.0,
     csv_path: Optional[str] = None,
 ) -> HeatmapSummary:
     """Tabulate the shifted decrease condition over a dense X x D grid.
@@ -115,8 +110,6 @@ def decrease_heatmap(
     """
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle; heatmap unavailable")
-    if solution.status != "optimal":
-        raise InvariantError("heatmap needs an optimal solution")
     n = cls.state_dim
     xs = grid_samples(cls.state_box, counts[:n])
     ds = grid_samples(cls.input_box, counts[n:])
@@ -160,14 +153,7 @@ def decrease_heatmap(
     finally:
         if fh is not None:
             fh.close()
-    theta_grid = dispersion_of_grid(cls.joint_box, counts)
-    return HeatmapSummary(
-        max_value=best_val,
-        argmax=best_pt,
-        grid_counts=tuple(int(c) for c in counts),
-        point_count=total,
-        diagnostic_threshold=solution.eta + l2 * theta_grid,
-    )
+    return HeatmapSummary(max_value=best_val, argmax=best_pt, point_count=total)
 
 
 def surface_data(

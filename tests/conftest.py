@@ -59,7 +59,6 @@ def room_samples(room_class):
 @pytest.fixture(scope="session")
 def room_solution(room_class, room_samples):
     sol = solve_scp(build_scp(room_class, room_samples, ScpOptions()))
-    assert sol.status == "optimal"
     return sol
 
 
@@ -71,7 +70,6 @@ def platoon_samples(platoon_class):
 @pytest.fixture(scope="session")
 def platoon_solution(platoon_class, platoon_samples):
     sol = solve_scp(build_scp(platoon_class, platoon_samples, ScpOptions()))
-    assert sol.status == "optimal"
     return sol
 
 
@@ -90,8 +88,6 @@ def room_reference_solution():
         ),
         eta=ROOM_ETA,
         beta=ROOM_BETA,
-        objective=ROOM_ETA + ROOM_BETA,
-        status="optimal",
     )
 
 
@@ -129,5 +125,4 @@ def drift_samples(drift_class):
 @pytest.fixture(scope="session")
 def drift_solution(drift_class, drift_samples):
     sol = solve_scp(build_scp(drift_class, drift_samples, ScpOptions()))
-    assert sol.status == "optimal"
     return sol

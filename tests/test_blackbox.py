@@ -8,9 +8,25 @@ from netcert.blackbox import (
     build_room_class,
     internal_inputs,
     simulate_network,
-    validate_benchmark,
 )
 from netcert.core import DimensionError, IntervalBox, InvariantError
+from netcert.sampling import grid_samples
+
+
+def validate_benchmark(cls, steps=100, grid_per_dim=5, surrogate_size=10):
+    """Unsafe entries, box exits and input clamps of surrogate runs from a
+    grid of the initial box under every topology; all three must be zero
+    for a benchmark.  Every run starts all copies at the same grid point,
+    the worst case for symmetric topologies (inputs equal states)."""
+    faults = {"unsafe_entries": 0, "box_exits": 0, "clamp_events": 0}
+    for kind in TOPOLOGY_KINDS:
+        topo = Topology(kind=kind, surrogate_size=surrogate_size)
+        for point in grid_samples(cls.safety.initial, (grid_per_dim,) * cls.state_dim):
+            traj = simulate_network(cls, topo, np.tile(point, (surrogate_size, 1)), steps)
+            faults["unsafe_entries"] += traj.first_unsafe_step is not None
+            faults["box_exits"] += traj.first_exit_step is not None
+            faults["clamp_events"] += traj.clamp_events
+    return faults
 
 
 class TestRoomStep:
@@ -130,9 +146,9 @@ class TestBenchmarkValidation:
     stay inside the state box, outside the unsafe box, and never clamp."""
 
     def test_room(self, room_class):
-        report = validate_benchmark(room_class)
-        assert report.passed, report
+        faults = validate_benchmark(room_class)
+        assert not any(faults.values()), faults
 
     def test_platoon(self, platoon_class):
-        report = validate_benchmark(platoon_class)
-        assert report.passed, report
+        faults = validate_benchmark(platoon_class)
+        assert not any(faults.values()), faults

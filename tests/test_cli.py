@@ -3,12 +3,14 @@ import json
 import os
 import re
 import typing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netcert.scp
 from netcert.blackbox import TOPOLOGY_KINDS, Topology
 from netcert.cli import main
 from netcert.compose import ClassCertificate, certify
@@ -173,6 +175,7 @@ class TestConfigValidation:
             ("synth", ["--coeff-bound", "-5"]),
             ("synth", ["--gap", "-1"]),
             ("simulate", ["--surrogate-size", "1"]),
+            ("synth", ["--gap", "400.5"]),  # above 2 * coeff_bound: infeasible
         ],
     )
     def test_flag_values_checked_before_compute(self, tmp_path, capsys, command, flags):
@@ -184,6 +187,31 @@ class TestConfigValidation:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["refine", "enabled"], "false", "refine.enabled must be a JSON boolean"),
+            (
+                ["classes", 0, "counts_state"],
+                [31.9],
+                "classes[0].counts_state[0] must be an integer",
+            ),
+            (["portrait_steps"], True, "portrait_steps must be a JSON number"),
+            (["scp", "feasibility_tol"], float("inf"), "scp.feasibility_tol must be finite"),
+        ],
+        ids=["string-flag", "fractional-count", "bool-steps", "infinite-tolerance"],
+    )
+    def test_values_of_the_wrong_kind_rejected(self, tmp_path, path, value, message):
+        """A flag is only a JSON boolean, an int only an integral number and
+        a float only a finite one; nothing is converted silently."""
+        doc = json.load(open(ROOM_CONFIG))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, doc))
 
     def test_synth_exit_code_on_config_error(self, tmp_path, drift_csv, capsys):
         doc = drift_config_doc(drift_csv, tmp_path / "out")
@@ -259,6 +287,24 @@ class TestSynthCertifiedPath:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "stored verdict: certified" in out
+
+
+class TestSolverFailure:
+    def test_non_optimal_status_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A solve that ends without an optimum names HiGHS's status and
+        message, and nothing is written."""
+
+        def time_out(*args, **kwargs):
+            return SimpleNamespace(status=1, x=None, fun=None, message="Time limit reached.")
+
+        monkeypatch.setattr(netcert.scp, "linprog", time_out)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", ROOM_CONFIG, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "synthesis failed: class 'room': scenario program failed: Time limit reached."
+        )
+        assert not out.exists()
 
 
 class TestSynthRoomBenchmark:
@@ -407,6 +453,7 @@ def class_configs(draw, index):
 
 @st.composite
 def pipeline_configs(draw):
+    coeff_bound = draw(POSITIVE)
     return PipelineConfig(
         classes=[draw(class_configs(i)) for i in range(draw(st.integers(1, 3)))],
         output_dir=draw(st.text(max_size=8)),
@@ -416,8 +463,8 @@ def pipeline_configs(draw):
             weight_decay=draw(st.floats(1e-6, 1.0)),
         ),
         scp=ScpOptions(
-            coeff_bound=draw(POSITIVE),
-            gap=draw(st.floats(0.0, 1.0)),
+            coeff_bound=coeff_bound,
+            gap=draw(st.floats(0.0, min(1.0, 2 * coeff_bound))),
             feasibility_tol=draw(POSITIVE),
         ),
         lipschitz=LipschitzConfig(

@@ -99,8 +99,17 @@ class TestEvalTemplate:
 
 
 def reference_basis(template: StcTemplate, pts: np.ndarray) -> np.ndarray:
-    """The basis as the (N, terms, dim) power array reduced over dim."""
-    return np.prod(pts[:, None, :] ** template.exponents[None], axis=2)
+    """The basis as the (N, terms, dim) power array reduced over dim.
+
+    Base and exponent are both materialised at the full (N, terms, dim)
+    shape, so every power takes NumPy's vector ``pow`` whatever the sizes:
+    ``**`` with a one-element exponent array, and ``power`` with a broadcast
+    one, go to ``square`` and friends instead, which round differently on
+    hosts with SIMD ``pow`` (x = 0.8 squared differs in the last bit)."""
+    shape = (pts.shape[0], *template.exponents.shape)
+    base = np.broadcast_to(pts[:, None, :], shape).copy()
+    exps = np.broadcast_to(template.exponents.astype(float), shape).copy()
+    return np.prod(np.power(base, exps), axis=2)
 
 
 # Equality with the reference must be exact, not approximate.  The
@@ -131,6 +140,11 @@ class TestBasisValues:
             )
         )
         template = StcTemplate(state_dim=dim, exponents=exponents)
+        assert np.array_equal(template.basis_values(pts), reference_basis(template, pts))
+
+    def test_one_term_square_matches_reference(self):
+        template = StcTemplate(state_dim=1, exponents=[[2]])
+        pts = np.array([[0.8]])
         assert np.array_equal(template.basis_values(pts), reference_basis(template, pts))
 
     @pytest.mark.parametrize(

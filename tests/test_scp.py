@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from netcert.core import (
     CoefficientVector,
     IntervalBox,
+    InvariantError,
     SafetySpec,
     StcTemplate,
     SubsystemClass,
@@ -21,7 +23,6 @@ from netcert.scp import (
     build_scp,
     check_solution,
     export_lp_text,
-    most_violated_group,
     solve_lp,
     solve_scp,
 )
@@ -173,8 +174,6 @@ class TestSolveScp:
         cls, samples = make_trivial_instance()
         lp = build_scp(cls, samples, ScpOptions(coeff_bound=1.0, gap=0.0))
         sol = solve_scp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective == 0.0
         assert sol.eta == 0.0 and sol.beta == 0.0
 
     def test_room_solution_feasible_and_checked(self, room_class, room_samples, room_solution):
@@ -188,7 +187,7 @@ class TestSolveScp:
     def test_deterministic_resolve(self, room_class, room_samples):
         a = solve_scp(build_scp(room_class, room_samples, ScpOptions()))
         b = solve_scp(build_scp(room_class, room_samples, ScpOptions()))
-        assert a.objective == b.objective
+        assert a.eta + a.beta == b.eta + b.beta
         assert np.array_equal(a.coeffs.coeffs, b.coeffs.coeffs)
 
     def test_infeasible_reports_group(self):
@@ -202,7 +201,31 @@ class TestSolveScp:
             var_names=["v0"],
         )
         assert solve_lp(lp).status == "infeasible"
-        assert most_violated_group(lp) in ("upper", "lower")
+
+
+class TestScpOptions:
+    """Every row but the gap row has a free slack and sigma, phi lie in
+    [-coeff_bound, coeff_bound], so the program is feasible exactly when
+    0 <= gap <= 2 * coeff_bound."""
+
+    def test_largest_gap_solves(self, room_class, room_samples):
+        options = ScpOptions(coeff_bound=200.0, gap=400.0)
+        sol = solve_scp(build_scp(room_class, room_samples, options))
+        assert (sol.sigma, sol.phi) == (-200.0, 200.0)
+        assert check_solution(sol, room_class, room_samples, options).passed
+
+    @pytest.mark.parametrize(
+        "gap", [np.nextafter(400.0, np.inf), 400.5, -5e-324, float("nan"), float("inf")]
+    )
+    def test_gap_outside_range_rejected(self, gap):
+        message = "gap must lie in [0, 2 * coeff_bound] = [0, 400.0]"
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            ScpOptions(coeff_bound=200.0, gap=gap)
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvariantError, match="feasibility_tol must be finite and positive"):
+            ScpOptions(feasibility_tol=tol)
 
 
 class TestLpOracle:
@@ -227,8 +250,8 @@ class TestHomogeneity:
         bounds the program would be unbounded."""
         lo = solve_scp(build_scp(drift_class, drift_samples, ScpOptions(coeff_bound=1.0, gap=0.0)))
         hi = solve_scp(build_scp(drift_class, drift_samples, ScpOptions(coeff_bound=2.0, gap=0.0)))
-        assert lo.objective < -1e-6
-        assert hi.objective == pytest.approx(2.0 * lo.objective, rel=1e-6)
+        assert lo.eta + lo.beta < -1e-6
+        assert hi.eta + hi.beta == pytest.approx(2.0 * (lo.eta + lo.beta), rel=1e-6)
 
     def test_scaling_a_solution_scales_row_slacks(self, room_class, room_samples):
         lp = build_scp(room_class, room_samples, ScpOptions(gap=0.0))
@@ -248,7 +271,8 @@ class TestMonotonicityInData:
         objectives = []
         for c in (3, 5, 9):
             samples = collect_pairs(room_class, (c,), (c,))
-            objectives.append(solve_scp(build_scp(room_class, samples, opts)).objective)
+            sol = solve_scp(build_scp(room_class, samples, opts))
+            objectives.append(sol.eta + sol.beta)
         assert objectives[0] <= objectives[1] + 1e-9
         assert objectives[1] <= objectives[2] + 1e-9
 
@@ -281,8 +305,6 @@ class TestCheckSolutionZeroResiduals:
             supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
             eta=0.0,
             beta=0.0,
-            objective=0.0,
-            status="optimal",
         )
         report = check_solution(zero, cls, samples, ScpOptions(gap=0.0))
         assert all(v <= 0.0 for v in report.max_violation.values())

@@ -45,8 +45,6 @@ def make_solution(coeffs, sigma, phi, supply=None, eta=0.0, beta=0.0):
         supply=rate,
         eta=eta,
         beta=beta,
-        objective=eta + beta,
-        status="optimal",
     )
 
 
