@@ -155,34 +155,36 @@ BENCHMARKS = {
 
 def internal_inputs(
     states: np.ndarray, topology: Topology, input_box: IntervalBox
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Internal input of every node from the current network state.
 
-    ``states`` is (n, dim).  Returns (inputs (n, dim), clamp_events) where a
-    clamp event is one node whose raw input fell outside the input box and
-    was projected back in.
+    ``states`` is (n, dim) for one network, or (networks, n, dim) for
+    several independent ones.  Returns (inputs of the same shape,
+    clamp_events per network) where a clamp event is one node whose raw
+    input fell outside the input box and was projected back in.
     """
     states = np.atleast_2d(np.asarray(states, float))
-    n = states.shape[0]
+    n = states.shape[-2]
     if n != topology.surrogate_size:
         raise DimensionError(
             f"got {n} states for a surrogate of size {topology.surrogate_size}"
         )
     if topology.kind == "cascade":
-        raw = np.roll(states, 1, axis=0)
+        raw = np.roll(states, 1, axis=-2)
     elif topology.kind == "ring":
-        raw = 0.5 * (np.roll(states, 1, axis=0) + np.roll(states, -1, axis=0))
+        raw = 0.5 * (np.roll(states, 1, axis=-2) + np.roll(states, -1, axis=-2))
     else:  # dense-decay
         idx = np.arange(n)
         weights = topology.weight_decay ** np.abs(idx[:, None] - idx[None, :])
         np.fill_diagonal(weights, 0.0)
+        # one (n, n) @ (n, dim) product per network, so each network's inputs
+        # round as when it is simulated alone
         raw = (weights @ states) / weights.sum(axis=1, keepdims=True)
     clamped = input_box.clamp(raw)
     # averaging identical boundary states can land 1 ulp outside the box;
     # only count a clamp when the projection actually moved the point
     moved = np.abs(clamped - raw) > 1e-12 * np.maximum(1.0, np.abs(raw))
-    clamp_events = int(np.sum(np.any(moved, axis=1)))
-    return clamped, clamp_events
+    return clamped, np.count_nonzero(np.any(moved, axis=-1), axis=-1)
 
 
 @dataclass
@@ -203,49 +205,53 @@ class Trajectory:
         return self.first_exit_step is None
 
 
+def _first_step(flags: np.ndarray) -> Optional[int]:
+    return int(np.argmax(flags)) if flags.any() else None
+
+
 def simulate_network(
     cls: SubsystemClass,
     topology: Topology,
     initial_states: np.ndarray,
     steps: int,
-) -> Trajectory:
-    """Iterate the closed-loop surrogate network of identical copies.
+) -> list[Trajectory]:
+    """Iterate closed-loop surrogate networks of identical copies.
 
-    Flags (never raises on) the first step at which any node enters the
-    unsafe box or leaves the state box.
+    ``initial_states`` is (networks, n, dim): the start of each of several
+    independent surrogates.  They are stepped together, one oracle call per
+    step for all of them, and each gets its own Trajectory.  Flags (never
+    raises on) the first step at which any node enters the unsafe box or
+    leaves the state box.
     """
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle to simulate")
     if steps < 0:
         raise InvariantError("steps must be non-negative")
-    states = np.atleast_2d(np.asarray(initial_states, float)).copy()
-    if states.shape != (topology.surrogate_size, cls.state_dim):
+    states = np.asarray(initial_states, float)
+    dim = cls.state_dim
+    if states.ndim != 3 or states.shape[1:] != (topology.surrogate_size, dim):
         raise DimensionError(
-            f"initial states must be ({topology.surrogate_size}, {cls.state_dim})"
+            f"initial states must be (networks, {topology.surrogate_size}, {dim})"
         )
-    history = np.empty((steps + 1, topology.surrogate_size, cls.state_dim))
-    history[0] = states
-    first_unsafe = None
-    first_exit = None
-
-    def scan(step_idx: int, current: np.ndarray):
-        nonlocal first_unsafe, first_exit
-        if first_unsafe is None and np.any(cls.safety.unsafe.contains(current)):
-            first_unsafe = step_idx
-        if first_exit is None and not np.all(cls.state_box.contains(current)):
-            first_exit = step_idx
-
-    scan(0, states)
-    clamp_total = 0
+    history = np.empty((states.shape[0], steps + 1) + states.shape[1:])
+    history[:, 0] = states
+    clamps = np.zeros(states.shape[0], dtype=int)
     for k in range(1, steps + 1):
-        inputs, clamps = internal_inputs(states, topology, cls.input_box)
-        clamp_total += clamps
-        states = cls.oracle.batch(states, inputs)
-        history[k] = states
-        scan(k, states)
-    return Trajectory(
-        states=history,
-        first_unsafe_step=first_unsafe,
-        first_exit_step=first_exit,
-        clamp_events=clamp_total,
-    )
+        inputs, moved = internal_inputs(states, topology, cls.input_box)
+        clamps += moved
+        rows = cls.oracle.batch(states.reshape(-1, dim), inputs.reshape(-1, dim))
+        states = rows.reshape(states.shape)
+        history[:, k] = states
+    # per network and step: does any node sit in the unsafe box / outside X?
+    nodes = history.reshape(-1, dim)
+    unsafe = cls.safety.unsafe.contains(nodes).reshape(history.shape[:-1]).any(axis=-1)
+    inside = cls.state_box.contains(nodes).reshape(history.shape[:-1]).all(axis=-1)
+    return [
+        Trajectory(
+            states=history[i],
+            first_unsafe_step=_first_step(unsafe[i]),
+            first_exit_step=_first_step(~inside[i]),
+            clamp_events=int(clamps[i]),
+        )
+        for i in range(states.shape[0])
+    ]

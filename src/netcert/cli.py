@@ -9,10 +9,13 @@
 Exit status of ``synth`` is 0 exactly when the verdict is certified.
 Configuration comes only from the file and explicit flags; environment
 variables are never consulted, so runs are reproducible by construction.
+``main`` runs the bundled BLAS on one thread; the dense heatmap spreads its
+blocks over the CPUs itself (``verify.decrease_heatmap``).
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 import numpy as np
@@ -191,26 +194,32 @@ def cmd_lipschitz(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args)
+        classes = [build_class(cc) for cc in cfg.classes]
+        simulated = [cls.id for cls in classes if cls.oracle is not None]
+        if args.output is not None and len(simulated) > 1:
+            raise ConfigError(
+                f"--output names one file, but classes {', '.join(map(repr, simulated))} "
+                "would each write it"
+            )
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     unsafe_total = 0
-    for cc in cfg.classes:
-        cls = build_class(cc)
+    for cls in classes:
         if cls.oracle is None:
-            print(f"[{cc.id}] data-backed class; nothing to simulate")
+            print(f"[{cls.id}] data-backed class; nothing to simulate")
             continue
         counts = (args.trajectories,) * cls.state_dim
         portrait = phase_portrait(cls, cfg.topology, counts, args.steps)
         unsafe_total += portrait.unsafe_entries
         print(
-            f"[{cc.id}] {portrait.initial_points.shape[0]} trajectories, "
+            f"[{cls.id}] {portrait.initial_points.shape[0]} trajectories, "
             f"{args.steps} steps, topology {cfg.topology.kind}: "
             f"{portrait.unsafe_entries} unsafe entries"
         )
         if args.output is not None:
             write_trajectories_csv(args.output, cls, portrait)
-            print(f"[{cc.id}] trajectories written to {args.output}")
+            print(f"[{cls.id}] trajectories written to {args.output}")
     return EXIT_CERTIFIED if unsafe_total == 0 else EXIT_NOT_CERTIFIED
 
 
@@ -287,7 +296,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# extension module -> the thread setter of the OpenBLAS copy it links:
+# numpy's 64-bit-index copy and scipy's own
+BLAS_THREAD_SETTERS = {
+    "numpy._core._multiarray_umath": "scipy_openblas_set_num_threads64_",
+    "scipy.linalg._fblas": "scipy_openblas_set_num_threads",
+}
+
+
+def one_blas_thread() -> None:
+    """Run every loaded bundled OpenBLAS on one thread.
+
+    A second BLAS thread burns CPU without saving wall time on these
+    matrix shapes.  The symbol is resolved through the extension's own
+    dependencies, so no library path is searched.  A copy that is not
+    loaded, or that lacks the setter, keeps its threads.
+    """
+    for module, setter in BLAS_THREAD_SETTERS.items():
+        ext = sys.modules.get(module)
+        if ext is None:
+            continue
+        try:
+            set_threads = getattr(ctypes.CDLL(ext.__file__), setter)
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 def main(argv=None) -> int:
+    one_blas_thread()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -10,6 +10,10 @@ continuum; the formal statement is the margin check in ``compose``.
 from __future__ import annotations
 
 import csv
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +29,17 @@ from .core import (
 from .sampling import DataFaultError, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
-_CHUNK = 200_000  # dense joint grids are evaluated in blocks of this many points
+# Dense joint grids are evaluated in blocks of this many points.  A power of
+# two: BLAS matrix-vector kernels round the rows past the last full unroll
+# group of a call differently, and a power-of-two block puts those rows where
+# one call over the whole grid would have them, so every power-of-two block
+# size gives the same values.
+_CHUNK = 2**15
+_MAX_WORKERS = 4  # threads evaluating heatmap blocks at most
+# Each heatmap thread gets at least this many points.  On smaller grids a
+# second thread saves a few milliseconds at most, and the peak memory would
+# depend on how the threads happen to interleave.
+_POINTS_PER_WORKER = 2**16
 
 
 @dataclass
@@ -90,6 +104,14 @@ class HeatmapSummary:
         return self.max_value <= 0.0
 
 
+def _cpu_budget() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def decrease_heatmap(
     cls: SubsystemClass,
     solution: ScpSolution,
@@ -101,12 +123,20 @@ def decrease_heatmap(
     The joint grid is the product of a state grid and an input grid, rows
     in state-major order.  The basis of B(x) is computed once per state
     point; the (x, d) rows are assembled ``_CHUNK`` at a time from their
-    flat index (state ``i // |D|``, input ``i % |D|``), so memory stays
-    O(chunk) however large the grid grows.  Each block goes through the same
-    evaluator calls as the materialised joint grid would, which keeps every
-    value bit-identical to it.  Pass ``csv_path`` to also persist the full
-    table (x..., d..., value).  A non-finite oracle output or decrease value
-    raises ``DataFaultError`` naming its (x, d).
+    flat index (state ``i // |D|``, input ``i % |D|``).  Each block goes
+    through the same evaluator calls as the materialised joint grid would,
+    which keeps every value bit-identical to it.
+
+    Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
+    the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points.
+    They are submitted in grid order with at most one block per thread in
+    flight, so memory stays O(threads x chunk) however large the grid grows.
+    The calling thread takes the finished blocks in grid order for the
+    maximum, the fault check and the CSV rows, so the result does not depend
+    on the thread count.  Pass ``csv_path`` to also persist the full table
+    (x..., d..., value).  A non-finite oracle output or decrease value
+    raises ``DataFaultError`` naming its (x, d), the first such point in
+    grid order.
     """
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle; heatmap unavailable")
@@ -115,44 +145,58 @@ def decrease_heatmap(
     ds = grid_samples(cls.input_box, counts[n:])
     basis_x = cls.template.basis_values(xs)
     total = xs.shape[0] * ds.shape[0]
+
+    def evaluate(start: int):
+        xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
+        block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
+        bx = basis_x.take(xi, axis=0) @ solution.coeffs.coeffs
+        del xi, di  # only O(chunk) floats stay alive through the evaluator calls
+        x, d = block[:, :n], block[:, n:]
+        fx = cls.oracle.batch(x, d)
+        vals = (
+            eval_template(cls.template, solution.coeffs, fx)
+            - bx
+            - eval_supply(solution.supply, d, x)
+        )
+        return block, vals, np.isfinite(vals) & np.isfinite(fx).all(axis=1)
+
     best_val = -np.inf
     best_pt = None
     writer = None
-    fh = None
-    if csv_path is not None:
-        fh = open(csv_path, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)] + ["value"]
-        )
-    try:
-        for start in range(0, total, _CHUNK):
-            xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
-            block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
-            bx = basis_x.take(xi, axis=0) @ solution.coeffs.coeffs
-            del xi, di  # only O(chunk) floats stay alive through the evaluator calls
-            x, d = block[:, :n], block[:, n:]
-            fx = cls.oracle.batch(x, d)
-            vals = (
-                eval_template(cls.template, solution.coeffs, fx)
-                - bx
-                - eval_supply(solution.supply, d, x)
+
+    def consume(block, vals, finite):
+        nonlocal best_val, best_pt
+        if not finite.all():
+            i = int(np.argmax(~finite))
+            raise DataFaultError(
+                f"non-finite oracle output or decrease value at x={block[i, :n].tolist()}, "
+                f"d={block[i, n:].tolist()}"
             )
-            if not (np.isfinite(vals).all() and np.isfinite(fx).all()):
-                i = int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
-                raise DataFaultError(
-                    f"non-finite oracle output or decrease value at x={x[i].tolist()}, "
-                    f"d={d[i].tolist()}"
-                )
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_pt = block[i].copy()
-            if writer is not None:
-                write_csv_rows(writer, block, vals)
-    finally:
-        if fh is not None:
-            fh.close()
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_pt = block[i].copy()
+        if writer is not None:
+            write_csv_rows(writer, block, vals)
+
+    starts = range(0, total, _CHUNK)
+    workers = max(
+        1, min(_cpu_budget(), _MAX_WORKERS, len(starts), total // _POINTS_PER_WORKER)
+    )
+    with ExitStack() as stack:
+        if csv_path is not None:
+            writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
+            writer.writerow(
+                [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)] + ["value"]
+            )
+        pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+        pending = deque()
+        for start in starts:
+            if len(pending) == workers:
+                consume(*pending.popleft().result())
+            pending.append(pool.submit(evaluate, start))
+        while pending:
+            consume(*pending.popleft().result())
     return HeatmapSummary(max_value=best_val, argmax=best_pt, point_count=total)
 
 
@@ -186,17 +230,12 @@ def phase_portrait(
     initial_counts: Sequence[int],
     steps: int,
 ) -> PortraitResult:
-    """Simulate from every grid point of the initial box and flag
-    trajectories that ever touch the unsafe box."""
+    """Simulate from every grid point of the initial box, all trajectories
+    stepped together, and flag those that ever touch the unsafe box."""
     points = grid_samples(cls.safety.initial, initial_counts)
-    trajectories = []
-    flags = np.zeros(points.shape[0], dtype=bool)
-    for i, p in enumerate(points):
-        traj = simulate_network(
-            cls, topology, np.tile(p, (topology.surrogate_size, 1)), steps
-        )
-        trajectories.append(traj)
-        flags[i] = traj.first_unsafe_step is not None
+    starts = np.repeat(points[:, None, :], topology.surrogate_size, axis=1)
+    trajectories = simulate_network(cls, topology, starts, steps)
+    flags = np.array([not traj.safe for traj in trajectories], dtype=bool)
     return PortraitResult(initial_points=points, trajectories=trajectories, unsafe_flags=flags)
 
 

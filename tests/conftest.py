@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,18 @@ def drift_samples(drift_class):
 def drift_solution(drift_class, drift_samples):
     sol = solve_scp(build_scp(drift_class, drift_samples, ScpOptions()))
     return sol
+
+
+@pytest.fixture()
+def numpy_blas():
+    """(get, set) thread count of numpy's bundled OpenBLAS, restored after
+    the test."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        pytest.skip("numpy does not link a bundled OpenBLAS")
+    before = get()
+    yield get, set_threads
+    set_threads(before)

@@ -21,8 +21,9 @@ def validate_benchmark(cls, steps=100, grid_per_dim=5, surrogate_size=10):
     faults = {"unsafe_entries": 0, "box_exits": 0, "clamp_events": 0}
     for kind in TOPOLOGY_KINDS:
         topo = Topology(kind=kind, surrogate_size=surrogate_size)
-        for point in grid_samples(cls.safety.initial, (grid_per_dim,) * cls.state_dim):
-            traj = simulate_network(cls, topo, np.tile(point, (surrogate_size, 1)), steps)
+        points = grid_samples(cls.safety.initial, (grid_per_dim,) * cls.state_dim)
+        starts = np.repeat(points[:, None, :], surrogate_size, axis=1)
+        for traj in simulate_network(cls, topo, starts, steps):
             faults["unsafe_entries"] += traj.first_unsafe_step is not None
             faults["box_exits"] += traj.first_exit_step is not None
             faults["clamp_events"] += traj.clamp_events
@@ -112,33 +113,51 @@ class TestSimulateNetwork:
     def test_room_fixed_point_propagates(self, room_class):
         for kind in TOPOLOGY_KINDS:
             topo = Topology(kind=kind, surrogate_size=10)
-            traj = simulate_network(room_class, topo, np.full((10, 1), 10.0), 100)
+            traj = simulate_network(room_class, topo, np.full((1, 10, 1), 10.0), 100)[0]
             assert np.allclose(traj.states, 10.0, atol=1e-9)
             assert traj.safe and traj.stayed_in_box
 
     def test_zero_steps_returns_initial_only(self, room_class):
         topo = Topology(kind="ring", surrogate_size=10)
-        traj = simulate_network(room_class, topo, np.full((10, 1), 10.5), 0)
+        traj = simulate_network(room_class, topo, np.full((1, 10, 1), 10.5), 0)[0]
         assert traj.states.shape == (1, 10, 1)
         assert np.allclose(traj.states[0], 10.5)
 
     def test_platoon_fixed_point(self, platoon_class):
         topo = Topology(kind="ring", surrogate_size=10)
-        traj = simulate_network(platoon_class, topo, np.tile([1.0, 1.0], (10, 1)), 50)
+        traj = simulate_network(platoon_class, topo, np.tile([1.0, 1.0], (1, 10, 1)), 50)[0]
         assert np.allclose(traj.states, 1.0, atol=1e-9)
 
     def test_determinism(self, platoon_class):
         topo = Topology(kind="dense-decay", surrogate_size=5, weight_decay=0.7)
-        init = np.tile([0.9, 0.95], (5, 1))
-        a = simulate_network(platoon_class, topo, init, 40)
-        b = simulate_network(platoon_class, topo, init, 40)
+        init = np.tile([0.9, 0.95], (1, 5, 1))
+        (a,) = simulate_network(platoon_class, topo, init, 40)
+        (b,) = simulate_network(platoon_class, topo, init, 40)
         assert np.array_equal(a.states, b.states)
 
     def test_unsafe_entry_is_flagged_not_fatal(self, room_class):
         # starting inside the unsafe box is flagged at step 0
         topo = Topology(kind="ring", surrogate_size=10)
-        traj = simulate_network(room_class, topo, np.full((10, 1), 12.5), 5)
+        traj = simulate_network(room_class, topo, np.full((1, 10, 1), 12.5), 5)[0]
         assert traj.first_unsafe_step == 0
+
+    def test_networks_flagged_separately(self, room_class):
+        """Networks stepped together keep their own flags and states."""
+        topo = Topology(kind="cascade", surrogate_size=4)
+        starts = np.array([10.5, 12.5, 14.0]).reshape(3, 1, 1).repeat(4, axis=1)
+        safe, unsafe, outside = simulate_network(room_class, topo, starts, 3)
+        assert (safe.first_unsafe_step, safe.first_exit_step) == (None, None)
+        assert (unsafe.first_unsafe_step, unsafe.first_exit_step) == (0, None)
+        assert outside.first_exit_step == 0 and outside.clamp_events > 0
+        assert safe.clamp_events == unsafe.clamp_events == 0
+        for start, traj in zip(starts, (safe, unsafe, outside)):
+            (alone,) = simulate_network(room_class, topo, start[None], 3)
+            assert np.array_equal(traj.states, alone.states)
+
+    def test_initial_states_need_a_network_axis(self, room_class):
+        topo = Topology(kind="ring", surrogate_size=10)
+        with pytest.raises(DimensionError):
+            simulate_network(room_class, topo, np.full((10, 1), 10.5), 1)
 
 
 class TestBenchmarkValidation:

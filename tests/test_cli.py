@@ -1,7 +1,9 @@
 import copy
+import ctypes
 import json
 import os
 import re
+import sys
 import typing
 from types import SimpleNamespace
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netcert.cli
 import netcert.scp
 from netcert.blackbox import TOPOLOGY_KINDS, Topology
 from netcert.cli import main
@@ -624,3 +627,54 @@ class TestOtherSubcommands:
         assert code == 0
         assert "0 unsafe entries" in out
         assert (tmp_path / "traj.csv").exists()
+
+    def test_simulate_output_with_several_classes_rejected(self, tmp_path, capsys):
+        """Each class would write the one --output file over the one before:
+        a configuration error naming the classes, before any simulation."""
+        doc = json.load(open(ROOM_CONFIG))
+        doc["classes"].append(dict(doc["classes"][0], id="room2"))
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", "--config", write_config(tmp_path, doc), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: ")
+        assert "'room', 'room2'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+MARGINS_ARGS = ["margins", "--eta", "-1", "--l1", "1", "--l2", "1", "--theta", "0.1"]
+
+
+class NoSymbols:
+    """A loader whose libraries export nothing."""
+
+    def __init__(self, path):
+        pass
+
+
+def missing_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+class TestBlasThreads:
+    def test_main_runs_blas_on_one_thread(self, numpy_blas, capsys):
+        get, set_threads = numpy_blas
+        set_threads(2)
+        assert main(MARGINS_ARGS) == 0
+        assert get() == 1
+        fblas = sys.modules.get("scipy.linalg._fblas")
+        if fblas is not None:
+            assert ctypes.CDLL(fblas.__file__).scipy_openblas_get_num_threads() == 1
+
+    @pytest.mark.parametrize(
+        "loader", [NoSymbols, missing_library], ids=["no-symbol", "no-library"]
+    )
+    def test_main_runs_without_the_setter(self, numpy_blas, monkeypatch, capsys, loader):
+        get, set_threads = numpy_blas
+        set_threads(2)
+        before = get()
+        monkeypatch.setattr(netcert.cli.ctypes, "CDLL", loader)
+        assert main(MARGINS_ARGS) == 0
+        assert "m1 = " in capsys.readouterr().out
+        assert get() == before  # threads left as they were

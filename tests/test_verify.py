@@ -1,12 +1,14 @@
 import csv
 import re
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netcert.blackbox import TOPOLOGY_KINDS, Topology, TransitionOracle
+from netcert.blackbox import TOPOLOGY_KINDS, Topology, TransitionOracle, simulate_network
 from netcert.core import (
     CoefficientVector,
     IntervalBox,
@@ -235,6 +237,127 @@ class TestProductGridHeatmap:
         assert peaks[1] <= 1.5 * peaks[0]
 
 
+def heatmap_outputs(cls, solution, counts, csv_path):
+    heat = decrease_heatmap(cls, solution, counts, csv_path=csv_path)
+    return heat.max_value, heat.argmax.tolist(), heat.point_count, csv_path.read_bytes()
+
+
+@pytest.fixture()
+def heatmap_threads(monkeypatch):
+    """Sets the number of heatmap threads, whatever the grid size and CPUs."""
+    monkeypatch.setattr(verify_mod, "_POINTS_PER_WORKER", 1)
+
+    def set_threads(count):
+        monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: count)
+
+    return set_threads
+
+
+# grids of two shipped-size blocks
+POOL_GRIDS = [("room", (200, 200)), ("platoon", (16, 15, 14, 10))]
+
+
+class TestHeatmapPool:
+    """Blocks run on a thread pool; the calling thread reduces them in grid
+    order, so nothing may depend on the number of threads."""
+
+    @pytest.mark.parametrize("chunk", [97, verify_mod._CHUNK], ids=["chunk97", "shipped"])
+    @pytest.mark.parametrize("name, counts", POOL_GRIDS, ids=["room", "platoon"])
+    def test_worker_count_invariance(
+        self, request, tmp_path, monkeypatch, heatmap_threads, name, counts, chunk
+    ):
+        cls = request.getfixturevalue(f"{name}_class")
+        solution = request.getfixturevalue(f"{name}_solution")
+        monkeypatch.setattr(verify_mod, "_CHUNK", chunk)
+        runs = []
+        for workers in (1, 2, 4):
+            heatmap_threads(workers)
+            runs.append(heatmap_outputs(cls, solution, counts, tmp_path / f"w{workers}.csv"))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_first_fault_in_grid_order(
+        self, room_class, room_solution, monkeypatch, heatmap_threads
+    ):
+        """Blocks 0 and 1 both hold a NaN and block 1 finishes first; the
+        error still names the point of block 0."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        heatmap_threads(2)
+        xs = grid_samples(room_class.state_box, (21,))
+        # flat index i is (x = xs[i // 21], d = xs[i % 21]): 30 in block 0, 120 in block 1
+        early, late = (xs[1, 0], xs[9, 0]), (xs[5, 0], xs[15, 0])
+        late_done = threading.Event()
+
+        def poisoned(x, d):
+            fx = room_class.oracle.batch(x, d)
+            hits = [(x[:, 0] == px) & (d[:, 0] == pd) for px, pd in (early, late)]
+            fx[hits[0] | hits[1]] = np.nan
+            if hits[1].any():
+                late_done.set()
+            if hits[0].any():
+                assert late_done.wait(timeout=10), "block 1 never ran beside block 0"
+                time.sleep(0.05)
+            return fx
+
+        cls = replace(room_class, oracle=TransitionOracle(poisoned))
+        with pytest.raises(DataFaultError, match=re.escape(f"x=[{early[0]}], d=[{early[1]}]")):
+            decrease_heatmap(cls, room_solution, (21, 21))
+
+    def test_no_thread_outlives_a_fault(
+        self, room_class, room_solution, monkeypatch, heatmap_threads
+    ):
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        heatmap_threads(4)
+        baseline = threading.active_count()
+        cls = replace(room_class, oracle=TransitionOracle(lambda x, d: np.full(x.shape, np.nan)))
+        with pytest.raises(DataFaultError):
+            decrease_heatmap(cls, room_solution, (21, 21))
+        assert threading.active_count() == baseline
+
+    def test_memory_stays_per_worker_chunk(
+        self, room_class, room_solution, monkeypatch, heatmap_threads
+    ):
+        """Two threads on a 16x larger grid keep the allocation peak within
+        1.5x of one block per thread."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 2_000)
+        peaks = []
+        for threads, counts in ((1, (60, 60)), (2, (240, 240))):
+            heatmap_threads(threads)
+            tracemalloc.start()
+            try:
+                decrease_heatmap(room_class, room_solution, counts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * 1.5 * peaks[0]
+
+    def test_small_grids_stay_on_one_thread(self, room_class, room_solution, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: 4)
+        threads = set()
+
+        def recording(x, d):
+            threads.add(threading.get_ident())
+            return room_class.oracle.batch(x, d)
+
+        cls = replace(room_class, oracle=TransitionOracle(recording))
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        decrease_heatmap(cls, room_solution, (21, 21))  # 441 points in 5 blocks
+        assert len(threads) == 1
+
+    def test_blas_threads_do_not_change_values(
+        self, numpy_blas, tmp_path, platoon_class, platoon_solution
+    ):
+        _, set_threads = numpy_blas
+        runs = []
+        for threads in (1, 2):
+            set_threads(threads)
+            runs.append(
+                heatmap_outputs(
+                    platoon_class, platoon_solution, POOL_GRIDS[1][1], tmp_path / f"{threads}.csv"
+                )
+            )
+        assert runs[0] == runs[1]
+
+
 class TestSurfaceData:
     def test_one_dimensional_table(self, room_class, room_reference_solution):
         pts, vals, sigma, phi = surface_data(room_class, room_reference_solution, (31,))
@@ -280,6 +403,22 @@ class TestPhasePortrait:
         portrait = phase_portrait(room_class, topo, (25,), 100)
         assert portrait.initial_points.shape[0] == 25
         assert portrait.unsafe_entries == 0
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    @pytest.mark.parametrize(
+        "name, counts", [("room", (25,)), ("platoon", (5, 5))], ids=["room", "platoon"]
+    )
+    def test_batch_matches_single_networks(self, request, name, counts, kind):
+        """All trajectories are stepped as one stack; each must equal its
+        network simulated alone, bit for bit."""
+        cls = request.getfixturevalue(f"{name}_class")
+        topo = Topology(kind=kind, surrogate_size=10)
+        portrait = phase_portrait(cls, topo, counts, 100)
+        assert len(portrait.trajectories) == portrait.initial_points.shape[0]
+        for point, traj in zip(portrait.initial_points, portrait.trajectories):
+            (alone,) = simulate_network(cls, topo, np.tile(point, (1, 10, 1)), 100)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.first_unsafe_step == alone.first_unsafe_step
 
     def test_trajectory_csv(self, tmp_path, room_class):
         topo = Topology(kind="ring", surrogate_size=3)
