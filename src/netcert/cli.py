@@ -9,13 +9,13 @@
 Exit status of ``synth`` is 0 exactly when the verdict is certified.
 Configuration comes only from the file and explicit flags; environment
 variables are never consulted, so runs are reproducible by construction.
-``main`` runs the bundled BLAS on one thread; the dense heatmap spreads its
-blocks over the CPUs itself (``verify.decrease_heatmap``).
+``main`` first runs the bundled BLAS on one thread
+(``verify.one_blas_thread``), the setting the dense heatmap's thread pool
+is sized for.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 
 import numpy as np
@@ -40,6 +40,7 @@ from .sampling import CoverageError, DataFaultError
 from .verify import (
     check_level_sets,
     decrease_heatmap,
+    one_blas_thread,
     phase_portrait,
     write_trajectories_csv,
 )
@@ -294,34 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     margins.set_defaults(func=cmd_margins)
 
     return parser
-
-
-# extension module -> the thread setter of the OpenBLAS copy it links:
-# numpy's 64-bit-index copy and scipy's own
-BLAS_THREAD_SETTERS = {
-    "numpy._core._multiarray_umath": "scipy_openblas_set_num_threads64_",
-    "scipy.linalg._fblas": "scipy_openblas_set_num_threads",
-}
-
-
-def one_blas_thread() -> None:
-    """Run every loaded bundled OpenBLAS on one thread.
-
-    A second BLAS thread burns CPU without saving wall time on these
-    matrix shapes.  The symbol is resolved through the extension's own
-    dependencies, so no library path is searched.  A copy that is not
-    loaded, or that lacks the setter, keeps its threads.
-    """
-    for module, setter in BLAS_THREAD_SETTERS.items():
-        ext = sys.modules.get(module)
-        if ext is None:
-            continue
-        try:
-            set_threads = getattr(ctypes.CDLL(ext.__file__), setter)
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
 
 
 def main(argv=None) -> int:

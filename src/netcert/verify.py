@@ -10,7 +10,9 @@ continuum; the formal statement is the margin check in ``compose``.
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -35,11 +37,56 @@ from .scp import ScpSolution
 # one call over the whole grid would have them, so every power-of-two block
 # size gives the same values.
 _CHUNK = 2**15
-_MAX_WORKERS = 4  # threads evaluating heatmap blocks at most
-# Each heatmap thread gets at least this many points.  On smaller grids a
-# second thread saves a few milliseconds at most, and the peak memory would
-# depend on how the threads happen to interleave.
+# Heatmap threads at most: two is the largest count measured for time and
+# peak RSS (on a 2-CPU host).
+_MAX_WORKERS = 2
+# One heatmap thread per this many points, rounded up.  Measured on a 2-CPU
+# host with BLAS on one thread: platoon grids of two blocks (38,416-65,536
+# points) ran no faster on two threads than on one, grids of three or more
+# blocks ran 25-30% faster (83,521 points: 27.6 -> 20.3 ms).
 _POINTS_PER_WORKER = 2**16
+
+# extension module -> the thread setter of the OpenBLAS copy it links:
+# numpy's 64-bit-index copy and scipy's own
+BLAS_THREAD_SETTERS = {
+    "numpy._core._multiarray_umath": "scipy_openblas_set_num_threads64_",
+    "scipy.linalg._fblas": "scipy_openblas_set_num_threads",
+}
+
+
+def one_blas_thread() -> None:
+    """Run every loaded bundled OpenBLAS on one thread.
+
+    A second BLAS thread burns CPU without saving wall time on these
+    matrix shapes, and the heatmap's threads would each start BLAS threads
+    of their own.  The symbol is resolved through the extension's own
+    dependencies, so no library path is searched.  A copy that is not
+    loaded, or that lacks the setter, keeps its threads.  This changes the
+    whole process, so it is left to the caller (``cli.main`` calls it).
+    """
+    for module, setter in BLAS_THREAD_SETTERS.items():
+        ext = sys.modules.get(module)
+        if ext is None:
+            continue
+        try:
+            set_threads = getattr(ctypes.CDLL(ext.__file__), setter)
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _cpu_budget() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _heatmap_workers(points: int) -> int:
+    """Threads for a heatmap of ``points`` grid points (at least one)."""
+    return min(_cpu_budget(), _MAX_WORKERS, -(-points // _POINTS_PER_WORKER))
 
 
 @dataclass
@@ -104,14 +151,6 @@ class HeatmapSummary:
         return self.max_value <= 0.0
 
 
-def _cpu_budget() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def decrease_heatmap(
     cls: SubsystemClass,
     solution: ScpSolution,
@@ -128,15 +167,19 @@ def decrease_heatmap(
     which keeps every value bit-identical to it.
 
     Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
-    the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points.
-    They are submitted in grid order with at most one block per thread in
-    flight, so memory stays O(threads x chunk) however large the grid grows.
-    The calling thread takes the finished blocks in grid order for the
-    maximum, the fault check and the CSV rows, so the result does not depend
-    on the thread count.  Pass ``csv_path`` to also persist the full table
-    (x..., d..., value).  A non-finite oracle output or decrease value
-    raises ``DataFaultError`` naming its (x, d), the first such point in
-    grid order.
+    the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points
+    rounded up.  The pool is sized for BLAS on one thread, which
+    ``one_blas_thread`` sets and ``cli.main`` calls; a library caller that
+    leaves BLAS on more threads gets the same values, but its heatmap
+    threads may then oversubscribe the CPUs.  Blocks are submitted in grid
+    order with at most one block per thread in flight, so memory stays
+    O(threads x chunk) however large the grid grows.  The calling thread
+    takes the finished blocks in grid order for the maximum, the fault check
+    and the CSV rows, so the result does not depend on the thread count.
+
+    Pass ``csv_path`` to also persist the full table (x..., d..., value).
+    A non-finite oracle output or decrease value raises ``DataFaultError``
+    naming its (x, d), the first such point in grid order.
     """
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle; heatmap unavailable")
@@ -179,10 +222,7 @@ def decrease_heatmap(
         if writer is not None:
             write_csv_rows(writer, block, vals)
 
-    starts = range(0, total, _CHUNK)
-    workers = max(
-        1, min(_cpu_budget(), _MAX_WORKERS, len(starts), total // _POINTS_PER_WORKER)
-    )
+    workers = _heatmap_workers(total)
     with ExitStack() as stack:
         if csv_path is not None:
             writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
@@ -191,7 +231,7 @@ def decrease_heatmap(
             )
         pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
         pending = deque()
-        for start in starts:
+        for start in range(0, total, _CHUNK):
             if len(pending) == workers:
                 consume(*pending.popleft().result())
             pending.append(pool.submit(evaluate, start))

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import netcert.cli
 import netcert.scp
+import netcert.verify
 from netcert.blackbox import TOPOLOGY_KINDS, Topology
 from netcert.cli import main
 from netcert.compose import ClassCertificate, certify
@@ -674,7 +674,7 @@ class TestBlasThreads:
         get, set_threads = numpy_blas
         set_threads(2)
         before = get()
-        monkeypatch.setattr(netcert.cli.ctypes, "CDLL", loader)
+        monkeypatch.setattr(netcert.verify.ctypes, "CDLL", loader)
         assert main(MARGINS_ARGS) == 0
         assert "m1 = " in capsys.readouterr().out
         assert get() == before  # threads left as they were

@@ -245,10 +245,9 @@ def heatmap_outputs(cls, solution, counts, csv_path):
 @pytest.fixture()
 def heatmap_threads(monkeypatch):
     """Sets the number of heatmap threads, whatever the grid size and CPUs."""
-    monkeypatch.setattr(verify_mod, "_POINTS_PER_WORKER", 1)
 
     def set_threads(count):
-        monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: count)
+        monkeypatch.setattr(verify_mod, "_heatmap_workers", lambda points: count)
 
     return set_threads
 
@@ -329,6 +328,16 @@ class TestHeatmapPool:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * 1.5 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "cpus, points, threads",
+        [(4, 441, 1), (4, 2**16, 1), (4, 2**16 + 1, 2), (4, 9_000_000, 2), (1, 9_000_000, 1)],
+    )
+    def test_pool_size(self, monkeypatch, cpus, points, threads):
+        """One thread per 2^16 points rounded up, no more than the CPUs or
+        the cap of two."""
+        monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: cpus)
+        assert verify_mod._heatmap_workers(points) == threads
 
     def test_small_grids_stay_on_one_thread(self, room_class, room_solution, monkeypatch):
         monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: 4)
