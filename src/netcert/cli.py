@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .blackbox import TOPOLOGY_KINDS
-from .compose import class_margins
+from .compose import ClassMargins
 from .core import IntervalBox
 from .lipschitz import LipschitzConfig, estimate_for_class, estimate_lipschitz
 from .pipeline import (
@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_margins(args) -> int:
-    m = class_margins(
+    m = ClassMargins(
         eta=args.eta,
         beta=args.beta,
         l1=args.l1,

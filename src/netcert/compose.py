@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    CoefficientVector,
     DimensionError,
     InvariantError,
     StcTemplate,
@@ -33,16 +32,16 @@ CONDITION_M2 = "m2"  # eta* + beta* + L2 * theta <= 0
 
 @dataclass(frozen=True)
 class ClassMargins:
-    """Pure arithmetic of one class's certification inputs."""
+    """Pure arithmetic of one class's certification inputs:
+    m1 = eta + l1*theta, m2 = eta + beta + l2*theta, gap = phi - sigma."""
 
-    class_id: str
     eta: float
     beta: float
     l1: float
     l2: float
     theta: float
-    sigma: float
-    phi: float
+    sigma: float = 0.0
+    phi: float = 0.0
     m1: float = field(init=False)
     m2: float = field(init=False)
     gap: float = field(init=False)
@@ -72,29 +71,6 @@ class ClassMargins:
         return out
 
 
-def class_margins(
-    eta: float,
-    beta: float,
-    l1: float,
-    l2: float,
-    theta: float,
-    sigma: float = 0.0,
-    phi: float = 0.0,
-    class_id: str = "",
-) -> ClassMargins:
-    """m1 = eta + l1*theta, m2 = eta + beta + l2*theta, gap = phi - sigma."""
-    return ClassMargins(
-        class_id=class_id,
-        eta=float(eta),
-        beta=float(beta),
-        l1=float(l1),
-        l2=float(l2),
-        theta=float(theta),
-        sigma=float(sigma),
-        phi=float(phi),
-    )
-
-
 @dataclass(frozen=True)
 class ClassCertificate:
     """Everything recorded per class: the certificate itself plus the data
@@ -121,7 +97,7 @@ class ClassCertificate:
 
     @property
     def margins(self) -> ClassMargins:
-        return class_margins(
+        return ClassMargins(
             eta=self.eta,
             beta=self.beta,
             l1=self.l1,
@@ -129,7 +105,6 @@ class ClassCertificate:
             theta=self.theta,
             sigma=self.sigma,
             phi=self.phi,
-            class_id=self.class_id,
         )
 
     def template(self) -> StcTemplate:
@@ -139,7 +114,7 @@ class ClassCertificate:
     def solution(self) -> ScpSolution:
         """The stored scenario optimum, in the form the verifiers take."""
         return ScpSolution(
-            coeffs=CoefficientVector(np.array(self.coeffs)),
+            coeffs=self.coeffs,
             sigma=self.sigma,
             phi=self.phi,
             supply=SupplyRate(
@@ -245,5 +220,5 @@ def eval_network_certificate(
     for cid in dict.fromkeys(assignment):
         cert = certificate.class_by_id(cid)
         points = [np.asarray(x, float).reshape(-1) for x, c in zip(states, assignment) if c == cid]
-        total += float(np.sum(eval_template(cert.template(), cert.solution().coeffs, points)))
+        total += float(np.sum(eval_template(cert.template(), cert.coeffs, points)))
     return total

@@ -25,7 +25,8 @@ class InvariantError(ValueError):
     """A domain type was constructed with inconsistent field values."""
 
 
-def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
+def frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
+    """A read-only copy of ``values``; with ``ndim``, of that many dimensions."""
     arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionError(f"expected a {ndim}-d array, got shape {arr.shape}")
@@ -41,8 +42,8 @@ class IntervalBox:
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _frozen_array(self.lower, ndim=1))
-        object.__setattr__(self, "upper", _frozen_array(self.upper, ndim=1))
+        object.__setattr__(self, "lower", frozen_array(self.lower, ndim=1))
+        object.__setattr__(self, "upper", frozen_array(self.upper, ndim=1))
         if self.lower.size < 1:
             raise InvariantError("box dimension must be >= 1")
         if self.lower.shape != self.upper.shape:
@@ -173,29 +174,15 @@ class StcTemplate:
         return basis
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Coefficients pairing with a template's basis terms."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, ndim=1))
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-
-def eval_template(
-    template: StcTemplate, coeffs: CoefficientVector, points: np.ndarray
-) -> np.ndarray:
+def eval_template(template: StcTemplate, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Certificate value sum_j coeffs[j] * prod_k x[k]**e[j,k] at each row of
-    ``points``; one value per row."""
-    if len(coeffs) != template.term_count:
+    ``points``; one value per row.  ``coeffs`` is 1-d, one entry per term."""
+    if np.shape(coeffs) != (template.term_count,):
         raise DimensionError(
-            f"coefficient vector has length {len(coeffs)}, template has {template.term_count} terms"
+            f"coefficient vector has shape {np.shape(coeffs)}, template has "
+            f"{template.term_count} terms"
         )
-    return template.basis_values(points) @ coeffs.coeffs
+    return template.basis_values(points) @ coeffs
 
 
 def _check_symmetric(name: str, m: np.ndarray):
@@ -218,9 +205,9 @@ class SupplyRate:
     s22: np.ndarray
 
     def __post_init__(self):
-        s11 = _frozen_array(np.atleast_2d(self.s11))
-        s12 = _frozen_array(np.atleast_2d(self.s12))
-        s22 = _frozen_array(np.atleast_2d(self.s22))
+        s11 = frozen_array(np.atleast_2d(self.s11))
+        s12 = frozen_array(np.atleast_2d(self.s12))
+        s22 = frozen_array(np.atleast_2d(self.s22))
         _check_symmetric("s11", s11)
         _check_symmetric("s22", s22)
         if s12.shape != (s11.shape[0], s22.shape[0]):
@@ -243,14 +230,6 @@ class SupplyRate:
         top = np.hstack([self.s11, self.s12])
         bottom = np.hstack([self.s12.T, self.s22])
         return np.vstack([top, bottom])
-
-    @staticmethod
-    def zero(input_dim: int, state_dim: int) -> "SupplyRate":
-        return SupplyRate(
-            np.zeros((input_dim, input_dim)),
-            np.zeros((input_dim, state_dim)),
-            np.zeros((state_dim, state_dim)),
-        )
 
 
 def eval_supply(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> np.ndarray:

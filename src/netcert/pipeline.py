@@ -38,7 +38,6 @@ from .core import (
 )
 from .lipschitz import (
     LipschitzConfig,
-    LipschitzEstimate,
     certificate_target,
     estimate_from_pairs,
     estimate_lipschitz,
@@ -132,6 +131,16 @@ class PipelineConfig:
     verify_multiplier: int = 10
     export_lp: bool = False
 
+    def __post_init__(self):
+        if min(self.portrait_counts, default=1) < 1:
+            raise InvariantError(
+                f"portrait_counts must all be >= 1, got {list(self.portrait_counts)}"
+            )
+        if self.portrait_steps < 0:
+            raise InvariantError(f"portrait_steps must be >= 0, got {self.portrait_steps}")
+        if self.verify_multiplier < 1:
+            raise InvariantError(f"verify_multiplier must be >= 1, got {self.verify_multiplier}")
+
 
 def _box_from_pair(pair, what: str) -> IntervalBox:
     try:
@@ -167,8 +176,13 @@ def build_class(cc: ClassConfig) -> SubsystemClass:
             )
         except (TypeError, InvariantError) as exc:
             raise ConfigError(f"class {cc.id!r}: {exc}") from exc
-        if not cc.counts_state or not cc.counts_input:
-            raise ConfigError(f"class {cc.id!r} needs counts_state and counts_input")
+        for name, dim in (("counts_state", cls.state_dim), ("counts_input", cls.input_dim)):
+            counts = getattr(cc, name)
+            if len(counts) != dim or min(counts) < 1:
+                raise ConfigError(
+                    f"class {cc.id!r}: {name} must hold one count >= 1 per dimension "
+                    f"({dim}); got {list(counts)}"
+                )
         return replace(cls, id=cc.id)
     for name in DATA_CLASS_KEYS:
         if getattr(cc, name) is None:
@@ -308,7 +322,12 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         raise ConfigError("configuration defines no classes")
     # materialize every class now so config errors surface before compute
     for cc in cfg.classes:
-        build_class(cc)
+        cls = build_class(cc)
+        if cls.oracle is not None and len(cfg.portrait_counts) not in (0, cls.state_dim):
+            raise ConfigError(
+                f"portrait_counts must be empty or hold one count per state dimension "
+                f"({cls.state_dim}) of class {cc.id!r}; got {list(cfg.portrait_counts)}"
+            )
     return cfg
 
 
@@ -340,8 +359,6 @@ class ClassRun:
     config: ClassConfig
     samples: SampleSet
     solution: ScpSolution
-    l1: LipschitzEstimate
-    l2: LipschitzEstimate
     certificate: ClassCertificate
 
 
@@ -384,12 +401,10 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
         config=cc,
         samples=samples,
         solution=solution,
-        l1=l1,
-        l2=l2,
         certificate=ClassCertificate(
             class_id=cc.id,
             template_exponents=_rows(cls.template.exponents),
-            coeffs=tuple(solution.coeffs.coeffs.tolist()),
+            coeffs=tuple(solution.coeffs.tolist()),
             sigma=solution.sigma,
             phi=solution.phi,
             supply_s11=_rows(solution.supply.s11),
@@ -479,14 +494,13 @@ def write_run_outputs(
         if cfg.export_lp:
             lp = build_scp(run.cls, run.samples, cfg.scp)
             export_lp_text(lp, os.path.join(out, f"{cid}_program.lp"))
-        mult = max(1, cfg.verify_multiplier)
-        state_counts = _verify_counts(run, mult, state_only=True)
+        state_counts = _verify_counts(run, cfg.verify_multiplier, state_only=True)
         levels = check_level_sets(run.cls, run.solution, state_counts)
         write_levels_csv(os.path.join(out, f"{cid}_levels.csv"), levels)
-        pts, vals, _, _ = surface_data(run.cls, run.solution, state_counts)
+        pts, vals = surface_data(run.cls, run.solution, state_counts)
         write_surface_csv(os.path.join(out, f"{cid}_surface.csv"), run.cls, pts, vals)
         if run.cls.oracle is not None:
-            joint_counts = _verify_counts(run, mult, state_only=False)
+            joint_counts = _verify_counts(run, cfg.verify_multiplier, state_only=False)
             points = int(np.prod(joint_counts))
             csv_path = (
                 os.path.join(out, f"{cid}_heatmap.csv")
@@ -530,9 +544,7 @@ def _verify_counts(run: ClassRun, mult: int, state_only: bool) -> tuple[int, ...
         per_dim = max(3, int(round(run.samples.count ** (1.0 / run.cls.joint_box.dim))))
         cs = (per_dim,) * run.cls.state_dim
         ci = (per_dim,) * run.cls.input_dim
-    if state_only:
-        return tuple(mult * c for c in cs)
-    return tuple(mult * c for c in cs) + tuple(mult * c for c in ci)
+    return tuple(mult * c for c in (cs if state_only else cs + ci))
 
 
 def render_report(certificate: NetworkCertificate) -> str:

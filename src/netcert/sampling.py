@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .core import DimensionError, IntervalBox, InvariantError, SubsystemClass
 
-_CSV_BLOCK = 1024  # rows per text conversion in write_csv_rows
+_CSV_BLOCK = 1024  # rows per writerows call in write_csv_rows
 
 
 class DataFaultError(RuntimeError):
@@ -172,13 +172,13 @@ def sample_csv_header(state_dim: int, input_dim: int) -> list[str]:
 def write_csv_rows(writer, *columns: np.ndarray, lead: Optional[np.ndarray] = None) -> None:
     """Write one CSV row per row of the side-by-side float ``columns`` (1-d
     or 2-d arrays with a common row count): the integer columns of ``lead``
-    first when given, then ``repr`` of each float, so every value reads back
-    exactly.  Rows are converted to text ``_CSV_BLOCK`` at a time, which
-    keeps the memory of a large table bounded."""
+    first when given, then each float, which ``csv.writer`` writes as its
+    ``repr``, so every value reads back exactly.  Rows are handed to the
+    writer ``_CSV_BLOCK`` at a time, which keeps the memory of a large table
+    bounded."""
     for start in range(0, columns[0].shape[0], _CSV_BLOCK):
         stop = start + _CSV_BLOCK
-        values = np.column_stack([c[start:stop] for c in columns]).tolist()
-        rows = [[repr(v) for v in row] for row in values]
+        rows = np.column_stack([c[start:stop] for c in columns]).tolist()
         if lead is not None:
             rows = [ints + row for ints, row in zip(lead[start:stop].tolist(), rows)]
         writer.writerows(rows)

@@ -15,12 +15,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (
-    CoefficientVector,
     InvariantError,
     SubsystemClass,
     SupplyRate,
     eval_supply,
     eval_template,
+    frozen_array,
 )
 from .sampling import CoverageError, SampleSet
 
@@ -54,6 +54,22 @@ class ScpOptions:
             )
         if not (np.isfinite(self.feasibility_tol) and self.feasibility_tol > 0):
             raise InvariantError("feasibility_tol must be finite and positive")
+
+
+@dataclass(frozen=True)
+class ScpSolution:
+    """Optimizer of the scenario program for one class; ``coeffs`` is a
+    read-only 1-d array, one entry per template term."""
+
+    coeffs: np.ndarray
+    sigma: float
+    phi: float
+    supply: SupplyRate
+    eta: float
+    beta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", frozen_array(self.coeffs, ndim=1))
 
 
 @dataclass(frozen=True)
@@ -134,7 +150,7 @@ class VariableLayout:
         rows[:, self.s11.start : self.s22.stop] = factor * z[:, left] * z[:, right]
         return rows
 
-    def unpack(self, v: np.ndarray) -> dict:
+    def unpack(self, v: np.ndarray) -> ScpSolution:
         p, n = self.input_dim, self.state_dim
         s11 = np.zeros((p, p))
         for (i, j), val in zip(self._tri_pairs(p), v[self.s11]):
@@ -142,15 +158,14 @@ class VariableLayout:
         s22 = np.zeros((n, n))
         for (i, j), val in zip(self._tri_pairs(n), v[self.s22]):
             s22[i, j] = s22[j, i] = val
-        s12 = np.asarray(v[self.s12], float).reshape(p, n)
-        return {
-            "theta": np.asarray(v[self.theta], float),
-            "sigma": float(v[self.sigma]),
-            "phi": float(v[self.phi]),
-            "supply": SupplyRate(s11, s12, s22),
-            "eta": float(v[self.eta]),
-            "beta": float(v[self.beta]),
-        }
+        return ScpSolution(
+            coeffs=v[self.theta],
+            sigma=float(v[self.sigma]),
+            phi=float(v[self.phi]),
+            supply=SupplyRate(s11, v[self.s12].reshape(p, n), s22),
+            eta=float(v[self.eta]),
+            beta=float(v[self.beta]),
+        )
 
 
 @dataclass
@@ -193,18 +208,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     x = np.asarray(res.x, float) if res.x is not None else None
     fun = float(res.fun) if res.fun is not None else None
     return LpResult(x=x, objective=fun, status=status, message=str(res.message))
-
-
-@dataclass
-class ScpSolution:
-    """Optimizer of the scenario program for one class."""
-
-    coeffs: CoefficientVector
-    sigma: float
-    phi: float
-    supply: SupplyRate
-    eta: float
-    beta: float
 
 
 class ScpSolveError(RuntimeError):
@@ -299,15 +302,7 @@ def solve_scp(lp: LinearProgram) -> ScpSolution:
     result = solve_lp(lp)
     if result.status != "optimal":
         raise ScpSolveError(f"scenario program {result.status}: {result.message}")
-    parts = lp.layout.unpack(result.x)
-    return ScpSolution(
-        coeffs=CoefficientVector(parts["theta"]),
-        sigma=parts["sigma"],
-        phi=parts["phi"],
-        supply=parts["supply"],
-        eta=parts["eta"],
-        beta=parts["beta"],
-    )
+    return lp.layout.unpack(result.x)
 
 
 @dataclass
@@ -335,9 +330,8 @@ def check_solution(
 ) -> ResidualReport:
     """Independent re-substitution of every sampled condition through the
     domain evaluators, never through the assembled matrices."""
-    coeffs = solution.coeffs
-    bx = eval_template(cls.template, coeffs, samples.x)
-    bfx = eval_template(cls.template, coeffs, samples.fx)
+    bx = eval_template(cls.template, solution.coeffs, samples.x)
+    bfx = eval_template(cls.template, solution.coeffs, samples.fx)
     s = eval_supply(solution.supply, samples.d, samples.x)
     in_initial = cls.safety.initial.contains(samples.x)
     in_unsafe = cls.safety.unsafe.contains(samples.x)

@@ -192,7 +192,7 @@ def decrease_heatmap(
     def evaluate(start: int):
         xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
         block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
-        bx = basis_x.take(xi, axis=0) @ solution.coeffs.coeffs
+        bx = basis_x.take(xi, axis=0) @ solution.coeffs
         del xi, di  # only O(chunk) floats stay alive through the evaluator calls
         x, d = block[:, :n], block[:, n:]
         fx = cls.oracle.batch(x, d)
@@ -242,12 +242,11 @@ def decrease_heatmap(
 
 def surface_data(
     cls: SubsystemClass, solution: ScpSolution, counts: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(points, certificate values, sigma, phi) over the state box, for
-    plotting the certificate surface against its level contours."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, certificate values) over the state box, for plotting the
+    certificate surface against its level contours."""
     pts = grid_samples(cls.state_box, counts)
-    vals = eval_template(cls.template, solution.coeffs, pts)
-    return pts, vals, solution.sigma, solution.phi
+    return pts, eval_template(cls.template, solution.coeffs, pts)
 
 
 @dataclass

@@ -21,7 +21,6 @@ def pytest_terminal_summary(terminalreporter):
 
 from netcert.blackbox import TransitionOracle, build_platoon_class, build_room_class
 from netcert.core import (
-    CoefficientVector,
     IntervalBox,
     SafetySpec,
     StcTemplate,
@@ -80,7 +79,7 @@ def room_reference_solution():
     """The reported room certificate, packaged for level-set and margin
     arithmetic (not expected to satisfy our sampled decrease rows)."""
     return ScpSolution(
-        coeffs=CoefficientVector(np.array(ROOM_COEFFS)),
+        coeffs=np.array(ROOM_COEFFS),
         sigma=ROOM_SIGMA,
         phi=ROOM_PHI,
         supply=SupplyRate(

@@ -1,10 +1,13 @@
 """The traced benchmark (perfbench/traced.py) patches pipeline functions by
 name from outside the package.  Running it on a tiny room config keeps a
 refactor from silently moving a layer off the path the benchmark times."""
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+from netcert.pipeline import config_from_dict, run_pipeline
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -81,3 +84,23 @@ def test_synth_never_imports_scipy_stats(tmp_path):
     after_import, after_synth = json.loads(proc.stdout.splitlines()[-1])
     assert not after_import, "import netcert.cli loaded scipy.stats"
     assert not after_synth, "netcert synth loaded scipy.stats"
+
+
+def test_make_expected_matches_the_pipeline(tmp_path, monkeypatch):
+    """perfbench/make_expected.py re-estimates the slopes from each run's class
+    and solution; at seed 0 they are the L1 and L2 that ``run_pipeline``
+    writes into the certificate."""
+    path = os.path.join(REPO_ROOT, "perfbench", "make_expected.py")
+    spec = importlib.util.spec_from_file_location("make_expected", path)
+    make_expected = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_expected)
+    monkeypatch.setattr(make_expected, "TABLE_SEEDS", 2)
+    monkeypatch.setattr(make_expected, "EXTRA_SEEDS", 1)
+    doc = json.loads(tiny_room_config(tmp_path).read_text())
+    expected = make_expected.expected_for(doc)["classes"]["room"]
+    assert len(expected["l1_by_seed"]) == len(expected["l2_by_seed"]) == 2
+    doc["lipschitz"]["seed"] = 0
+    cert = run_pipeline(config_from_dict(doc), write_outputs=False).certificate
+    room = cert.class_by_id("room")
+    assert expected["l1_by_seed"][0] == room.l1
+    assert expected["l2_by_seed"][0] == room.l2

@@ -216,6 +216,64 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["portrait_steps"], -1, "portrait_steps must be >= 0, got -1"),
+            (["portrait_counts"], [0], "portrait_counts must all be >= 1, got [0]"),
+            (
+                ["portrait_counts"],
+                [5, 5],
+                "portrait_counts must be empty or hold one count per state dimension (1) "
+                "of class 'room'; got [5, 5]",
+            ),
+            (
+                ["classes", 0, "counts_state"],
+                [0],
+                "class 'room': counts_state must hold one count >= 1 per dimension (1); got [0]",
+            ),
+            (
+                ["classes", 0, "counts_state"],
+                [5, 5],
+                "class 'room': counts_state must hold one count >= 1 per dimension (1); "
+                "got [5, 5]",
+            ),
+            (
+                ["classes", 0, "counts_input"],
+                [],
+                "class 'room': counts_input must hold one count >= 1 per dimension (1); got []",
+            ),
+            (["verify_multiplier"], 0, "verify_multiplier must be >= 1, got 0"),
+        ],
+        ids=[
+            "negative-steps",
+            "zero-portrait-count",
+            "portrait-dimension",
+            "zero-count",
+            "count-dimension",
+            "no-input-counts",
+            "zero-multiplier",
+        ],
+    )
+    def test_values_that_break_outputs_rejected(self, tmp_path, capsys, path, value, message):
+        """Counts, portrait settings and the verification multiplier are
+        checked when the file loads: a value that the grids, the portrait or
+        the dense checks could not use is a configuration error (exit 2)
+        naming its key, and nothing is computed or written."""
+        doc = json.load(open(ROOM_CONFIG))
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        out = tmp_path / "out"
+        code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("configuration error: ")
+        assert message in err
+        assert not out.exists()
+
     def test_synth_exit_code_on_config_error(self, tmp_path, drift_csv, capsys):
         doc = drift_config_doc(drift_csv, tmp_path / "out")
         doc["classes"][0]["unsafe_box"] = [[0.25], [1.0]]
@@ -324,6 +382,29 @@ class TestSynthRoomBenchmark:
         conditions = {cond for _, cond, _ in cert.failures}
         assert "m2" in conditions
 
+    def test_verify_checks_heatmap_and_portrait(self, tmp_path, capsys):
+        """An oracle-backed certificate is also checked on a dense decrease
+        heatmap and a phase portrait; verify exits 1 exactly when a check
+        says FAIL or a trajectory enters the unsafe box."""
+        doc = json.load(open(ROOM_CONFIG))
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        capsys.readouterr()
+        certificate = str(out / "certificate.json")
+        flags = ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
+        code = main(["verify", "--certificate", certificate, *flags])
+        lines = capsys.readouterr().out.splitlines()
+        heatmap = [line for line in lines if line.startswith("[room] decrease heatmap max ")]
+        portrait = [
+            re.fullmatch(r"\[room\] portrait: (\d+) unsafe entries / 2 trajectories", line)
+            for line in lines
+            if line.startswith("[room] portrait: ")
+        ]
+        assert len(heatmap) == 1 and len(portrait) == 1 and portrait[0], lines
+        failed = any("FAIL" in line for line in lines) or int(portrait[0].group(1)) > 0
+        assert code == (1 if failed else 0), lines
+
     def test_refinement_doubles_grid_counts(self, tmp_path):
         cfg = load_config(ROOM_CONFIG)
         cfg.output_dir = str(tmp_path / "refined")
@@ -424,6 +505,7 @@ class TestStoredCertificateConsistency:
 FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(1e-9, 1e6)
 COUNTS = st.lists(st.integers(1, 50), min_size=1, max_size=3).map(tuple)
+ROOM_COUNTS = st.tuples(st.integers(1, 50))  # one count: room is 1-d in state and input
 
 
 @st.composite
@@ -434,8 +516,8 @@ def class_configs(draw, index):
             id=cid,
             benchmark="room",
             benchmark_params=draw(st.sampled_from([{}, {"c": 0.45}])),
-            counts_state=draw(COUNTS),
-            counts_input=draw(COUNTS),
+            counts_state=draw(ROOM_COUNTS),
+            counts_input=draw(ROOM_COUNTS),
             template_exponents=draw(st.sampled_from([None, ((2,), (1,), (0,))])),
         )
     lo = draw(FLOATS)
@@ -477,7 +559,8 @@ def pipeline_configs(draw):
             seed=draw(st.integers(0, 2**63)),
         ),
         refine=RefineConfig(enabled=draw(st.booleans()), max_retries=draw(st.integers(0, 5))),
-        portrait_counts=draw(st.lists(st.integers(1, 30), max_size=3).map(tuple)),
+        # empty, or one count per state dimension of the (1-d) room classes
+        portrait_counts=draw(st.lists(st.integers(1, 30), max_size=1).map(tuple)),
         portrait_steps=draw(st.integers(1, 1000)),
         verify_multiplier=draw(st.integers(1, 20)),
         export_lp=draw(st.booleans()),

@@ -4,8 +4,8 @@ import pytest
 from netcert.blackbox import TOPOLOGY_KINDS, Topology
 from netcert.compose import (
     ClassCertificate,
+    ClassMargins,
     certify,
-    class_margins,
     eval_network_certificate,
 )
 from netcert.core import InvariantError
@@ -47,25 +47,25 @@ def make_class_certificate(margins, class_id="c", coeffs=(1.0, 0.0)):
 
 class TestMarginArithmetic:
     def test_room_values(self):
-        m = class_margins(
+        m = ClassMargins(
             eta=ROOM_ETA, beta=ROOM_BETA, l1=ROOM_L1, l2=ROOM_L2, theta=ROOM_THETA
         )
         assert m.m1 == pytest.approx(-14.3770, abs=1e-3)
         assert m.m2 == pytest.approx(-15.4195, abs=1e-3)
 
     def test_vehicle_values(self):
-        m = class_margins(eta=-0.4098, beta=0.0, l1=7.8288, l2=7.4875, theta=0.05)
+        m = ClassMargins(eta=-0.4098, beta=0.0, l1=7.8288, l2=7.4875, theta=0.05)
         assert m.m1 == pytest.approx(-0.0184, abs=1e-3)
         assert m.m2 == pytest.approx(-0.0355, abs=1.5e-3)
 
     def test_all_zero_is_not_certified(self):
-        m = class_margins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0)
+        m = ClassMargins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0)
         assert m.m1 == 0.0 and m.m2 == 0.0 and m.gap == 0.0
         assert not m.satisfied  # the level gap must be strictly positive
 
     def test_recompute_is_bit_exact(self):
-        m1 = class_margins(eta=-1.5, beta=0.25, l1=3.0, l2=2.0, theta=0.125, sigma=1.0, phi=2.0)
-        m2 = class_margins(eta=-1.5, beta=0.25, l1=3.0, l2=2.0, theta=0.125, sigma=1.0, phi=2.0)
+        m1 = ClassMargins(eta=-1.5, beta=0.25, l1=3.0, l2=2.0, theta=0.125, sigma=1.0, phi=2.0)
+        m2 = ClassMargins(eta=-1.5, beta=0.25, l1=3.0, l2=2.0, theta=0.125, sigma=1.0, phi=2.0)
         assert m1.m1 == m2.m1 and m1.m2 == m2.m2 and m1.gap == m2.gap
         # same arithmetic done by hand, same binary result
         assert m1.m1 == -1.5 + 3.0 * 0.125
@@ -73,14 +73,14 @@ class TestMarginArithmetic:
 
     def test_input_validation(self):
         with pytest.raises(InvariantError):
-            class_margins(eta=0.0, beta=0.0, l1=-1.0, l2=0.0, theta=0.1)
+            ClassMargins(eta=0.0, beta=0.0, l1=-1.0, l2=0.0, theta=0.1)
         with pytest.raises(InvariantError):
-            class_margins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=-0.1)
+            ClassMargins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=-0.1)
 
 
 class TestCertifyPolicy:
     def test_room_reference_numbers_certify(self):
-        m = class_margins(
+        m = ClassMargins(
             eta=ROOM_ETA,
             beta=ROOM_BETA,
             l1=ROOM_L1,
@@ -88,14 +88,13 @@ class TestCertifyPolicy:
             theta=ROOM_THETA,
             sigma=ROOM_SIGMA,
             phi=ROOM_PHI,
-            class_id="room",
         )
         cert = certify([make_class_certificate(m, "room")])
         assert cert.certified
         assert cert.failures == ()
 
     def test_positive_eta_fails_m1(self):
-        m = class_margins(eta=0.1, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
+        m = ClassMargins(eta=0.1, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
         cert = certify([make_class_certificate(m)])
         assert not cert.certified
         assert ("c", "m1", pytest.approx(0.1)) in [
@@ -103,8 +102,8 @@ class TestCertifyPolicy:
         ]
 
     def test_no_cross_class_compensation(self):
-        good = class_margins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
-        bad = class_margins(eta=0.5, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
+        good = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
+        bad = ClassMargins(eta=0.5, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
         cert = certify(
             [make_class_certificate(good, "good"), make_class_certificate(bad, "bad")]
         )
@@ -118,13 +117,13 @@ class TestCertifyPolicy:
         thetas = [0.2, 0.1, 0.05, 0.01]
         verdicts = []
         for t in thetas:
-            m = class_margins(eta=-1.0, beta=0.1, l1=4.0, l2=4.0, theta=t, sigma=0.0, phi=1.0)
+            m = ClassMargins(eta=-1.0, beta=0.1, l1=4.0, l2=4.0, theta=t, sigma=0.0, phi=1.0)
             verdicts.append(certify([make_class_certificate(m)]).certified)
         for coarse, fine in zip(verdicts, verdicts[1:]):
             assert fine >= coarse  # True never degrades to False
 
     def test_network_levels_scale_with_copies(self):
-        m = class_margins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=2.0, phi=3.0)
+        m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=2.0, phi=3.0)
         cert = certify([make_class_certificate(m)], reference_size=10)
         assert cert.network_levels() == (20.0, 30.0)
         assert cert.network_levels({"c": 3}) == (6.0, 9.0)
@@ -135,7 +134,7 @@ class TestFailureReport:
     satisfy the violated margin at the current optimum."""
 
     def _advice(self, **kw):
-        m = class_margins(sigma=0.0, phi=1.0, class_id="c", **kw)
+        m = ClassMargins(sigma=0.0, phi=1.0, **kw)
         lines = render_report(certify([make_class_certificate(m)])).splitlines()
         return {line.split()[2]: line for line in lines if "violated by" in line}
 
@@ -145,7 +144,7 @@ class TestFailureReport:
         assert "theta < 0.0625 (now 0.5) would satisfy it" in advice["m2"]
         assert all("collect more samples" in line for line in advice.values())
         # just below the tighter bound both margins hold
-        assert class_margins(eta=-1.0, beta=0.5, l1=4.0, l2=8.0, theta=0.0624, phi=1.0).satisfied
+        assert ClassMargins(eta=-1.0, beta=0.5, l1=4.0, l2=8.0, theta=0.0624, phi=1.0).satisfied
 
     def test_positive_at_zero_dispersion_is_named(self):
         """Room's optimum: eta* = 3.8e-5 > 0, so no theta can help."""
@@ -164,7 +163,7 @@ class TestFailureReport:
 
 class TestEvalNetworkCertificate:
     def _room_certificate(self):
-        m = class_margins(
+        m = ClassMargins(
             eta=ROOM_ETA,
             beta=ROOM_BETA,
             l1=ROOM_L1,
@@ -172,7 +171,6 @@ class TestEvalNetworkCertificate:
             theta=ROOM_THETA,
             sigma=ROOM_SIGMA,
             phi=ROOM_PHI,
-            class_id="room",
         )
         cert = make_class_certificate(m, "room")
         cert = ClassCertificate(
@@ -207,7 +205,7 @@ def drift_certificate(drift_class, drift_samples, drift_solution):
     cert = ClassCertificate(
         class_id="drift",
         template_exponents=((1,), (0,)),
-        coeffs=tuple(float(v) for v in drift_solution.coeffs.coeffs),
+        coeffs=tuple(float(v) for v in drift_solution.coeffs),
         sigma=drift_solution.sigma,
         phi=drift_solution.phi,
         supply_s11=((float(drift_solution.supply.s11[0, 0]),),),
@@ -258,13 +256,13 @@ class TestCertifyValidation:
             certify([])
 
     def test_missing_class_lookup_raises(self):
-        m = class_margins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
+        m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
         cert = certify([make_class_certificate(m, "present")])
         with pytest.raises(KeyError):
             cert.class_by_id("absent")
 
     def test_assignment_length_must_match(self):
-        m = class_margins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
+        m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
         cert = certify([make_class_certificate(m, "c")])
         with pytest.raises(Exception):
             eval_network_certificate(cert, [np.array([1.0])], assignment=["c", "c"])

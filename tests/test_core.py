@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from netcert.blackbox import build_platoon_class, build_room_class
 from netcert.core import (
-    CoefficientVector,
     DimensionError,
     IntervalBox,
     InvariantError,
@@ -18,7 +17,7 @@ from netcert.core import (
 )
 
 ROOM_TEMPLATE = StcTemplate(state_dim=1, exponents=[[4], [2], [0]])
-ROOM_COEFFS = CoefficientVector([0.0151, -0.7, -0.7])
+ROOM_COEFFS = np.array([0.0151, -0.7, -0.7])
 
 
 class TestIntervalBox:
@@ -69,14 +68,16 @@ class TestEvalTemplate:
         )
 
     def test_zero_coefficients(self):
-        zero = CoefficientVector([0.0, 0.0, 0.0])
+        zero = np.array([0.0, 0.0, 0.0])
         assert eval_template(ROOM_TEMPLATE, zero, [[7.3]])[0] == 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             eval_template(ROOM_TEMPLATE, ROOM_COEFFS, [[1.0, 2.0]])
         with pytest.raises(DimensionError):
-            eval_template(ROOM_TEMPLATE, CoefficientVector([1.0]), [[1.0]])
+            eval_template(ROOM_TEMPLATE, np.array([1.0]), [[1.0]])
+        with pytest.raises(DimensionError):
+            eval_template(ROOM_TEMPLATE, ROOM_COEFFS[:, None], [[1.0]])
 
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(42)
@@ -90,10 +91,10 @@ class TestEvalTemplate:
             c2 = rng.normal(size=terms)
             lam = float(rng.normal())
             x = rng.uniform(-2, 2, size=(1, dim))
-            v1 = eval_template(template, CoefficientVector(c1), x)[0]
-            v2 = eval_template(template, CoefficientVector(c2), x)[0]
-            vsum = eval_template(template, CoefficientVector(c1 + c2), x)[0]
-            vscaled = eval_template(template, CoefficientVector(lam * c1), x)[0]
+            v1 = eval_template(template, c1, x)[0]
+            v2 = eval_template(template, c2, x)[0]
+            vsum = eval_template(template, c1 + c2, x)[0]
+            vscaled = eval_template(template, lam * c1, x)[0]
             assert vsum == pytest.approx(v1 + v2, abs=1e-10, rel=1e-10)
             assert vscaled == pytest.approx(lam * v1, abs=1e-10, rel=1e-10)
 

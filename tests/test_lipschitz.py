@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import weibull_max
 
 from netcert import lipschitz
-from netcert.core import CoefficientVector, IntervalBox, InvariantError
+from netcert.core import IntervalBox, InvariantError
 from netcert.lipschitz import (
     LipschitzConfig,
     _fit_reverse_weibull,
@@ -146,7 +146,7 @@ class TestPaperPolynomialSlope:
 class TestEstimateForClass:
     def test_constant_template_gives_zero_l1(self, room_class, room_samples):
         sol = ScpSolution(
-            coeffs=CoefficientVector([0.0, 0.0, 5.0]),  # B(x) = 5
+            coeffs=np.array([0.0, 0.0, 5.0]),  # B(x) = 5
             sigma=5.0,
             phi=5.001,
             supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
@@ -166,7 +166,7 @@ class TestEstimateForClass:
             oracle=TransitionOracle(lambda x, d: x),
         )
         sol = ScpSolution(
-            coeffs=CoefficientVector([0.0151, -0.7, -0.7]),
+            coeffs=np.array([0.0151, -0.7, -0.7]),
             sigma=150.0,
             phi=200.0,
             supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),

@@ -182,12 +182,15 @@ class TestCsvRoundTrip:
             load_samples_csv(path, 1, 1, IntervalBox([0.0, 0.0], [1.0, 1.0]))
 
     def test_row_writer_matches_per_row_loop(self, tmp_path, monkeypatch):
-        """Block-wise writing gives the bytes of one ``writerow`` per row."""
+        """Block-wise writing gives the bytes of one ``writerow`` of ``repr``
+        strings per row, also for signed zeros, infinities, NaN and subnormals."""
         monkeypatch.setattr(sampling_mod, "_CSV_BLOCK", 7)
         rng = np.random.default_rng(11)
         values = rng.normal(size=(30, 2)) * 10.0 ** rng.integers(-300, 300, (30, 2))
         tail = rng.normal(size=30)
         tail[::4] = -0.0
+        tail[1:4] = np.inf, -np.inf, np.nan
+        tail[5] = 5e-324  # the smallest subnormal
         lead = rng.integers(0, 1000, (30, 3))
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netcert.core import (
-    CoefficientVector,
+    DimensionError,
     IntervalBox,
     InvariantError,
     SafetySpec,
@@ -142,8 +142,7 @@ class TestBuildScp:
         layout = lp.layout
         rng = np.random.default_rng(3)
         v = rng.normal(size=layout.size)
-        parts = layout.unpack(v)
-        coeffs = CoefficientVector(parts["theta"])
+        sol = layout.unpack(v)
         row_vals = lp.a_ub @ v - lp.b_ub
         idx = {g: [] for g in set(lp.row_groups)}
         for i, g in enumerate(lp.row_groups):
@@ -154,19 +153,19 @@ class TestBuildScp:
         sup_rows = iter(idx["supply"])
         for i in range(samples.count):
             x, d, fx = samples.x[i : i + 1], samples.d[i : i + 1], samples.fx[i : i + 1]
-            bx = eval_template(cls.template, coeffs, x)[0]
-            s = eval_supply(parts["supply"], d, x)[0]
-            bfx = eval_template(cls.template, coeffs, fx)[0]
+            bx = eval_template(cls.template, sol.coeffs, x)[0]
+            s = eval_supply(sol.supply, d, x)[0]
+            bfx = eval_template(cls.template, sol.coeffs, fx)[0]
             if cls.safety.initial.contains(x[0]):
-                expected = bx - parts["sigma"] - parts["eta"]
+                expected = bx - sol.sigma - sol.eta
                 assert row_vals[next(init_rows)] == pytest.approx(expected, abs=1e-10)
             if cls.safety.unsafe.contains(x[0]):
-                expected = -bx + parts["phi"] - parts["eta"]
+                expected = -bx + sol.phi - sol.eta
                 assert row_vals[next(unsafe_rows)] == pytest.approx(expected, abs=1e-10)
             assert row_vals[next(dec_rows)] == pytest.approx(
-                bfx - bx - s - parts["eta"], abs=1e-10
+                bfx - bx - s - sol.eta, abs=1e-10
             )
-            assert row_vals[next(sup_rows)] == pytest.approx(s - parts["beta"], abs=1e-10)
+            assert row_vals[next(sup_rows)] == pytest.approx(s - sol.beta, abs=1e-10)
 
 
 class TestSolveScp:
@@ -188,7 +187,21 @@ class TestSolveScp:
         a = solve_scp(build_scp(room_class, room_samples, ScpOptions()))
         b = solve_scp(build_scp(room_class, room_samples, ScpOptions()))
         assert a.eta + a.beta == b.eta + b.beta
-        assert np.array_equal(a.coeffs.coeffs, b.coeffs.coeffs)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_solution_coefficients_are_a_read_only_vector(self, room_solution):
+        assert room_solution.coeffs.shape == (3,)
+        with pytest.raises(ValueError):
+            room_solution.coeffs[0] = 1.0
+        with pytest.raises(DimensionError):
+            ScpSolution(
+                coeffs=[[0.0]],
+                sigma=0.0,
+                phi=0.0,
+                supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
+                eta=0.0,
+                beta=0.0,
+            )
 
     def test_infeasible_reports_group(self):
         # contradictory handmade rows: v0 <= -1 and -v0 <= -1
@@ -299,7 +312,7 @@ class TestCheckSolutionZeroResiduals:
     def test_zeroed_solution_on_trivial_instance(self):
         cls, samples = make_trivial_instance()
         zero = ScpSolution(
-            coeffs=CoefficientVector([0.0]),
+            coeffs=np.array([0.0]),
             sigma=0.0,
             phi=0.0,
             supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),

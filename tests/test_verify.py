@@ -10,7 +10,6 @@ import pytest
 
 from netcert.blackbox import TOPOLOGY_KINDS, Topology, TransitionOracle, simulate_network
 from netcert.core import (
-    CoefficientVector,
     IntervalBox,
     SafetySpec,
     StcTemplate,
@@ -41,7 +40,7 @@ def make_solution(coeffs, sigma, phi, supply=None, eta=0.0, beta=0.0):
         else SupplyRate(*[np.atleast_2d(s) for s in supply])
     )
     return ScpSolution(
-        coeffs=CoefficientVector(coeffs),
+        coeffs=np.array(coeffs),
         sigma=sigma,
         phi=phi,
         supply=rate,
@@ -369,23 +368,22 @@ class TestHeatmapPool:
 
 class TestSurfaceData:
     def test_one_dimensional_table(self, room_class, room_reference_solution):
-        pts, vals, sigma, phi = surface_data(room_class, room_reference_solution, (31,))
+        pts, vals = surface_data(room_class, room_reference_solution, (31,))
         assert pts.shape == (31, 1)
         assert vals.shape == (31,)
-        assert sigma == 150.0 and phi == 200.0
 
     def test_two_dimensional_count(self, platoon_class, platoon_solution):
-        pts, vals, _, _ = surface_data(platoon_class, platoon_solution, (3, 3))
+        pts, vals = surface_data(platoon_class, platoon_solution, (3, 3))
         assert pts.shape == (9, 2)
         assert vals.shape == (9,)
 
     def test_constant_certificate_constant_column(self, room_class):
         sol = make_solution([0.0, 0.0, 2.5], sigma=2.5, phi=2.5)
-        _, vals, _, _ = surface_data(room_class, sol, (11,))
+        _, vals = surface_data(room_class, sol, (11,))
         assert np.allclose(vals, 2.5)
 
     def test_csv_header(self, tmp_path, room_class, room_reference_solution):
-        pts, vals, _, _ = surface_data(room_class, room_reference_solution, (5,))
+        pts, vals = surface_data(room_class, room_reference_solution, (5,))
         path = tmp_path / "surface.csv"
         write_surface_csv(path, room_class, pts, vals)
         header = open(path).readline().strip()
