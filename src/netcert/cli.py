@@ -22,7 +22,7 @@ import numpy as np
 
 from .blackbox import TOPOLOGY_KINDS
 from .compose import ClassMargins
-from .core import IntervalBox
+from .core import IntervalBox, InvariantError
 from .lipschitz import LipschitzConfig, estimate_for_class, estimate_lipschitz
 from .pipeline import (
     CertificateFormatError,
@@ -63,6 +63,17 @@ CONFIG_FLAGS = {
     "--no-refine": ("refine.enabled", {"action": "store_const", "const": False}),
     "--export-lp": ("export_lp", {"action": "store_const", "const": True}),
 }
+
+
+def _at_least(low: int):
+    """argparse ``type=``: an integer of at least ``low``, else exit 2."""
+
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    return integer
 
 
 def _add_config_flags(parser, *flags) -> None:
@@ -161,9 +172,11 @@ DEMO_TARGETS = {
 
 
 def cmd_lipschitz(args) -> int:
-    config = LipschitzConfig(
-        gamma=args.gamma, inner_count=args.inner, outer_count=args.outer, seed=args.seed
-    )
+    try:
+        config = LipschitzConfig(args.gamma, args.inner, args.outer, args.seed)
+    except InvariantError as exc:
+        print(f"cannot estimate: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     if args.demo is not None:
         target, box, exact = DEMO_TARGETS[args.demo]
         est = estimate_lipschitz(target, box, config)
@@ -225,15 +238,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_margins(args) -> int:
-    m = ClassMargins(
-        eta=args.eta,
-        beta=args.beta,
-        l1=args.l1,
-        l2=args.l2,
-        theta=args.theta,
-        sigma=args.sigma,
-        phi=args.phi,
-    )
+    try:
+        m = ClassMargins(args.eta, args.beta, args.l1, args.l2, args.theta, args.sigma, args.phi)
+    except InvariantError as exc:
+        print(f"cannot compute margins: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     print(f"m1 = {m.m1:.4f}")
     print(f"m2 = {m.m2:.4f}")
     print(f"m1_exact = {m.m1!r}")
@@ -261,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="re-check a stored certificate")
     verify.add_argument("--certificate", required=True)
-    verify.add_argument("--grid-per-dim", type=int, default=50)
-    verify.add_argument("--trajectories", type=int, default=5)
-    verify.add_argument("--steps", type=int, default=100)
+    verify.add_argument("--grid-per-dim", type=_at_least(2), default=50)
+    verify.add_argument("--trajectories", type=_at_least(1), default=5)
+    verify.add_argument("--steps", type=_at_least(0), default=100)
     verify.set_defaults(func=cmd_verify)
 
     lipschitz = sub.add_parser("lipschitz", help="standalone slope estimation")
@@ -279,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="surrogate phase portraits")
     simulate.add_argument("--config", required=True)
     _add_config_flags(simulate, "--topology", "--surrogate-size")
-    simulate.add_argument("--trajectories", type=int, default=5)
-    simulate.add_argument("--steps", type=int, default=100)
+    simulate.add_argument("--trajectories", type=_at_least(1), default=5)
+    simulate.add_argument("--steps", type=_at_least(0), default=100)
     simulate.add_argument("--output", default=None)
     simulate.set_defaults(func=cmd_simulate)
 

@@ -11,7 +11,7 @@ and is deliberately not offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,23 +30,35 @@ CONDITION_M1 = "m1"  # eta* + L1 * theta <= 0
 CONDITION_M2 = "m2"  # eta* + beta* + L2 * theta <= 0
 
 
+class Failure(NamedTuple):
+    """One violated condition of one class, and the amount by which it missed."""
+
+    class_id: str
+    condition: str
+    amount: float
+
+
 @dataclass(frozen=True)
 class ClassMargins:
     """Pure arithmetic of one class's certification inputs:
-    m1 = eta + l1*theta, m2 = eta + beta + l2*theta, gap = phi - sigma."""
+    m1 = eta + l1*theta, m2 = eta + beta + l2*theta, gap = phi - sigma.
+    Every input is finite: a NaN would neither satisfy nor fail a condition."""
 
     eta: float
     beta: float
     l1: float
     l2: float
     theta: float
-    sigma: float = 0.0
-    phi: float = 0.0
+    sigma: float
+    phi: float
     m1: float = field(init=False)
     m2: float = field(init=False)
     gap: float = field(init=False)
 
     def __post_init__(self):
+        inputs = (self.eta, self.beta, self.l1, self.l2, self.theta, self.sigma, self.phi)
+        if not np.all(np.isfinite(inputs)):
+            raise InvariantError(f"margin inputs must be finite, got {inputs}")
         if self.theta < 0:
             raise InvariantError("dispersion must be non-negative")
         if self.l1 < 0 or self.l2 < 0:
@@ -60,52 +72,33 @@ class ClassMargins:
         return self.m1 <= 0.0 and self.m2 <= 0.0 and self.gap > 0.0
 
     def failures(self) -> list[tuple[str, float]]:
-        """(condition, offending amount) for every violated condition."""
+        """(condition, offending amount) for every condition not satisfied."""
         out = []
-        if self.gap <= 0.0:
+        if not self.gap > 0.0:
             out.append((CONDITION_GAP, self.gap))
-        if self.m1 > 0.0:
+        if not self.m1 <= 0.0:
             out.append((CONDITION_M1, self.m1))
-        if self.m2 > 0.0:
+        if not self.m2 <= 0.0:
             out.append((CONDITION_M2, self.m2))
         return out
 
 
 @dataclass(frozen=True)
-class ClassCertificate:
-    """Everything recorded per class: the certificate itself plus the data
-    provenance needed to audit how conservative the margins are."""
+class ClassCertificate(ClassMargins):
+    """Everything recorded per class: the margins and their inputs, the
+    certificate itself, and the data provenance needed to audit them."""
 
     class_id: str
     template_exponents: tuple[tuple[int, ...], ...]
     coeffs: tuple[float, ...]
-    sigma: float
-    phi: float
     supply_s11: tuple[tuple[float, ...], ...]
     supply_s12: tuple[tuple[float, ...], ...]
     supply_s22: tuple[tuple[float, ...], ...]
-    eta: float
-    beta: float
-    l1: float
-    l2: float
-    theta: float
     sample_count: int
     grid_spec: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     lipschitz_config: Optional[LipschitzConfig] = None
     l1_fallback: bool = False
     l2_fallback: bool = False
-
-    @property
-    def margins(self) -> ClassMargins:
-        return ClassMargins(
-            eta=self.eta,
-            beta=self.beta,
-            l1=self.l1,
-            l2=self.l2,
-            theta=self.theta,
-            sigma=self.sigma,
-            phi=self.phi,
-        )
 
     def template(self) -> StcTemplate:
         exps = np.array(self.template_exponents, dtype=int)
@@ -131,7 +124,8 @@ VERDICT_NOT_CERTIFIED = "not-certified"
 
 @dataclass(frozen=True)
 class NetworkCertificate:
-    """Per-class certificates plus the network-level verdict.
+    """Per-class certificates plus what they give: the violated conditions
+    (class, condition, amount) and the network-level verdict.
 
     The verdict is certified exactly when every class satisfies its margins
     with a strictly positive level gap.  Network level values are reported
@@ -140,15 +134,19 @@ class NetworkCertificate:
     """
 
     classes: tuple[ClassCertificate, ...]
-    verdict: str
-    failures: tuple[tuple[str, str, float], ...]  # (class_id, condition, amount)
     reference_size: int
-    provenance: dict
+    provenance: dict = field(default_factory=dict)
+    failures: tuple[Failure, ...] = field(init=False)
+    verdict: str = field(init=False)
 
     def __post_init__(self):
-        all_ok = all(c.margins.satisfied for c in self.classes)
-        if (self.verdict == VERDICT_CERTIFIED) != all_ok:
-            raise InvariantError("verdict must mirror the per-class margin conditions")
+        if not self.classes:
+            raise InvariantError("a network certificate needs at least one class")
+        failures = [Failure(c.class_id, *f) for c in self.classes for f in c.failures()]
+        object.__setattr__(self, "failures", tuple(failures))
+        certified = all(c.satisfied for c in self.classes)
+        verdict = VERDICT_CERTIFIED if certified else VERDICT_NOT_CERTIFIED
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def certified(self) -> bool:
@@ -168,33 +166,6 @@ class NetworkCertificate:
             if c.class_id == class_id:
                 return c
         raise KeyError(class_id)
-
-
-def certify(
-    class_results: Sequence[ClassCertificate],
-    reference_size: int = 10,
-    provenance: Optional[dict] = None,
-) -> NetworkCertificate:
-    """Evaluate the per-class conditions and assemble the network verdict.
-
-    When a class fails, the report names the class, the violated condition,
-    and the amount by which it missed, which is exactly what a refinement
-    loop needs to decide where to collect more samples.
-    """
-    if not class_results:
-        raise InvariantError("certify needs at least one class result")
-    failures = []
-    for cert in class_results:
-        for condition, amount in cert.margins.failures():
-            failures.append((cert.class_id, condition, amount))
-    verdict = VERDICT_CERTIFIED if not failures else VERDICT_NOT_CERTIFIED
-    return NetworkCertificate(
-        classes=tuple(class_results),
-        verdict=verdict,
-        failures=tuple(failures),
-        reference_size=reference_size,
-        provenance=dict(provenance or {}),
-    )
 
 
 def eval_network_certificate(

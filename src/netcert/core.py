@@ -226,11 +226,6 @@ class SupplyRate:
     def state_dim(self) -> int:
         return self.s22.shape[0]
 
-    def block_matrix(self) -> np.ndarray:
-        top = np.hstack([self.s11, self.s12])
-        bottom = np.hstack([self.s12.T, self.s22])
-        return np.vstack([top, bottom])
-
 
 def eval_supply(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d^T s11 d + 2 d^T s12 x + x^T s22 x at each matching row of ``d`` and

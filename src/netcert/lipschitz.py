@@ -23,6 +23,7 @@ from .core import (
     SubsystemClass,
     eval_template,
 )
+from .sampling import DataFaultError
 from .scp import ScpSolution
 
 # target(points) -> values for a batch of points, one row per point
@@ -32,7 +33,7 @@ BatchTarget = Callable[[np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class LipschitzConfig:
     """gamma: pair-distance cap; inner_count/outer_count: slopes per batch
-    and number of batches; seed: drives pseudo-random pair placement."""
+    and number of batches; seed (>= 0): drives pseudo-random pair placement."""
 
     gamma: float
     inner_count: int
@@ -40,10 +41,12 @@ class LipschitzConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvariantError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise InvariantError(f"gamma must be positive and finite, got {self.gamma!r}")
         if self.inner_count < 2 or self.outer_count < 2:
             raise InvariantError("inner_count and outer_count must be >= 2 for a usable fit")
+        if self.seed < 0:
+            raise InvariantError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,19 @@ def slope_batch(
     fb = np.asarray(target(base), float).reshape(-1)
     fp = np.asarray(target(partners), float).reshape(-1)
     dist = np.linalg.norm(base - partners, axis=1)
-    return np.abs(fb - fp) / dist
+    return _finite_slopes(np.abs(fb - fp) / dist, base, partners)
+
+
+def _finite_slopes(slopes: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``slopes`` between the rows of ``first`` and ``second``; a non-finite
+    one is a DataFaultError naming its pair instead of a NaN slope constant."""
+    bad = ~np.isfinite(slopes)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DataFaultError(
+            f"non-finite slope between {first[i].tolist()} and {second[i].tolist()}"
+        )
+    return slopes
 
 
 def _weibull_max_logpdf(
@@ -256,7 +271,9 @@ def estimate_from_pairs(
             f"other ({pairs.shape[0] - distinct} coincide), fewer than outer_count = "
             f"{config.outer_count}; increase gamma"
         )
-    slopes = np.abs(vals[pairs[keep, 0]] - vals[pairs[keep, 1]]) / dist[keep]
+    first, second = pairs[keep, 0], pairs[keep, 1]
+    slopes = np.abs(vals[first] - vals[second]) / dist[keep]
+    slopes = _finite_slopes(slopes, pts[first], pts[second])
     slopes = slopes[rng.permutation(slopes.size)]
     batches = np.array_split(slopes, config.outer_count)
     maxima = np.array([float(np.max(b)) for b in batches])

@@ -26,7 +26,6 @@ from .compose import (
     ClassCertificate,
     ClassMargins,
     NetworkCertificate,
-    certify,
 )
 from .core import (
     IntervalBox,
@@ -234,28 +233,40 @@ def _at(path: str, key) -> str:
 def _read(kind, doc, path: str, base=None):
     """Dataclass ``kind`` from the JSON object ``doc``: ``base`` (or the
     dataclass defaults) updated by the document's keys, each coerced to its
-    field's type.  Unknown, missing or ill-typed keys and values the
+    field's type.  A field the record derives (``init=False``), such as a
+    margin or the verdict, must be stored as the JSON form of its recomputed
+    value.  Unknown, missing, ill-typed or differing keys and values the
     dataclass rejects raise ConfigError naming their path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'document'} must be a JSON object")
     hints = typing.get_type_hints(kind)
     defaults = _defaults(kind)
     names = [f.name for f in fields(kind) if f.init]
+    derived = [f.name for f in fields(kind) if not f.init]
     for key in doc:
-        if key not in names:
+        if key not in names and key not in derived:
             raise ConfigError(f"unknown key {_at(path, key)!r}")
-    if base is None:
-        for name in names:
-            if name not in doc and name not in defaults:
-                raise ConfigError(f"missing key {_at(path, name)!r}")
+    required = [name for name in names if name not in defaults] if base is None else []
+    for name in required + derived:
+        if name not in doc:
+            raise ConfigError(f"missing key {_at(path, name)!r}")
     values = {
         key: _coerce(hints[key], value, _at(path, key), defaults.get(key))
         for key, value in doc.items()
+        if key in names
     }
     try:
-        return kind(**values) if base is None else replace(base, **values)
+        record = kind(**values) if base is None else replace(base, **values)
     except InvariantError as exc:
         raise ConfigError(f"{path or 'document'}: {exc}") from exc
+    for name in derived:
+        recomputed = _plain(getattr(record, name))
+        if doc[name] != recomputed:
+            raise ConfigError(
+                f"stored {_at(path, name)} {doc[name]!r} differ from the recomputed "
+                f"{recomputed!r}"
+            )
+    return record
 
 
 JSON_KINDS = {str: "string", dict: "object", bool: "boolean"}
@@ -296,8 +307,11 @@ def _coerce(hint, value, path: str, default=None):
 
 
 def _plain(value, omit_defaults: bool = False):
-    """JSON form of a record: dataclasses become objects, tuples lists.
-    With ``omit_defaults`` the fields still at their default are left out."""
+    """JSON form of a record: dataclasses and named tuples become objects,
+    other tuples lists.  With ``omit_defaults`` the fields of a dataclass
+    still at their default are left out."""
+    if hasattr(value, "_asdict"):  # a named tuple
+        return {key: _plain(v) for key, v in value._asdict().items()}
     if is_dataclass(value):
         defaults = _defaults(type(value)) if omit_defaults else {}
         return {
@@ -443,7 +457,7 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     runs = {cc.id: _run_class(cc, cfg) for cc in cfg.classes}
     rounds = 0
     while cfg.refine.enabled and rounds < cfg.refine.max_retries:
-        failing = [cc for cc in cfg.classes if not runs[cc.id].certificate.margins.satisfied]
+        failing = [cc for cc in cfg.classes if not runs[cc.id].certificate.satisfied]
         refinable = [cc for cc in failing if cc.data_csv is None]
         if not failing or not refinable:
             break
@@ -455,8 +469,8 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     # where the artifacts land does not shape the certificate; leaving the
     # path out keeps runs into different directories byte-identical
     embedded_config.pop("output_dir", None)
-    certificate = certify(
-        [runs[cc.id].certificate for cc in cfg.classes],
+    certificate = NetworkCertificate(
+        tuple(runs[cc.id].certificate for cc in cfg.classes),
         reference_size=cfg.topology.surrogate_size,
         provenance={
             "tool_version": __version__,
@@ -550,20 +564,18 @@ def _verify_counts(run: ClassRun, mult: int, state_only: bool) -> tuple[int, ...
 def render_report(certificate: NetworkCertificate) -> str:
     lines = [f"verdict: {certificate.verdict}"]
     for cert in certificate.classes:
-        m = cert.margins
         lines.append(
             f"[{cert.class_id}] eta={cert.eta!r} beta={cert.beta!r} theta={cert.theta!r} "
             f"L1={cert.l1!r} L2={cert.l2!r}"
         )
         lines.append(
-            f"[{cert.class_id}] m1={m.m1!r} m2={m.m2!r} gap={m.gap!r} "
-            f"({'satisfied' if m.satisfied else 'violated'})"
+            f"[{cert.class_id}] m1={cert.m1!r} m2={cert.m2!r} gap={cert.gap!r} "
+            f"({'satisfied' if cert.satisfied else 'violated'})"
         )
-    margins = {cert.class_id: cert.margins for cert in certificate.classes}
     for cid, condition, amount in certificate.failures:
         lines.append(
             f"[{cid}] condition {condition} violated by {amount!r}; "
-            + _failure_advice(margins[cid], condition)
+            + _failure_advice(certificate.class_by_id(cid), condition)
         )
     return "\n".join(lines)
 
@@ -594,31 +606,13 @@ def _failure_advice(m: ClassMargins, condition: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-FAILURE_KEYS = ("class_id", "condition", "amount")  # one entry of "failures"
-MARGIN_KEYS = ("m1", "m2", "gap")  # stored with each class, recomputed on load
-
-
-def _failures_to_list(failures) -> list[dict]:
-    return [dict(zip(FAILURE_KEYS, failure)) for failure in failures]
-
-
-def _margins_to_dict(cert: ClassCertificate) -> dict:
-    return {key: getattr(cert.margins, key) for key in MARGIN_KEYS}
-
-
 def certificate_to_dict(cert: NetworkCertificate) -> dict:
-    return {
-        "version": CERTIFICATE_VERSION,
-        **_plain(cert),
-        "failures": _failures_to_list(cert.failures),
-        "classes": [{**_plain(c), **_margins_to_dict(c)} for c in cert.classes],
-    }
+    return {"version": CERTIFICATE_VERSION, **_plain(cert)}
 
 
 def certificate_from_dict(doc: dict) -> NetworkCertificate:
-    """Rebuild the certificate from its classes with ``certify``.  The stored
-    verdict, failures and margins must equal the recomputed ones exactly:
-    the same arithmetic on the same stored floats gives the same bits."""
+    """The certificate read through its dataclasses, whose recomputed margins,
+    failures and verdict must equal the stored ones bit for bit."""
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate document must be a JSON object")
     if doc.get("version") != CERTIFICATE_VERSION:
@@ -626,39 +620,10 @@ def certificate_from_dict(doc: dict) -> NetworkCertificate:
             f"unsupported certificate version {doc.get('version')!r}; "
             f"expected {CERTIFICATE_VERSION}"
         )
-    known = {"version", *(f.name for f in fields(NetworkCertificate))}
     try:
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r}")
-        entries = _coerce(list[dict], doc["classes"], "classes")
-        classes = []
-        for i, entry in enumerate(entries):
-            record = {k: v for k, v in entry.items() if k not in MARGIN_KEYS}
-            classes.append(_read(ClassCertificate, record, f"classes[{i}]"))
-        cert = certify(
-            classes,
-            reference_size=_coerce(int, doc["reference_size"], "reference_size"),
-            provenance=_coerce(dict, doc.get("provenance", {}), "provenance"),
-        )
-        stored = {
-            "verdict": doc["verdict"],
-            "failures": doc["failures"],
-            "margins": [{key: e[key] for key in MARGIN_KEYS} for e in entries],
-        }
-        recomputed = {
-            "verdict": cert.verdict,
-            "failures": _failures_to_list(cert.failures),
-            "margins": [_margins_to_dict(c) for c in cert.classes],
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        return _read(NetworkCertificate, {k: v for k, v in doc.items() if k != "version"}, "")
+    except ConfigError as exc:
         raise CertificateFormatError(f"malformed certificate document: {exc}") from exc
-    for key, value in stored.items():
-        if value != recomputed[key]:
-            raise CertificateFormatError(
-                f"stored {key} {value!r} differ from the recomputed {recomputed[key]!r}"
-            )
-    return cert
 
 
 def store_certificate(cert: NetworkCertificate, path) -> None:

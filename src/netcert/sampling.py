@@ -20,7 +20,8 @@ _CSV_BLOCK = 1024  # rows per writerows call in write_csv_rows
 
 
 class DataFaultError(RuntimeError):
-    """An oracle returned a non-finite value for a sampled point."""
+    """The data are unusable: an oracle returned a non-finite value for a
+    sampled point, a slope is not finite, or a data CSV is malformed."""
 
 
 class CoverageError(ValueError):
@@ -200,19 +201,29 @@ def load_samples_csv(
     probe_counts: Optional[Sequence[int]] = None,
 ) -> SampleSet:
     """Read externally collected pairs; dispersion is estimated with
-    ``dispersion_general`` since nothing guarantees the data form a grid."""
+    ``dispersion_general`` since nothing guarantees the data form a grid.
+    Every row must hold one finite number per header column."""
     expected = sample_csv_header(state_dim, input_dim)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise DataFaultError(f"expected CSV header {expected}, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = []
+            if len(values) != len(expected) or not np.all(np.isfinite(values)):
+                raise DataFaultError(
+                    f"{path} line {reader.line_num}: expected {len(expected)} finite "
+                    f"numbers, got {row}"
+                )
+            rows.append(values)
     if not rows:
         raise DataFaultError(f"no sample rows in {path}")
     data = np.array(rows, float)
-    if data.shape[1] != 2 * state_dim + input_dim:
-        raise DataFaultError("CSV column count does not match the declared dimensions")
     x = data[:, :state_dim]
     d = data[:, state_dim : state_dim + input_dim]
     fx = data[:, state_dim + input_dim :]

@@ -97,10 +97,12 @@ def test_make_expected_matches_the_pipeline(tmp_path, monkeypatch):
     monkeypatch.setattr(make_expected, "TABLE_SEEDS", 2)
     monkeypatch.setattr(make_expected, "EXTRA_SEEDS", 1)
     doc = json.loads(tiny_room_config(tmp_path).read_text())
-    expected = make_expected.expected_for(doc)["classes"]["room"]
+    table = make_expected.expected_for(doc)
+    expected = table["classes"]["room"]
     assert len(expected["l1_by_seed"]) == len(expected["l2_by_seed"]) == 2
     doc["lipschitz"]["seed"] = 0
     cert = run_pipeline(config_from_dict(doc), write_outputs=False).certificate
     room = cert.class_by_id("room")
     assert expected["l1_by_seed"][0] == room.l1
     assert expected["l2_by_seed"][0] == room.l2
+    assert table["failing"] == sorted([f.class_id, f.condition] for f in cert.failures)

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import typing
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netcert.pipeline
 import netcert.scp
 import netcert.verify
-from netcert.blackbox import TOPOLOGY_KINDS, Topology
+from netcert.blackbox import TOPOLOGY_KINDS, Topology, build_room_class
 from netcert.cli import main
-from netcert.compose import ClassCertificate, certify
+from netcert.compose import ClassCertificate, NetworkCertificate
+from netcert.core import TransitionOracle
 from netcert.lipschitz import LipschitzConfig
 from netcert.pipeline import (
     CertificateFormatError,
@@ -302,6 +305,103 @@ class TestDataFaults:
         assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err.startswith("synthesis failed: expected CSV header")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "abc", None], ids=str)
+    def test_malformed_data_csv(self, tmp_path, drift_csv, capsys, cell):
+        """A cell that is not a finite number, or a row with an extra
+        column (``None``), names the file and line; nothing is written."""
+        lines = drift_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        if cell is None:
+            cells.append("1.0")
+        else:
+            cells[1] = cell
+        lines[3] = ",".join(cells)
+        drift_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        doc = drift_config_doc(drift_csv, out)
+        assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"synthesis failed: {drift_csv} line 4: expected 3 finite numbers")
+        assert not out.exists()
+
+    def test_non_finite_slope_sample(self, tmp_path, capsys, monkeypatch):
+        """A room oracle that is NaN only for 12.5 < x < 12.9, off the 5x5
+        sample grid, passes sampling and the scenario program; the slope
+        samples of L2 meet it, and the run ends before anything is written
+        instead of storing a NaN slope."""
+
+        def room_with_hole(**params):
+            cls = build_room_class(**params)
+            step = cls.oracle.step_batch
+
+            def step_with_hole(x, d):
+                return np.where((12.5 < x) & (x < 12.9), np.nan, step(x, d))
+
+            return replace(cls, oracle=TransitionOracle(step_with_hole))
+
+        monkeypatch.setattr(netcert.pipeline, "BENCHMARKS", {"room": room_with_hole})
+        doc = json.load(open(ROOM_CONFIG))
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("synthesis failed: non-finite slope between [")
+        assert not out.exists()
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+DEMO = ["lipschitz", "--demo", "sin"]
+MARGINS_ARGS = ["margins", "--eta", "-1", "--l1", "1", "--l2", "1", "--theta", "0.1"]
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["verify", "--grid-per-dim", "0"],
+            ["verify", "--grid-per-dim", "1"],
+            ["verify", "--trajectories", "0"],
+            ["verify", "--steps", "-1"],
+            ["simulate", "--trajectories", "0"],
+            ["simulate", "--steps", "-1"],
+            [*DEMO, "--gamma", "0"],
+            [*DEMO, "--gamma", "inf"],
+            [*DEMO, "--gamma", "nan"],
+            [*DEMO, "--inner", "1"],
+            [*DEMO, "--outer", "1"],
+            [*DEMO, "--seed", "-1"],
+            [*MARGINS_ARGS, "--eta", "nan"],
+            [*MARGINS_ARGS, "--beta", "inf"],
+            [*MARGINS_ARGS, "--sigma=-inf"],
+            [*MARGINS_ARGS, "--phi", "nan"],
+            [*MARGINS_ARGS, "--l1", "-1"],
+            [*MARGINS_ARGS, "--l2", "-1"],
+            [*MARGINS_ARGS, "--theta", "-0.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_rejected_before_compute(
+        self, tmp_path, capsys, room_certificate_doc, flags
+    ):
+        """A value the command could not use is a usage error (exit 2)
+        before anything is computed or written."""
+        command = flags[0]
+        if command == "verify":
+            cert = tmp_path / "certificate.json"
+            cert.write_text(json.dumps(room_certificate_doc))
+            flags = [*flags, "--certificate", str(cert)]
+        elif command == "simulate":
+            flags = [*flags, "--config", ROOM_CONFIG, "--output", str(tmp_path / "traj.csv")]
+        assert exit_code(flags) == 2
+        assert capsys.readouterr().out == ""
+        assert os.listdir(tmp_path) == (["certificate.json"] if command == "verify" else [])
+
 
 class TestSynthCertifiedPath:
     """The strictly-decreasing external-data class certifies end to end:
@@ -317,7 +417,7 @@ class TestSynthCertifiedPath:
         cert = load_certificate(out_dir / "certificate.json")
         assert cert.certified
         drift = cert.class_by_id("drift")
-        assert drift.margins.m1 < 0 and drift.margins.m2 < 0
+        assert drift.m1 < 0 and drift.m2 < 0
         assert (out_dir / "drift_samples.csv").exists()
         assert (out_dir / "drift_levels.csv").exists()
         assert (out_dir / "drift_surface.csv").exists()
@@ -468,7 +568,7 @@ def room_certificate_doc():
 
 class TestStoredCertificateConsistency:
     """A stored certificate loads only when its verdict, failures and margins
-    are exactly what ``certify`` recomputes from its classes."""
+    are exactly what its records recompute from its classes."""
 
     def test_unedited_certificate_loads(self, room_certificate_doc):
         doc = json.loads(json.dumps(room_certificate_doc))
@@ -597,6 +697,11 @@ def class_certificates(draw, index):
     )
 
 
+CLASS_CERTIFICATE_TUPLES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[class_certificates(i) for i in range(n)])
+)
+
+
 class TestSchemaRoundTrip:
     """Each record is read and written through its dataclass, so a written
     document reads back as the same object."""
@@ -609,14 +714,53 @@ class TestSchemaRoundTrip:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        classes=st.integers(1, 3).flatmap(
-            lambda n: st.tuples(*[class_certificates(i) for i in range(n)])
-        ),
+        classes=CLASS_CERTIFICATE_TUPLES,
         reference_size=st.integers(1, 1000),
     )
     def test_certificate_round_trip(self, classes, reference_size):
-        cert = certify(classes, reference_size=reference_size, provenance={"tool_version": "x"})
+        cert = NetworkCertificate(
+            classes, reference_size=reference_size, provenance={"tool_version": "x"}
+        )
         assert certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert)))) == cert
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        classes=CLASS_CERTIFICATE_TUPLES,
+        data=st.data(),
+    )
+    def test_derived_fields_are_checked(self, classes, data):
+        """A stored margin, failure or verdict is compared with the one its
+        record recomputes: an unedited document reads back to itself, and
+        a one-ulp bump of a margin, a flipped verdict or one edited, dropped
+        or reordered failure is rejected."""
+        doc = json.loads(json.dumps(certificate_to_dict(NetworkCertificate(classes, 10))))
+        assert certificate_to_dict(certificate_from_dict(copy.deepcopy(doc))) == doc
+        failures = doc["failures"]
+        edits = ["margin", "verdict"] + ["edit-failure", "drop-failure"] * bool(failures)
+        edits += ["reorder-failures"] * (len(failures) > 1)
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "margin":
+            entry = doc["classes"][data.draw(st.integers(0, len(classes) - 1))]
+            key = data.draw(st.sampled_from(["m1", "m2", "gap"]))
+            direction = data.draw(st.sampled_from([-np.inf, np.inf]))
+            entry[key] = float(np.nextafter(entry[key], direction))
+        elif edit == "verdict":
+            flipped = {"certified": "not-certified", "not-certified": "certified"}
+            doc["verdict"] = flipped[doc["verdict"]]
+        elif edit == "edit-failure":
+            failure = failures[data.draw(st.integers(0, len(failures) - 1))]
+            key = data.draw(st.sampled_from(["class_id", "condition", "amount"]))
+            if key == "amount":
+                failure[key] = float(np.nextafter(failure[key], np.inf))
+            else:
+                failure[key] += "x"
+        elif edit == "drop-failure":
+            del failures[data.draw(st.integers(0, len(failures) - 1))]
+        else:
+            i = data.draw(st.integers(0, len(failures) - 2))
+            failures[i], failures[i + 1] = failures[i + 1], failures[i]
+        with pytest.raises(CertificateFormatError, match="differ from the recomputed"):
+            certificate_from_dict(json.loads(json.dumps(doc)))
 
     def test_class_entries_name_only_their_keys(self):
         """The config embedded in every certificate writes a class as the
@@ -724,9 +868,6 @@ class TestOtherSubcommands:
         assert "'room', 'room2'" in captured.err
         assert captured.out == ""
         assert not out.exists()
-
-
-MARGINS_ARGS = ["margins", "--eta", "-1", "--l1", "1", "--l2", "1", "--theta", "0.1"]
 
 
 class NoSymbols:

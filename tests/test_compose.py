@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from netcert.blackbox import TOPOLOGY_KINDS, Topology
 from netcert.compose import (
     ClassCertificate,
     ClassMargins,
-    certify,
+    NetworkCertificate,
     eval_network_certificate,
 )
 from netcert.core import InvariantError
@@ -48,18 +50,26 @@ def make_class_certificate(margins, class_id="c", coeffs=(1.0, 0.0)):
 class TestMarginArithmetic:
     def test_room_values(self):
         m = ClassMargins(
-            eta=ROOM_ETA, beta=ROOM_BETA, l1=ROOM_L1, l2=ROOM_L2, theta=ROOM_THETA
+            eta=ROOM_ETA,
+            beta=ROOM_BETA,
+            l1=ROOM_L1,
+            l2=ROOM_L2,
+            theta=ROOM_THETA,
+            sigma=0.0,
+            phi=0.0,
         )
         assert m.m1 == pytest.approx(-14.3770, abs=1e-3)
         assert m.m2 == pytest.approx(-15.4195, abs=1e-3)
 
     def test_vehicle_values(self):
-        m = ClassMargins(eta=-0.4098, beta=0.0, l1=7.8288, l2=7.4875, theta=0.05)
+        m = ClassMargins(
+            eta=-0.4098, beta=0.0, l1=7.8288, l2=7.4875, theta=0.05, sigma=0.0, phi=0.0
+        )
         assert m.m1 == pytest.approx(-0.0184, abs=1e-3)
         assert m.m2 == pytest.approx(-0.0355, abs=1.5e-3)
 
     def test_all_zero_is_not_certified(self):
-        m = ClassMargins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0)
+        m = ClassMargins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=0.0)
         assert m.m1 == 0.0 and m.m2 == 0.0 and m.gap == 0.0
         assert not m.satisfied  # the level gap must be strictly positive
 
@@ -73,9 +83,25 @@ class TestMarginArithmetic:
 
     def test_input_validation(self):
         with pytest.raises(InvariantError):
-            ClassMargins(eta=0.0, beta=0.0, l1=-1.0, l2=0.0, theta=0.1)
+            ClassMargins(eta=0.0, beta=0.0, l1=-1.0, l2=0.0, theta=0.1, sigma=0.0, phi=0.0)
         with pytest.raises(InvariantError):
-            ClassMargins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=-0.1)
+            ClassMargins(eta=0.0, beta=0.0, l1=0.0, l2=0.0, theta=-0.1, sigma=0.0, phi=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["eta", "beta", "l1", "l2", "theta", "sigma", "phi"])
+    def test_non_finite_input_rejected(self, name, value):
+        """A NaN compares false both ways, so a NaN margin would neither
+        satisfy nor fail its condition; no input may be NaN or infinite."""
+        inputs = dict(eta=-1.0, beta=0.0, l1=1.0, l2=1.0, theta=0.1, sigma=0.0, phi=1.0)
+        with pytest.raises(InvariantError, match="must be finite"):
+            ClassMargins(**{**inputs, name: value})
+
+    def test_class_with_nan_slope_is_never_built(self):
+        m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
+        cert = make_class_certificate(m)
+        assert NetworkCertificate((cert,), 10).certified
+        with pytest.raises(InvariantError, match="must be finite"):
+            replace(cert, l2=float("nan"))
 
 
 class TestCertifyPolicy:
@@ -89,13 +115,13 @@ class TestCertifyPolicy:
             sigma=ROOM_SIGMA,
             phi=ROOM_PHI,
         )
-        cert = certify([make_class_certificate(m, "room")])
+        cert = NetworkCertificate((make_class_certificate(m, "room"),), 10)
         assert cert.certified
         assert cert.failures == ()
 
     def test_positive_eta_fails_m1(self):
         m = ClassMargins(eta=0.1, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
-        cert = certify([make_class_certificate(m)])
+        cert = NetworkCertificate((make_class_certificate(m),), 10)
         assert not cert.certified
         assert ("c", "m1", pytest.approx(0.1)) in [
             (cid, cond, amt) for cid, cond, amt in cert.failures
@@ -104,8 +130,8 @@ class TestCertifyPolicy:
     def test_no_cross_class_compensation(self):
         good = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
         bad = ClassMargins(eta=0.5, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
-        cert = certify(
-            [make_class_certificate(good, "good"), make_class_certificate(bad, "bad")]
+        cert = NetworkCertificate(
+            (make_class_certificate(good, "good"), make_class_certificate(bad, "bad")), 10
         )
         assert not cert.certified
         failing_ids = {cid for cid, _, _ in cert.failures}
@@ -118,13 +144,13 @@ class TestCertifyPolicy:
         verdicts = []
         for t in thetas:
             m = ClassMargins(eta=-1.0, beta=0.1, l1=4.0, l2=4.0, theta=t, sigma=0.0, phi=1.0)
-            verdicts.append(certify([make_class_certificate(m)]).certified)
+            verdicts.append(NetworkCertificate((make_class_certificate(m),), 10).certified)
         for coarse, fine in zip(verdicts, verdicts[1:]):
             assert fine >= coarse  # True never degrades to False
 
     def test_network_levels_scale_with_copies(self):
         m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=2.0, phi=3.0)
-        cert = certify([make_class_certificate(m)], reference_size=10)
+        cert = NetworkCertificate((make_class_certificate(m),), reference_size=10)
         assert cert.network_levels() == (20.0, 30.0)
         assert cert.network_levels({"c": 3}) == (6.0, 9.0)
 
@@ -135,7 +161,7 @@ class TestFailureReport:
 
     def _advice(self, **kw):
         m = ClassMargins(sigma=0.0, phi=1.0, **kw)
-        lines = render_report(certify([make_class_certificate(m)])).splitlines()
+        lines = render_report(NetworkCertificate((make_class_certificate(m),), 10)).splitlines()
         return {line.split()[2]: line for line in lines if "violated by" in line}
 
     def test_dispersion_bound_when_theta_free_part_negative(self):
@@ -144,7 +170,9 @@ class TestFailureReport:
         assert "theta < 0.0625 (now 0.5) would satisfy it" in advice["m2"]
         assert all("collect more samples" in line for line in advice.values())
         # just below the tighter bound both margins hold
-        assert ClassMargins(eta=-1.0, beta=0.5, l1=4.0, l2=8.0, theta=0.0624, phi=1.0).satisfied
+        assert ClassMargins(
+            eta=-1.0, beta=0.5, l1=4.0, l2=8.0, theta=0.0624, sigma=0.0, phi=1.0
+        ).satisfied
 
     def test_positive_at_zero_dispersion_is_named(self):
         """Room's optimum: eta* = 3.8e-5 > 0, so no theta can help."""
@@ -172,15 +200,12 @@ class TestEvalNetworkCertificate:
             sigma=ROOM_SIGMA,
             phi=ROOM_PHI,
         )
-        cert = make_class_certificate(m, "room")
-        cert = ClassCertificate(
-            **{
-                **cert.__dict__,
-                "template_exponents": ((4,), (2,), (0,)),
-                "coeffs": ROOM_COEFFS,
-            }
+        cert = replace(
+            make_class_certificate(m, "room"),
+            template_exponents=((4,), (2,), (0,)),
+            coeffs=ROOM_COEFFS,
         )
-        return certify([cert])
+        return NetworkCertificate((cert,), 10)
 
     def test_three_rooms_at_eleven(self):
         cert = self._room_certificate()
@@ -219,7 +244,7 @@ def drift_certificate(drift_class, drift_samples, drift_solution):
         sample_count=drift_samples.count,
         grid_spec=drift_samples.grid_spec,
     )
-    return certify([cert])
+    return NetworkCertificate((cert,), 10)
 
 
 class TestCertifiedDriftClass:
@@ -246,23 +271,23 @@ class TestCertifiedDriftClass:
                 assert np.all(diffs <= 1e-6)
 
     def test_margins_strictly_negative(self, drift_certificate):
-        m = drift_certificate.classes[0].margins
+        m = drift_certificate.classes[0]
         assert m.m1 < 0 and m.m2 < 0 and m.gap > 0
 
 
 class TestCertifyValidation:
     def test_empty_input_rejected(self):
         with pytest.raises(InvariantError):
-            certify([])
+            NetworkCertificate((), 10)
 
     def test_missing_class_lookup_raises(self):
         m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
-        cert = certify([make_class_certificate(m, "present")])
+        cert = NetworkCertificate((make_class_certificate(m, "present"),), 10)
         with pytest.raises(KeyError):
             cert.class_by_id("absent")
 
     def test_assignment_length_must_match(self):
         m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
-        cert = certify([make_class_certificate(m, "c")])
+        cert = NetworkCertificate((make_class_certificate(m, "c"),), 10)
         with pytest.raises(Exception):
             eval_network_certificate(cert, [np.array([1.0])], assignment=["c", "c"])

@@ -196,7 +196,7 @@ class TestSupplyRate:
             d = rng.normal(size=(1, p))
             x = rng.normal(size=(1, n))
             v = np.concatenate([d[0], x[0]])
-            expected = float(v @ rate.block_matrix() @ v)
+            expected = float(v @ np.block([[s11, s12], [s12.T, s22]]) @ v)
             assert eval_supply(rate, d, x)[0] == pytest.approx(expected, abs=1e-12, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
