@@ -227,17 +227,41 @@ class SupplyRate:
         return self.s22.shape[0]
 
 
+def rowwise_bilinear(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_n^T m b_n for each row n of ``a`` and ``b``.
+
+    The terms ``a[:, i] * m[i, j] * b[:, j]`` are added to zero one at a
+    time, i-major then j, with elementwise operations only.  So each row's
+    value depends on that row alone (the value of a row subset is that
+    subset of the value), and on 3 or more rows it equals
+    ``np.einsum("ni,ij,nj->n", a, m, b)`` bit for bit.
+    """
+    out = np.zeros(a.shape[0])
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            term = a[:, i] * m[i, j]
+            term *= b[:, j]
+            out += term
+    return out
+
+
+def supply_sum(quad_d: np.ndarray, cross: np.ndarray, quad_x: np.ndarray) -> np.ndarray:
+    """The supply rate from its parts d^T s11 d, d^T s12 x and x^T s22 x."""
+    return quad_d + 2.0 * cross + quad_x
+
+
 def eval_supply(rate: SupplyRate, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d^T s11 d + 2 d^T s12 x + x^T s22 x at each matching row of ``d`` and
-    ``x``; one value per row."""
+    ``x``; one value per row, computed from that row alone."""
     dm = np.atleast_2d(np.asarray(d, dtype=float))
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     if dm.shape[1] != rate.input_dim or xm.shape[1] != rate.state_dim:
         raise DimensionError("batch dimensions do not match the supply rate blocks")
-    quad_d = np.einsum("ni,ij,nj->n", dm, rate.s11, dm)
-    cross = 2.0 * np.einsum("ni,ij,nj->n", dm, rate.s12, xm)
-    quad_x = np.einsum("ni,ij,nj->n", xm, rate.s22, xm)
-    return quad_d + cross + quad_x
+    return supply_sum(
+        rowwise_bilinear(dm, rate.s11, dm),
+        rowwise_bilinear(dm, rate.s12, xm),
+        rowwise_bilinear(xm, rate.s22, xm),
+    )
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 from .core import DimensionError, IntervalBox, InvariantError, SubsystemClass
 
 _CSV_BLOCK = 1024  # rows per writerows call in write_csv_rows
+_PROBE_BLOCK = 2**16  # probe points per nearest-sample query in dispersion_general
 
 
 class DataFaultError(RuntimeError):
@@ -36,6 +37,12 @@ def grid_samples(box: IntervalBox, counts: Sequence[int]) -> np.ndarray:
     slowest), so the result is deterministic and independent of how callers
     later parallelize oracle queries.
     """
+    mesh = np.meshgrid(*_grid_axes(box, counts), indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def _grid_axes(box: IntervalBox, counts: Sequence[int]) -> list[np.ndarray]:
+    """The per-dimension values of ``grid_samples(box, counts)``."""
     counts = tuple(int(c) for c in counts)
     if len(counts) != box.dim:
         raise DimensionError(f"need {box.dim} per-dimension counts, got {len(counts)}")
@@ -51,8 +58,7 @@ def grid_samples(box: IntervalBox, counts: Sequence[int]) -> np.ndarray:
                     "cannot place multiple distinct points in a zero-width dimension"
                 )
             axes.append(np.linspace(lo, hi, c))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return axes
 
 
 def _cell_widths(box: IntervalBox, counts: Sequence[int]) -> np.ndarray:
@@ -79,16 +85,25 @@ def dispersion_general(
 
     Probes a fine grid, takes the worst nearest-sample distance, and adds
     the probe grid's own half-diagonal so the bound stays valid between
-    probe points.  Always >= the true covering radius.
+    probe points.  Always >= the true covering radius.  The probes are
+    built ``_PROBE_BLOCK`` at a time from their flat index in the grid, so
+    memory does not grow with the probe count.
     """
     samples = np.atleast_2d(np.asarray(samples, float))
     if samples.size == 0:
         raise InvariantError("dispersion of an empty sample set is undefined")
     if samples.shape[1] != box.dim:
         raise DimensionError("sample dimension does not match the box")
-    probes = grid_samples(box, probe_counts)
-    worst = float(cKDTree(samples).query(probes, workers=-1)[0].max())
-    return worst + dispersion_of_grid(box, probe_counts)
+    axes = _grid_axes(box, probe_counts)
+    shape = tuple(a.size for a in axes)
+    total = int(np.prod(shape))
+    tree = cKDTree(samples)
+    worst = -np.inf
+    for start in range(0, total, _PROBE_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _PROBE_BLOCK, total)), shape)
+        probes = np.column_stack([a.take(i) for a, i in zip(axes, index)])
+        worst = np.maximum(worst, tree.query(probes, workers=-1)[0].max())
+    return float(worst) + dispersion_of_grid(box, probe_counts)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from .blackbox import Topology, simulate_network
 from .core import (
     InvariantError,
     SubsystemClass,
-    eval_supply,
     eval_template,
+    rowwise_bilinear,
+    supply_sum,
 )
 from .sampling import DataFaultError, grid_samples, write_csv_rows
 from .scp import ScpSolution
@@ -41,9 +42,11 @@ _CHUNK = 2**15
 # peak RSS (on a 2-CPU host).
 _MAX_WORKERS = 2
 # One heatmap thread per this many points, rounded up.  Measured on a 2-CPU
-# host with BLAS on one thread: platoon grids of two blocks (38,416-65,536
-# points) ran no faster on two threads than on one, grids of three or more
-# blocks ran 25-30% faster (83,521 points: 27.6 -> 20.3 ms).
+# host with BLAS on one thread, alternating one- and two-thread runs: platoon
+# grids of three or four blocks ran 12-25% faster on two threads in every
+# series (83,521 points: 19.8 -> 17.4 ms, 104,976: 25.8 -> 20.4 ms); on grids
+# of two blocks (50,625 and 65,536 points) two threads won anywhere from 6 of
+# 25 to 34 of 40 pairs from one series to the next, so those stay on one.
 _POINTS_PER_WORKER = 2**16
 
 # extension module -> the thread setter of the OpenBLAS copy it links:
@@ -160,11 +163,14 @@ def decrease_heatmap(
     """Tabulate the shifted decrease condition over a dense X x D grid.
 
     The joint grid is the product of a state grid and an input grid, rows
-    in state-major order.  The basis of B(x) is computed once per state
-    point; the (x, d) rows are assembled ``_CHUNK`` at a time from their
-    flat index (state ``i // |D|``, input ``i % |D|``).  Each block goes
-    through the same evaluator calls as the materialised joint grid would,
-    which keeps every value bit-identical to it.
+    in state-major order.  The basis of B(x) and the supply's x^T s22 x are
+    computed once per state point and d^T s11 d once per input point; the
+    (x, d) rows are assembled ``_CHUNK`` at a time from their flat index
+    (state ``i // |D|``, input ``i % |D|``), and each block gathers those
+    values and computes only the cross term d^T s12 x per pair.  Every
+    value is bit-identical to the evaluators on the materialised joint
+    grid: B(x) goes through the same gemv on the same block rows, and
+    ``rowwise_bilinear`` gives each row the value it has in any batch.
 
     Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
     the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points
@@ -187,20 +193,20 @@ def decrease_heatmap(
     xs = grid_samples(cls.state_box, counts[:n])
     ds = grid_samples(cls.input_box, counts[n:])
     basis_x = cls.template.basis_values(xs)
+    rate = solution.supply
+    quad_d = rowwise_bilinear(ds, rate.s11, ds)
+    quad_x = rowwise_bilinear(xs, rate.s22, xs)
     total = xs.shape[0] * ds.shape[0]
 
     def evaluate(start: int):
         xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
         block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
-        bx = basis_x.take(xi, axis=0) @ solution.coeffs
-        del xi, di  # only O(chunk) floats stay alive through the evaluator calls
         x, d = block[:, :n], block[:, n:]
+        bx = basis_x.take(xi, axis=0) @ solution.coeffs
+        supply = supply_sum(quad_d.take(di), rowwise_bilinear(d, rate.s12, x), quad_x.take(xi))
+        del xi, di  # the indices are freed before the oracle and basis of f(x, d) allocate
         fx = cls.oracle.batch(x, d)
-        vals = (
-            eval_template(cls.template, solution.coeffs, fx)
-            - bx
-            - eval_supply(solution.supply, d, x)
-        )
+        vals = eval_template(cls.template, solution.coeffs, fx) - bx - supply
         return block, vals, np.isfinite(vals) & np.isfinite(fx).all(axis=1)
 
     best_val = -np.inf

@@ -14,6 +14,7 @@ from netcert.core import (
     SupplyRate,
     eval_supply,
     eval_template,
+    rowwise_bilinear,
 )
 
 ROOM_TEMPLATE = StcTemplate(state_dim=1, exponents=[[4], [2], [0]])
@@ -203,6 +204,45 @@ class TestSupplyRate:
         rate = SupplyRate([[1.0]], [[0.0]], [[1.0]])
         with pytest.raises(DimensionError):
             eval_supply(rate, [[1.0, 2.0]], [[1.0]])
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def draw_bilinear_operands(data, rows):
+    """(a, m, b) of shapes (rows, p), (p, q), (rows, q) with p, q in 1..4."""
+    p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a, m, b = (
+        data.draw(hnp.arrays(np.float64, shape, elements=COORDINATES))
+        for shape in ((rows, p), (p, q), (rows, q))
+    )
+    return a, m, b
+
+
+class TestRowwiseBilinear:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_einsum_bitwise_from_three_rows(self, data):
+        """``eval_supply`` summed three ``np.einsum("ni,ij,nj->n", ...)``
+        calls before it used ``rowwise_bilinear``; this pins its values to
+        those bits on 3 or more rows (einsum rounds 1- and 2-row batches
+        differently)."""
+        a, m, b = draw_bilinear_operands(data, data.draw(st.integers(3, 200)))
+        expected = np.einsum("ni,ij,nj->n", a, m, b)
+        assert np.array_equal(bits(rowwise_bilinear(a, m, b)), bits(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_subset_gives_subset_of_values(self, data):
+        """A row's value does not depend on the other rows in the batch,
+        which is what lets the heatmap gather per-factor values."""
+        rows = data.draw(st.integers(1, 40))
+        a, m, b = draw_bilinear_operands(data, rows)
+        idx = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows + 2)))
+        full = rowwise_bilinear(a, m, b)
+        assert np.array_equal(bits(rowwise_bilinear(a[idx], m, b[idx])), bits(full[idx]))
 
 
 class TestTemplateInvariants:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,33 @@ class TestDispersionGeneral:
     def test_empty_samples_rejected(self):
         with pytest.raises(InvariantError):
             dispersion_general(self.box, np.empty((0, 1)), (11,))
+
+    @pytest.mark.parametrize("block", [1, 97, None], ids=["block1", "block97", "shipped"])
+    def test_blocks_match_one_query_over_the_grid(self, monkeypatch, block):
+        box = IntervalBox([0.0, -1.0, 2.0], [1.0, 1.0, 5.0])
+        samples = np.random.default_rng(11).uniform(box.lower, box.upper, (300, 3))
+        counts = (7, 12, 9)
+        one_query = cKDTree(samples).query(grid_samples(box, counts))[0].max()
+        if block is not None:
+            monkeypatch.setattr(sampling_mod, "_PROBE_BLOCK", block)
+        theta = dispersion_general(box, samples, counts)
+        assert theta == one_query + dispersion_of_grid(box, counts)
+
+    def test_memory_stays_per_block(self, monkeypatch):
+        """16x more probes at a fixed block size keep the allocation peak
+        within 1.5x."""
+        monkeypatch.setattr(sampling_mod, "_PROBE_BLOCK", 2_000)
+        box = IntervalBox([0.0, 0.0], [1.0, 2.0])
+        samples = np.random.default_rng(5).uniform(box.lower, box.upper, (200, 2))
+        peaks = []
+        for counts in ((60, 60), (240, 240)):
+            tracemalloc.start()
+            try:
+                dispersion_general(box, samples, counts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestCollectPairs:

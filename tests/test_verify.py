@@ -221,6 +221,32 @@ class TestProductGridHeatmap:
         assert heat.point_count == int(np.prod(counts))
         assert max(rows) <= max(int(np.prod(counts[:n])), int(np.prod(counts[n:])))
 
+    @pytest.mark.parametrize(
+        "name, counts", [("room", (40, 30)), ("platoon", (5, 6, 4, 3))], ids=["room", "platoon"]
+    )
+    def test_supply_forms_once_per_factor(self, request, monkeypatch, name, counts):
+        """d^T s11 d is evaluated once over the input grid and x^T s22 x once
+        over the state grid; only d^T s12 x is evaluated per block of pairs."""
+        cls = request.getfixturevalue(f"{name}_class")
+        solution = request.getfixturevalue(f"{name}_solution")
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        bilinear = verify_mod.rowwise_bilinear
+        calls = []
+
+        def recording(a, m, b):
+            calls.append((m, a.shape[0]))
+            return bilinear(a, m, b)
+
+        monkeypatch.setattr(verify_mod, "rowwise_bilinear", recording)
+        decrease_heatmap(cls, solution, counts)
+        n, total, rate = cls.state_dim, int(np.prod(counts)), solution.supply
+        blocks = {"s11": rate.s11, "s12": rate.s12, "s22": rate.s22}
+        rows = {key: sorted(r for m, r in calls if m is block) for key, block in blocks.items()}
+        assert rows["s11"] == [int(np.prod(counts[n:]))]
+        assert rows["s22"] == [int(np.prod(counts[:n]))]
+        assert rows["s12"] == sorted(min(97, total - start) for start in range(0, total, 97))
+        assert len(calls) == 2 + len(rows["s12"])
+
     def test_memory_stays_per_chunk(self, room_class, room_solution, monkeypatch):
         """A 16x larger grid at a fixed chunk size keeps the allocation peak
         within 1.5x."""
