@@ -147,7 +147,14 @@ class StcTemplate:
         contiguous exponent array as long as the base, never a scalar or
         broadcast one, which NumPy routes to ``square`` and friends that
         round differently), multiplied left to right.  Each distinct power
-        is computed once per coordinate instead of once per term.
+        of 2 or more is computed once per coordinate instead of once per
+        term.  The trivial powers are not computed: ``pow(x, 0)`` is 1 and
+        ``pow(x, 1)`` is x for every x, nan, infinities, signed zeros and
+        subnormals included, and a factor of 1 leaves a product unchanged.
+        So a factor x**1 is the coordinate itself, a factor x**0 is
+        dropped, a term with one remaining factor is a copy of it, and a
+        term with none is 1.0.  ``x**2`` keeps its ``pow``: it differs from
+        ``x * x`` in the last bit for some x.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.state_dim:
@@ -156,33 +163,58 @@ class StcTemplate:
             )
         n = pts.shape[0]
         basis = np.empty((n, self.term_count))
-        terms = self.exponents.tolist()
-        powers = [set(self.exponents[:, k].tolist()) for k in range(self.state_dim)]
+        # the (coordinate, exponent) factors of each term with exponent >= 1
+        factors = [[(k, e) for k, e in enumerate(term) if e] for term in self.exponents.tolist()]
+        powers = [{e for e in column if e > 1} for column in self.exponents.T.tolist()]
         # a cache-sized block of rows at a time: its power tables stay small
         # and the strided column writes stay inside the cache
         for start in range(0, n, _BASIS_BLOCK):
-            block = pts[start : start + _BASIS_BLOCK]
-            m = block.shape[0]
-            tables = [
-                {e: np.power(np.ascontiguousarray(block[:, k]), np.full(m, float(e))) for e in es}
-                for k, es in enumerate(powers)
-            ]
-            for j, term in enumerate(terms):
-                basis[start : start + m, j] = reduce(
-                    np.multiply, [tables[k][e] for k, e in enumerate(term)]
-                )
+            out = basis[start : start + _BASIS_BLOCK]
+            m = out.shape[0]
+            tables = []
+            for k, es in enumerate(powers):
+                column = np.ascontiguousarray(pts[start : start + m, k])
+                table = {e: np.power(column, np.full(m, float(e))) for e in es}
+                table[1] = column
+                tables.append(table)
+            for j, term in enumerate(factors):
+                if term:
+                    out[:, j] = reduce(np.multiply, [tables[k][e] for k, e in term])
+                else:
+                    out[:, j] = 1.0
         return basis
 
 
 def eval_template(template: StcTemplate, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Certificate value sum_j coeffs[j] * prod_k x[k]**e[j,k] at each row of
-    ``points``; one value per row.  ``coeffs`` is 1-d, one entry per term."""
+    ``points``; one value per row.  ``coeffs`` is 1-d, one entry per term.
+
+    The basis is built and multiplied by ``coeffs`` one sub-block of
+    ``_BASIS_BLOCK`` rows at a time, so each sub-block's basis is still in
+    the cache for its gemv and the (N, terms) matrix never exists.  The
+    values equal ``basis_values(points) @ coeffs`` in one call bit for bit
+    on one BLAS thread.  OpenBLAS's gemv rounds every row in a full 4-row
+    group the same way, whatever the call, and the last N % 4 rows of a call
+    in its tail rounding.  Every sub-block starts at a multiple of 4, so
+    its full groups are the one call's, and the last sub-block holds the
+    one call's tail.  A last sub-block of fewer than 4 rows joins the one
+    before it: NumPy computes a 1-row product as a dot product, which does
+    not round like the tail of a longer gemv.
+    """
     if np.shape(coeffs) != (template.term_count,):
         raise DimensionError(
             f"coefficient vector has shape {np.shape(coeffs)}, template has "
             f"{template.term_count} terms"
         )
-    return template.basis_values(points) @ coeffs
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    starts = list(range(0, n, _BASIS_BLOCK)) or [0]
+    if len(starts) > 1 and n - starts[-1] < 4:
+        starts.pop()
+    values = np.empty(n)
+    for start, stop in zip(starts, starts[1:] + [n]):
+        values[start:stop] = template.basis_values(pts[start:stop]) @ coeffs
+    return values
 
 
 def _check_symmetric(name: str, m: np.ndarray):

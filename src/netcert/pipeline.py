@@ -69,6 +69,7 @@ from .verify import (
 
 CONFIG_VERSION = 1
 CERTIFICATE_VERSION = 1
+# a larger decrease heatmap is summarised in report.txt but not written as CSV
 HEATMAP_CSV_POINT_CAP = 200_000
 
 
@@ -527,6 +528,11 @@ def write_run_outputs(
                 f"{heat.argmax.tolist()} over {heat.point_count} points "
                 f"({'<= 0, pass' if heat.passed else '> 0, FAIL'})"
             )
+            if csv_path is None:
+                report_lines.append(
+                    f"[{cid}] decrease heatmap CSV not written: {points} points exceed "
+                    f"the cap of {HEATMAP_CSV_POINT_CAP}"
+                )
             portrait_counts = cfg.portrait_counts or (5,) * run.cls.state_dim
             portrait = phase_portrait(
                 run.cls, cfg.topology, portrait_counts, cfg.portrait_steps

@@ -32,11 +32,12 @@ from .core import (
 from .sampling import DataFaultError, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
-# Dense joint grids are evaluated in blocks of this many points.  A power of
-# two: BLAS matrix-vector kernels round the rows past the last full unroll
-# group of a call differently, and a power-of-two block puts those rows where
-# one call over the whole grid would have them, so every power-of-two block
-# size gives the same values.
+# Dense joint grids are evaluated in blocks of this many points.  A multiple
+# of 4: OpenBLAS's gemv rounds the last m % 4 rows of an m-row call in its
+# tail kernel and every other row in its full-group kernel, so blocks that
+# start at multiples of 4 leave the tail rounding to the last rows of the
+# grid, where one call over the whole grid has it.  Each block's f(x, d) is
+# evaluated in ``core._BASIS_BLOCK``-row sub-blocks by the same rule.
 _CHUNK = 2**15
 # Heatmap threads at most: two is the largest count measured for time and
 # peak RSS (on a 2-CPU host).
@@ -163,25 +164,32 @@ def decrease_heatmap(
     """Tabulate the shifted decrease condition over a dense X x D grid.
 
     The joint grid is the product of a state grid and an input grid, rows
-    in state-major order.  The basis of B(x) and the supply's x^T s22 x are
-    computed once per state point and d^T s11 d once per input point; the
-    (x, d) rows are assembled ``_CHUNK`` at a time from their flat index
-    (state ``i // |D|``, input ``i % |D|``), and each block gathers those
-    values and computes only the cross term d^T s12 x per pair.  Every
-    value is bit-identical to the evaluators on the materialised joint
-    grid: B(x) goes through the same gemv on the same block rows, and
-    ``rowwise_bilinear`` gives each row the value it has in any batch.
+    in state-major order.  B(x) and the supply's x^T s22 x are computed
+    once per state point and d^T s11 d once per input point; the (x, d)
+    rows are assembled ``_CHUNK`` at a time from their flat index (state
+    ``i // |D|``, input ``i % |D|``), and each block gathers those values
+    and computes only the cross term d^T s12 x per pair.  On one BLAS
+    thread every value is bit-identical to the evaluators on the
+    materialised joint grid, block by block.  B(x) is one gemv over the
+    state grid padded to a multiple of 4 rows, so every state point takes
+    OpenBLAS's full-group rounding, which is what every row of an m-row
+    block gets but its last m % 4.  Those tail rows are taken from a gemv
+    over the block's last 4 + m % 4 gathered rows (all m rows when m < 4),
+    where they are the tail again; a 1-row product would not do, as NumPy
+    computes it as a dot product.  ``rowwise_bilinear`` gives each row the
+    value it has in any batch.
 
     Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
     the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points
     rounded up.  The pool is sized for BLAS on one thread, which
-    ``one_blas_thread`` sets and ``cli.main`` calls; a library caller that
-    leaves BLAS on more threads gets the same values, but its heatmap
-    threads may then oversubscribe the CPUs.  Blocks are submitted in grid
-    order with at most one block per thread in flight, so memory stays
-    O(threads x chunk) however large the grid grows.  The calling thread
-    takes the finished blocks in grid order for the maximum, the fault check
-    and the CSV rows, so the result does not depend on the thread count.
+    ``one_blas_thread`` sets and ``cli.main`` calls.  A library caller
+    should call it first: with BLAS on more threads, a gemv split between
+    threads can round some rows differently, and the heatmap threads may
+    oversubscribe the CPUs.  Blocks are submitted in grid order with at
+    most one block per thread in flight, so memory stays O(threads x chunk)
+    however large the grid grows.  The calling thread takes the finished
+    blocks in grid order for the maximum, the fault check and the CSV rows,
+    so the result does not depend on the thread count.
 
     Pass ``csv_path`` to also persist the full table (x..., d..., value).
     A non-finite oracle output or decrease value raises ``DataFaultError``
@@ -192,7 +200,10 @@ def decrease_heatmap(
     n = cls.state_dim
     xs = grid_samples(cls.state_box, counts[:n])
     ds = grid_samples(cls.input_box, counts[n:])
+    coeffs = solution.coeffs
     basis_x = cls.template.basis_values(xs)
+    padding = np.zeros((-xs.shape[0] % 4, basis_x.shape[1]))
+    b_grid = np.vstack([basis_x, padding]) @ coeffs
     rate = solution.supply
     quad_d = rowwise_bilinear(ds, rate.s11, ds)
     quad_x = rowwise_bilinear(xs, rate.s22, xs)
@@ -202,24 +213,30 @@ def decrease_heatmap(
         xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
         block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
         x, d = block[:, :n], block[:, n:]
-        bx = basis_x.take(xi, axis=0) @ solution.coeffs
+        bx = b_grid.take(xi)
+        tail = xi.shape[0] % 4
+        if tail:
+            bx[-tail:] = (basis_x.take(xi[-4 - tail :], axis=0) @ coeffs)[-tail:]
         supply = supply_sum(quad_d.take(di), rowwise_bilinear(d, rate.s12, x), quad_x.take(xi))
         del xi, di  # the indices are freed before the oracle and basis of f(x, d) allocate
         fx = cls.oracle.batch(x, d)
-        vals = eval_template(cls.template, solution.coeffs, fx) - bx - supply
-        return block, vals, np.isfinite(vals) & np.isfinite(fx).all(axis=1)
+        vals = eval_template(cls.template, coeffs, fx)
+        vals -= bx
+        vals -= supply
+        if np.isfinite(vals).all() and np.isfinite(fx).all():
+            return block, vals, None
+        return block, vals, int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
 
     best_val = -np.inf
     best_pt = None
     writer = None
 
-    def consume(block, vals, finite):
+    def consume(block, vals, fault):
         nonlocal best_val, best_pt
-        if not finite.all():
-            i = int(np.argmax(~finite))
+        if fault is not None:
             raise DataFaultError(
-                f"non-finite oracle output or decrease value at x={block[i, :n].tolist()}, "
-                f"d={block[i, n:].tolist()}"
+                f"non-finite oracle output or decrease value at x={block[fault, :n].tolist()}, "
+                f"d={block[fault, n:].tolist()}"
             )
         i = int(np.argmax(vals))
         if vals[i] > best_val:

@@ -29,6 +29,19 @@ from netcert.core import (
 )
 from netcert.sampling import collect_pairs
 from netcert.scp import ScpOptions, ScpSolution, build_scp, solve_scp
+from netcert.verify import one_blas_thread
+
+
+@pytest.fixture(scope="session", autouse=True)
+def blas_on_one_thread():
+    """Every test runs with BLAS on one thread, as ``cli.main`` runs it.
+
+    The evaluators' bits are pinned for one thread: a gemv split between
+    BLAS threads can round some rows differently.  Without this, the first
+    in-process ``main`` call would switch the setting partway through the
+    session, and a bit-for-bit test would depend on which tests ran before
+    it."""
+    one_blas_thread()
 
 # Values reported for the room case study, reused as fixed arithmetic inputs.
 ROOM_COEFFS = (0.0151, -0.7, -0.7)

@@ -505,6 +505,27 @@ class TestSynthRoomBenchmark:
         failed = any("FAIL" in line for line in lines) or int(portrait[0].group(1)) > 0
         assert code == (1 if failed else 0), lines
 
+    @pytest.mark.parametrize("cap", [2_500, 2_499], ids=["at-cap", "over-cap"])
+    def test_heatmap_csv_skip_is_reported(self, tmp_path, monkeypatch, cap):
+        """A heatmap of more points than the cap is not written as CSV, and
+        report.txt says so with the point count and the cap."""
+        monkeypatch.setattr(netcert.pipeline, "HEATMAP_CSV_POINT_CAP", cap)
+        cfg = load_config(ROOM_CONFIG)
+        cfg.output_dir = str(tmp_path / "out")
+        cfg.classes[0].counts_state = (5,)
+        cfg.classes[0].counts_input = (5,)
+        run_pipeline(cfg)  # a heatmap of (10 * 5) x (10 * 5) = 2,500 points
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        skipped = [line for line in report if "heatmap CSV" in line]
+        written = (tmp_path / "out" / "room_heatmap.csv").exists()
+        if cap == 2_500:
+            assert written and skipped == []
+        else:
+            assert not written
+            assert skipped == [
+                "[room] decrease heatmap CSV not written: 2500 points exceed the cap of 2499"
+            ]
+
     def test_refinement_doubles_grid_counts(self, tmp_path):
         cfg = load_config(ROOM_CONFIG)
         cfg.output_dir = str(tmp_path / "refined")

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from netcert.blackbox import build_platoon_class, build_room_class
 from netcert.core import (
+    _BASIS_BLOCK,
     DimensionError,
     IntervalBox,
     InvariantError,
@@ -164,6 +165,69 @@ class TestBasisValues:
         assert np.array_equal(cls.template.basis_values(pts), expected)
         # a single row gives the same bits as the same row inside a batch
         assert np.array_equal(cls.template.basis_values(pts[5]), expected[5:6])
+
+    def test_trivial_powers_of_special_values(self):
+        """Exponents 0 and 1 are not computed with ``pow``; at nan, the
+        infinities, signed zeros and the smallest subnormal the basis still
+        has the reference's bits."""
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]
+        pts = np.array([[a, b] for a in special for b in special])
+        template = StcTemplate(
+            state_dim=2,
+            exponents=[[0, 0], [1, 0], [0, 1], [1, 1], [0, 2], [2, 0], [2, 1], [1, 3]],
+        )
+        with np.errstate(all="ignore"):
+            got, expected = template.basis_values(pts), reference_basis(template, pts)
+        assert np.array_equal(bits(got), bits(expected))
+
+
+class TestEvalTemplateSubBlocks:
+    """``eval_template`` multiplies one ``_BASIS_BLOCK``-row sub-block of the
+    basis at a time; the values must be those of one gemv over all rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.one_of(
+            st.integers(1, 3 * _BASIS_BLOCK + 7),
+            # just past a sub-block boundary, every row count mod 4
+            st.tuples(st.integers(0, 3), st.integers(1, 7)).map(
+                lambda kr: kr[0] * _BASIS_BLOCK + kr[1]
+            ),
+        ),
+    )
+    def test_matches_one_gemv_bitwise(self, data, rows):
+        dim = data.draw(st.integers(1, 3))
+        exponents = data.draw(
+            hnp.arrays(
+                np.int64, st.tuples(st.integers(1, 15), st.just(dim)), elements=st.integers(0, 4)
+            )
+        )
+        template = StcTemplate(state_dim=dim, exponents=exponents)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = rng.uniform(-3.0, 3.0, (rows, dim))
+        coeffs = rng.uniform(-200.0, 200.0, template.term_count)
+        assert np.array_equal(
+            bits(eval_template(template, coeffs, pts)),
+            bits(template.basis_values(pts) @ coeffs),
+        )
+
+    @pytest.mark.parametrize("tail", [0, 1, 2, 3])
+    def test_short_last_sub_block_joins_the_one_before(self, monkeypatch, tail):
+        """Sub-blocks start at multiples of ``_BASIS_BLOCK``; a last one of
+        fewer than 4 rows is evaluated with the rows before it."""
+        calls = []
+        basis_values = StcTemplate.basis_values
+
+        def recording(self, points):
+            calls.append(np.shape(points)[0])
+            return basis_values(self, points)
+
+        monkeypatch.setattr(StcTemplate, "basis_values", recording)
+        rows = 2 * _BASIS_BLOCK + tail
+        eval_template(ROOM_TEMPLATE, ROOM_COEFFS, np.linspace(-1.0, 1.0, rows)[:, None])
+        expected = [_BASIS_BLOCK, _BASIS_BLOCK + tail] if tail else [_BASIS_BLOCK] * 2
+        assert calls == expected
 
 
 class TestSupplyRate:

@@ -162,14 +162,33 @@ def joint_grid_heatmap(cls, solution, counts, chunk, csv_path):
     return pts, vals
 
 
+# blocks of 1-3 rows are all tail, of 5-7, 9 and 97 rows end in one, of 4 and 8 in none
+CHUNKS = [*range(1, 10), 97]
+# state grids of every size mod 4: room 13, 14, 15; platoon 12, 9, 10, 15
+JOINT_GRIDS = [
+    ("room", (13, 11)),
+    ("platoon", (3, 4, 2, 5)),
+    ("room", (14, 5)),
+    ("room", (15, 7)),
+    ("platoon", (3, 3, 2, 3)),
+    ("platoon", (2, 5, 3, 2)),
+    ("platoon", (3, 5, 2, 3)),
+]
+JOINT_GRID_IDS = [
+    "room", "platoon", "room-x14", "room-x15", "platoon-x9", "platoon-x10", "platoon-x15"
+]
+
+
 class TestProductGridHeatmap:
     """The heatmap walks the X x D product grid from flat indices; it must
-    reproduce the materialised joint grid bit for bit."""
+    reproduce the materialised joint grid bit for bit.  B(x) comes from one
+    gemv over the state grid padded to a multiple of 4 rows, and the last
+    m % 4 rows of an m-row block from a gemv over the block's last rows, so
+    the grids cover state grids of every size mod 4 and blocks of every
+    size mod 4, shorter than 4 rows included."""
 
-    @pytest.mark.parametrize("chunk", [1, 97], ids=["chunk1", "chunk97"])
-    @pytest.mark.parametrize(
-        "name, counts", [("room", (13, 11)), ("platoon", (3, 4, 2, 5))], ids=["room", "platoon"]
-    )
+    @pytest.mark.parametrize("chunk", CHUNKS, ids=[f"chunk{c}" for c in CHUNKS])
+    @pytest.mark.parametrize("name, counts", JOINT_GRIDS, ids=JOINT_GRID_IDS)
     def test_matches_joint_grid(self, request, tmp_path, monkeypatch, name, counts, chunk):
         cls = request.getfixturevalue(f"{name}_class")
         solution = request.getfixturevalue(f"{name}_solution")
