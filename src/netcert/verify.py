@@ -9,7 +9,6 @@ continuum; the formal statement is the margin check in ``compose``.
 """
 from __future__ import annotations
 
-import csv
 import ctypes
 import os
 import sys
@@ -29,7 +28,7 @@ from .core import (
     rowwise_bilinear,
     supply_sum,
 )
-from .sampling import DataFaultError, grid_samples, write_csv_rows
+from .sampling import DataFaultError, csv_line, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
 # Dense joint grids are evaluated in blocks of this many points.  A multiple
@@ -211,8 +210,7 @@ def decrease_heatmap(
 
     def evaluate(start: int):
         xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
-        block = np.hstack([xs.take(xi, axis=0), ds.take(di, axis=0)])
-        x, d = block[:, :n], block[:, n:]
+        x, d = xs.take(xi, axis=0), ds.take(di, axis=0)
         bx = b_grid.take(xi)
         tail = xi.shape[0] % 4
         if tail:
@@ -224,34 +222,33 @@ def decrease_heatmap(
         vals -= bx
         vals -= supply
         if np.isfinite(vals).all() and np.isfinite(fx).all():
-            return block, vals, None
-        return block, vals, int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
+            return x, d, vals, None
+        return x, d, vals, int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
 
     best_val = -np.inf
     best_pt = None
-    writer = None
+    fh = None
 
-    def consume(block, vals, fault):
+    def consume(x, d, vals, fault):
         nonlocal best_val, best_pt
         if fault is not None:
             raise DataFaultError(
-                f"non-finite oracle output or decrease value at x={block[fault, :n].tolist()}, "
-                f"d={block[fault, n:].tolist()}"
+                f"non-finite oracle output or decrease value at x={x[fault].tolist()}, "
+                f"d={d[fault].tolist()}"
             )
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
-            best_pt = block[i].copy()
-        if writer is not None:
-            write_csv_rows(writer, block, vals)
+            best_pt = np.concatenate([x[i], d[i]])
+        if fh is not None:
+            write_csv_rows(fh, x, d, vals)
 
     workers = _heatmap_workers(total)
     with ExitStack() as stack:
         if csv_path is not None:
-            writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
-            writer.writerow(
-                [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)] + ["value"]
-            )
+            fh = stack.enter_context(open(csv_path, "w", newline=""))
+            header = [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)]
+            fh.write(csv_line(header + ["value"]))
         pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
         pending = deque()
         for start in range(0, total, _CHUNK):
@@ -308,31 +305,30 @@ def phase_portrait(
 
 def write_surface_csv(path, cls: SubsystemClass, points: np.ndarray, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{k}" for k in range(cls.state_dim)] + ["B"])
-        write_csv_rows(writer, points, values)
+        fh.write(csv_line([f"x{k}" for k in range(cls.state_dim)] + ["B"]))
+        write_csv_rows(fh, points, values)
 
 
 def write_levels_csv(path, report: LevelSetReport) -> None:
+    rows = [
+        ["quantity", "value"],
+        ["initial_max", repr(report.initial_max)],
+        ["unsafe_min", repr(report.unsafe_min)],
+        ["sigma", repr(report.sigma)],
+        ["phi", repr(report.phi)],
+        ["initial_ok", str(report.initial_ok).lower()],
+        ["unsafe_ok", str(report.unsafe_ok).lower()],
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "value"])
-        writer.writerow(["initial_max", repr(report.initial_max)])
-        writer.writerow(["unsafe_min", repr(report.unsafe_min)])
-        writer.writerow(["sigma", repr(report.sigma)])
-        writer.writerow(["phi", repr(report.phi)])
-        writer.writerow(["initial_ok", str(report.initial_ok).lower()])
-        writer.writerow(["unsafe_ok", str(report.unsafe_ok).lower()])
+        fh.write("".join(map(csv_line, rows)))
 
 
 def write_trajectories_csv(path, cls: SubsystemClass, portrait: PortraitResult) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trajectory", "step", "subsystem"] + [f"x{k}" for k in range(cls.state_dim)]
-        )
+        header = ["trajectory", "step", "subsystem"] + [f"x{k}" for k in range(cls.state_dim)]
+        fh.write(csv_line(header))
         for t_idx, traj in enumerate(portrait.trajectories):
             steps, nodes, _ = traj.states.shape
             step, node = np.divmod(np.arange(steps * nodes), nodes)
             lead = np.column_stack([np.full(steps * nodes, t_idx), step, node])
-            write_csv_rows(writer, traj.states.reshape(steps * nodes, -1), lead=lead)
+            write_csv_rows(fh, traj.states.reshape(steps * nodes, -1), lead=lead)

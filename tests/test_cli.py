@@ -1,5 +1,7 @@
 import copy
+import csv
 import ctypes
+import io
 import json
 import os
 import re
@@ -468,6 +470,17 @@ class TestSolverFailure:
         assert not out.exists()
 
 
+def render_cell(cell):
+    """A data cell as ``csv.writer`` is handed it: an int or a word as
+    written, any other number as the ``repr`` of its float."""
+    if cell.lstrip("-").isdigit():
+        return cell
+    try:
+        return repr(float(cell))
+    except ValueError:
+        return cell
+
+
 class TestSynthRoomBenchmark:
     def test_room_not_certified_with_margin_report(self, tmp_path, capsys):
         code = main(
@@ -481,6 +494,30 @@ class TestSynthRoomBenchmark:
         assert not cert.certified
         conditions = {cond for _, cond, _ in cert.failures}
         assert "m2" in conditions
+
+    def test_every_csv_has_csv_writer_bytes(self, tmp_path):
+        """Each CSV that synth writes is what ``csv.writer`` writes for the
+        cells it holds: re-read with ``csv.reader`` and re-rendered one
+        ``writerow`` per row, floats as ``repr(float(cell))`` and ints and
+        words as written, the bytes are the same."""
+        doc = json.load(open(ROOM_CONFIG))
+        doc.update(portrait_counts=[4], portrait_steps=20)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == [
+            f"room_{kind}.csv"
+            for kind in ("heatmap", "levels", "samples", "surface", "trajectories_ring")
+        ]
+        for name in names:
+            written = (out / name).read_bytes()
+            fh = io.StringIO(newline="")
+            writer = csv.writer(fh)
+            with open(out / name, newline="") as rows:
+                for r, row in enumerate(csv.reader(rows)):
+                    writer.writerow(row if r == 0 else [render_cell(cell) for cell in row])
+            assert fh.getvalue().encode() == written, name
 
     def test_verify_checks_heatmap_and_portrait(self, tmp_path, capsys):
         """An oracle-backed certificate is also checked on a dense decrease

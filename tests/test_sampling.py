@@ -1,8 +1,11 @@
 import csv
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import netcert.sampling as sampling_mod
@@ -227,5 +230,58 @@ class TestCsvRoundTrip:
                     [int(i) for i in ints] + [repr(float(c)) for c in row] + [repr(float(v))]
                 )
         with open(tmp_path / "new.csv", "w", newline="") as fh:
-            write_csv_rows(csv.writer(fh), values, tail, lead=lead)
+            write_csv_rows(fh, values, tail, lead=lead)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def per_row_csv(columns, lead):
+    """The reference: one ``csv.writer.writerow`` of ``repr`` strings per row."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    table = [c if c.ndim == 2 else c[:, None] for c in columns]
+    for r in range(table[0].shape[0]):
+        ints = [] if lead is None else [int(i) for i in lead[r]]
+        writer.writerow(ints + [repr(float(v)) for c in table for v in c[r]])
+    return fh.getvalue().encode()
+
+
+# signed zeros and infinities, NaNs of other bits than np.nan's (all written
+# "nan"), the smallest subnormal and extreme exponents
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+SPECIAL_VALUES += [1e300, -1e300, 1e-300, -1e-300]
+NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64)
+BLOCK = sampling_mod._CSV_BLOCK
+ROW_COUNTS = sorted({max(0, k * BLOCK + off) for k in range(3) for off in (-1, 0, 1)})
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, lead): 1-d and 2-d float columns drawn from a small pool
+    that holds every special value, so values repeat heavily and 0.0 sits
+    next to -0.0, or spread over many magnitudes; row counts around
+    multiples of ``_CSV_BLOCK``; an int ``lead`` or none."""
+    rows = draw(st.sampled_from(ROW_COUNTS) | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drawn = draw(st.lists(st.floats(), max_size=8))
+    pool = np.array(SPECIAL_VALUES + NAN_PAYLOADS.tolist() + drawn)
+    columns = []
+    for width in draw(st.lists(st.sampled_from([None, 1, 2, 3]), min_size=1, max_size=3)):
+        shape = (rows,) if width is None else (rows, width)
+        if draw(st.booleans()):
+            columns.append(pool[rng.integers(0, pool.size, shape)])
+        else:
+            columns.append(rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
+    lead = None
+    if draw(st.booleans()):
+        lead = rng.integers(-3, draw(st.sampled_from([3, 10**6])), (rows, draw(st.integers(1, 3))))
+    return columns, lead
+
+
+class TestCsvWriterProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(csv_tables())
+    def test_bytes_equal_per_row_csv_writer(self, table):
+        columns, lead = table
+        fh = io.StringIO(newline="")
+        write_csv_rows(fh, *columns, lead=lead)
+        assert fh.getvalue().encode() == per_row_csv(columns, lead)

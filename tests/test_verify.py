@@ -24,6 +24,7 @@ import netcert.verify as verify_mod
 from netcert.verify import (
     check_level_sets,
     decrease_heatmap,
+    one_blas_thread,
     phase_portrait,
     surface_data,
     write_surface_csv,
@@ -396,19 +397,21 @@ class TestHeatmapPool:
         decrease_heatmap(cls, room_solution, (21, 21))  # 441 points in 5 blocks
         assert len(threads) == 1
 
-    def test_blas_threads_do_not_change_values(
+    def test_one_blas_thread_restores_one_thread_bytes(
         self, numpy_blas, tmp_path, platoon_class, platoon_solution
     ):
-        _, set_threads = numpy_blas
-        runs = []
-        for threads in (1, 2):
-            set_threads(threads)
-            runs.append(
-                heatmap_outputs(
-                    platoon_class, platoon_solution, POOL_GRIDS[1][1], tmp_path / f"{threads}.csv"
-                )
-            )
-        assert runs[0] == runs[1]
+        """A gemv split between BLAS threads may round some rows differently,
+        so the heatmap's bits are pinned on one thread only: after a caller
+        put BLAS on two threads, ``one_blas_thread`` gives back the bytes of
+        a run that never left one thread."""
+        get_threads, set_threads = numpy_blas
+        counts = POOL_GRIDS[1][1]
+        single = heatmap_outputs(platoon_class, platoon_solution, counts, tmp_path / "1.csv")
+        set_threads(2)
+        one_blas_thread()
+        assert get_threads() == 1
+        again = heatmap_outputs(platoon_class, platoon_solution, counts, tmp_path / "2.csv")
+        assert again == single
 
 
 class TestSurfaceData:
