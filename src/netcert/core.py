@@ -8,13 +8,20 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-_BASIS_BLOCK = 4096  # rows of the basis matrix filled at a time
+# Rows of the basis matrix filled, and multiplied by the coefficients, at a
+# time.  The 9M-point platoon heatmap in process (2-CPU host, BLAS on one
+# thread, sizes alternated within one process) took, for 4,096 / 8,192 /
+# 16,384 / 32,768 rows: on two threads 1.94 / 1.77 / 1.98 / 2.90 s CPU and
+# 1.19 / 1.05 / 1.13 / 1.72 s wall; on one thread 1.60 / 1.68 / 1.98 / 2.42 s
+# CPU.  Fewer, longer sub-blocks make fewer NumPy calls, which two threads
+# pay for more than one, until the sub-block's arrays outgrow the cache.
+_BASIS_BLOCK = 8192
 
 
 class DimensionError(ValueError):
@@ -136,6 +143,23 @@ class StcTemplate:
     def term_count(self) -> int:
         return self.exponents.shape[0]
 
+    @cached_property
+    def _plan(self) -> tuple[tuple, tuple]:
+        """How ``basis_values`` builds a block, worked out once per template.
+
+        ``powers`` lists the distinct (coordinate, exponent) pairs with
+        exponent 2 or more.  A block's factors are its coordinate columns
+        followed by those powers, and ``terms[j]`` holds the indices of term
+        j's factors in that list, one per coordinate with exponent 1 or
+        more, in coordinate order.
+        """
+        exps = self.exponents.tolist()
+        powers = sorted({(k, e) for term in exps for k, e in enumerate(term) if e > 1})
+        index = {(k, 1): k for k in range(self.state_dim)}
+        index.update({power: self.state_dim + i for i, power in enumerate(powers)})
+        terms = tuple(tuple(index[k, e] for k, e in enumerate(term) if e) for term in exps)
+        return tuple(powers), terms
+
     def basis_values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all basis monomials at each row of ``points``.
 
@@ -155,6 +179,12 @@ class StcTemplate:
         dropped, a term with one remaining factor is a copy of it, and a
         term with none is 1.0.  ``x**2`` keeps its ``pow``: it differs from
         ``x * x`` in the last bit for some x.
+
+        Which factors each term takes is planned once per template
+        (``_plan``), and a product of two or more factors is multiplied
+        straight into its basis column.  Each product is rounded once
+        whatever its output's layout, so the bits are those of the
+        left-to-right product.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.state_dim:
@@ -163,25 +193,23 @@ class StcTemplate:
             )
         n = pts.shape[0]
         basis = np.empty((n, self.term_count))
-        # the (coordinate, exponent) factors of each term with exponent >= 1
-        factors = [[(k, e) for k, e in enumerate(term) if e] for term in self.exponents.tolist()]
-        powers = [{e for e in column if e > 1} for column in self.exponents.T.tolist()]
-        # a cache-sized block of rows at a time: its power tables stay small
-        # and the strided column writes stay inside the cache
+        powers, terms = self._plan
+        # a cache-sized block of rows at a time: its factors stay small and
+        # the strided column writes stay inside the cache
         for start in range(0, n, _BASIS_BLOCK):
             out = basis[start : start + _BASIS_BLOCK]
             m = out.shape[0]
-            tables = []
-            for k, es in enumerate(powers):
-                column = np.ascontiguousarray(pts[start : start + m, k])
-                table = {e: np.power(column, np.full(m, float(e))) for e in es}
-                table[1] = column
-                tables.append(table)
-            for j, term in enumerate(factors):
-                if term:
-                    out[:, j] = reduce(np.multiply, [tables[k][e] for k, e in term])
+            rows = pts[start : start + m]
+            factors = [np.ascontiguousarray(rows[:, k]) for k in range(self.state_dim)]
+            exponents = {e: np.full(m, float(e)) for _, e in powers}
+            factors += [np.power(factors[k], exponents[e]) for k, e in powers]
+            for j, term in enumerate(terms):
+                if len(term) > 1:
+                    column = np.multiply(factors[term[0]], factors[term[1]], out=out[:, j])
+                    for i in term[2:]:
+                        np.multiply(column, factors[i], out=column)
                 else:
-                    out[:, j] = 1.0
+                    out[:, j] = factors[term[0]] if term else 1.0
         return basis
 
 
@@ -190,16 +218,16 @@ def eval_template(template: StcTemplate, coeffs: np.ndarray, points: np.ndarray)
     ``points``; one value per row.  ``coeffs`` is 1-d, one entry per term.
 
     The basis is built and multiplied by ``coeffs`` one sub-block of
-    ``_BASIS_BLOCK`` rows at a time, so each sub-block's basis is still in
-    the cache for its gemv and the (N, terms) matrix never exists.  The
-    values equal ``basis_values(points) @ coeffs`` in one call bit for bit
-    on one BLAS thread.  OpenBLAS's gemv rounds every row in a full 4-row
-    group the same way, whatever the call, and the last N % 4 rows of a call
-    in its tail rounding.  Every sub-block starts at a multiple of 4, so
-    its full groups are the one call's, and the last sub-block holds the
-    one call's tail.  A last sub-block of fewer than 4 rows joins the one
-    before it: NumPy computes a 1-row product as a dot product, which does
-    not round like the tail of a longer gemv.
+    ``_BASIS_BLOCK`` (8,192) rows at a time, so each sub-block's basis (960
+    KiB for 15 terms) is still in the cache for its gemv and the (N, terms)
+    matrix never exists.  The values equal ``basis_values(points) @ coeffs``
+    in one call bit for bit on one BLAS thread.  OpenBLAS's gemv rounds
+    every row in a full 4-row group the same way, whatever the call, and the
+    last N % 4 rows of a call in its tail rounding.  Every sub-block starts
+    at a multiple of 4, so its full groups are the one call's, and the last
+    sub-block holds the one call's tail.  A last sub-block of fewer than 4
+    rows joins the one before it: NumPy computes a 1-row product as a dot
+    product, which does not round like the tail of a longer gemv.
     """
     if np.shape(coeffs) != (template.term_count,):
         raise DimensionError(

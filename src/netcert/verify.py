@@ -36,17 +36,22 @@ from .scp import ScpSolution
 # tail kernel and every other row in its full-group kernel, so blocks that
 # start at multiples of 4 leave the tail rounding to the last rows of the
 # grid, where one call over the whole grid has it.  Each block's f(x, d) is
-# evaluated in ``core._BASIS_BLOCK``-row sub-blocks by the same rule.
+# evaluated by the same rule in ``core._BASIS_BLOCK``-row sub-blocks, four to
+# a full block, each starting at a multiple of 4.
 _CHUNK = 2**15
 # Heatmap threads at most: two is the largest count measured for time and
 # peak RSS (on a 2-CPU host).
 _MAX_WORKERS = 2
 # One heatmap thread per this many points, rounded up.  Measured on a 2-CPU
-# host with BLAS on one thread, alternating one- and two-thread runs: platoon
-# grids of three or four blocks ran 12-25% faster on two threads in every
-# series (83,521 points: 19.8 -> 17.4 ms, 104,976: 25.8 -> 20.4 ms); on grids
-# of two blocks (50,625 and 65,536 points) two threads won anywhere from 6 of
-# 25 to 34 of 40 pairs from one series to the next, so those stay on one.
+# host with BLAS on one thread, alternating one- and two-thread runs, medians
+# of two series of 40 pairs: platoon grids of three or four blocks ran 3-19%
+# faster on two threads (83,521 points: 19.3 -> 17.7 ms and 16.2 -> 15.6 ms,
+# 104,976: 23.7 -> 20.8 ms and 19.8 -> 16.0 ms).  On grids of two blocks two
+# threads won 32 and 35 of 40 pairs at 50,625 points (15.6 -> 12.7 ms, 14.4
+# -> 11.2 ms) and 28 and 31 of 40 at 65,536 (20.2 -> 17.4 ms, 17.1 -> 13.3
+# ms).  Earlier series, at a higher cost per block, gave two threads anywhere
+# from 6 of 25 to 34 of 40 pairs on such grids; the boundary was set from
+# those and is unchanged.
 _POINTS_PER_WORKER = 2**16
 
 # extension module -> the thread setter of the OpenBLAS copy it links:

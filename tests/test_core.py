@@ -129,21 +129,44 @@ COORDINATES = st.one_of(
 
 class TestBasisValues:
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_reference_bitwise(self, data):
+    @given(
+        data=st.data(),
+        rows=st.one_of(
+            st.integers(1, 40),
+            # around sub-block boundaries, every row count mod 4
+            st.tuples(st.integers(0, 2), st.integers(0, 7)).map(
+                lambda kr: kr[0] * _BASIS_BLOCK + kr[1]
+            ),
+        ),
+    )
+    def test_matches_reference_bitwise(self, data, rows):
         dim = data.draw(st.integers(1, 3))
         exponents = data.draw(
             hnp.arrays(
                 np.int64, st.tuples(st.integers(1, 10), st.just(dim)), elements=st.integers(0, 6)
             )
         )
-        pts = data.draw(
+        # one term with a factor of every coordinate: a product of dim factors
+        full = data.draw(hnp.arrays(np.int64, dim, elements=st.integers(1, 6)))
+        drawn = data.draw(
             hnp.arrays(
                 np.float64, st.tuples(st.integers(1, 40), st.just(dim)), elements=COORDINATES
             )
         )
-        template = StcTemplate(state_dim=dim, exponents=exponents)
+        pts = np.resize(drawn, (rows, dim))
+        template = StcTemplate(state_dim=dim, exponents=np.vstack([exponents, full]))
         assert np.array_equal(template.basis_values(pts), reference_basis(template, pts))
+
+    def test_each_template_keeps_its_own_plan(self):
+        """Templates of one shape but different exponents, evaluated in
+        turn and created afresh, each give their own reference bits."""
+        pts = np.random.default_rng(5).uniform(-3.0, 3.0, (_BASIS_BLOCK + 5, 2))
+        exponent_sets = [[[2, 1], [0, 3], [1, 1]], [[1, 2], [3, 0], [2, 2]]]
+        kept = [StcTemplate(state_dim=2, exponents=e) for e in exponent_sets]
+        fresh = [StcTemplate(state_dim=2, exponents=e) for e in exponent_sets]
+        for template in kept + kept + fresh:
+            expected = reference_basis(template, pts)
+            assert np.array_equal(bits(template.basis_values(pts)), bits(expected))
 
     def test_one_term_square_matches_reference(self):
         template = StcTemplate(state_dim=1, exponents=[[2]])

@@ -178,6 +178,26 @@ class TestEstimateForClass:
         assert l2.value == 0.0
 
 
+ONE_ULP_NOTE = (
+    "the three L-BFGS-B starts (shape 0.8, 1.5, 3.0) end at local optima "
+    "whose likelihoods differ by very little; moving every coefficient of the "
+    "platoon certificate by one ulp moves the slope maxima by about 1e-13 "
+    "relative but flips which optimum wins (fitted shape 0.89 -> 3.26), so "
+    "L1 moves from 4152.23 to 4386.41 (5.6%)"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ONE_ULP_NOTE)
+def test_l1_is_stable_to_one_ulp_of_the_coefficients(platoon_class, platoon_solution):
+    from dataclasses import replace
+
+    config = LipschitzConfig(gamma=0.1, inner_count=200, outer_count=30, seed=1)
+    nudged = replace(platoon_solution, coeffs=np.nextafter(platoon_solution.coeffs, np.inf))
+    l1, _ = estimate_for_class(platoon_class, platoon_solution, config)
+    l1_nudged, _ = estimate_for_class(platoon_class, nudged, config)
+    assert l1_nudged.value == pytest.approx(l1.value, rel=1e-6)
+
+
 class TestEstimateFromPairs:
     def test_affine_values_on_grid(self):
         from netcert.sampling import grid_samples
