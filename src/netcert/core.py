@@ -148,22 +148,38 @@ class StcTemplate:
         """How ``basis_values`` builds a block, worked out once per template.
 
         ``powers`` lists the distinct (coordinate, exponent) pairs with
-        exponent 2 or more.  A block's factors are its coordinate columns
-        followed by those powers, and ``terms[j]`` holds the indices of term
-        j's factors in that list, one per coordinate with exponent 1 or
-        more, in coordinate order.
+        exponent 2 or more, each with its home: the column of the first term
+        that is that power on its own, where it is raised, or None, where it
+        is raised into a scratch array.  A block's factors are its coordinate
+        columns followed by those powers.  ``terms`` holds, for every term
+        that is not some power's home, its column and the indices of its
+        factors in that list, one per coordinate with exponent 1 or more, in
+        coordinate order.
         """
         exps = self.exponents.tolist()
-        powers = sorted({(k, e) for term in exps for k, e in enumerate(term) if e > 1})
+        factors = [tuple((k, e) for k, e in enumerate(term) if e) for term in exps]
+        found = sorted({f for term in factors for f in term if f[1] > 1})
+        homes = {}
+        for j, term in enumerate(factors):
+            if len(term) == 1 and term[0][1] > 1:
+                homes.setdefault(term[0], j)
         index = {(k, 1): k for k in range(self.state_dim)}
-        index.update({power: self.state_dim + i for i, power in enumerate(powers)})
-        terms = tuple(tuple(index[k, e] for k, e in enumerate(term) if e) for term in exps)
-        return tuple(powers), terms
+        index.update({power: self.state_dim + i for i, power in enumerate(found)})
+        powers = tuple((k, e, homes.get((k, e))) for k, e in found)
+        terms = tuple(
+            (j, tuple(index[f] for f in term))
+            for j, term in enumerate(factors)
+            if j not in homes.values()
+        )
+        return powers, terms
 
-    def basis_values(self, points: np.ndarray) -> np.ndarray:
+    def basis_values(self, points: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Evaluate all basis monomials at each row of ``points``.
 
         Returns an (N, term_count) matrix; column j is the j-th monomial.
+        With ``out``, a C-contiguous float array of at least N rows and
+        term_count columns, the matrix is its first N rows, and nothing of
+        that size is allocated.
 
         The values are bit-identical to ``np.prod(np.power(base, exps),
         axis=2)`` with the points and exponents both materialised at the
@@ -181,10 +197,11 @@ class StcTemplate:
         ``x * x`` in the last bit for some x.
 
         Which factors each term takes is planned once per template
-        (``_plan``), and a product of two or more factors is multiplied
-        straight into its basis column.  Each product is rounded once
-        whatever its output's layout, so the bits are those of the
-        left-to-right product.
+        (``_plan``).  A power that is a term on its own is raised straight
+        into that term's column, and a product of two or more factors is
+        multiplied straight into its column.  Each power and each product is
+        rounded once whatever its output's layout, so the bits are those of
+        the contiguous ``pow`` and the left-to-right product.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.state_dim:
@@ -192,28 +209,49 @@ class StcTemplate:
                 f"points have dimension {pts.shape[1]}, template expects {self.state_dim}"
             )
         n = pts.shape[0]
-        basis = np.empty((n, self.term_count))
+        if out is None:
+            out = np.empty((n, self.term_count))
+        elif (
+            out.ndim != 2
+            or out.shape[0] < n
+            or out.shape[1] != self.term_count
+            or out.dtype != float
+            or not out.flags.c_contiguous
+        ):
+            raise DimensionError(
+                f"basis buffer of shape {out.shape} cannot hold {n} rows of "
+                f"{self.term_count} float terms in C order"
+            )
+        basis = out[:n]
         powers, terms = self._plan
         # a cache-sized block of rows at a time: its factors stay small and
         # the strided column writes stay inside the cache
         for start in range(0, n, _BASIS_BLOCK):
-            out = basis[start : start + _BASIS_BLOCK]
-            m = out.shape[0]
+            block = basis[start : start + _BASIS_BLOCK]
+            m = block.shape[0]
             rows = pts[start : start + m]
             factors = [np.ascontiguousarray(rows[:, k]) for k in range(self.state_dim)]
-            exponents = {e: np.full(m, float(e)) for _, e in powers}
-            factors += [np.power(factors[k], exponents[e]) for k, e in powers]
-            for j, term in enumerate(terms):
+            exponents = {e: np.full(m, float(e)) for _, e, _ in powers}
+            for k, e, home in powers:
+                column = None if home is None else block[:, home]
+                factors.append(np.power(factors[k], exponents[e], out=column))
+            for j, term in terms:
                 if len(term) > 1:
-                    column = np.multiply(factors[term[0]], factors[term[1]], out=out[:, j])
+                    column = np.multiply(factors[term[0]], factors[term[1]], out=block[:, j])
                     for i in term[2:]:
                         np.multiply(column, factors[i], out=column)
                 else:
-                    out[:, j] = factors[term[0]] if term else 1.0
+                    block[:, j] = factors[term[0]] if term else 1.0
         return basis
 
 
-def eval_template(template: StcTemplate, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+def eval_template(
+    template: StcTemplate,
+    coeffs: np.ndarray,
+    points: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    basis_out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Certificate value sum_j coeffs[j] * prod_k x[k]**e[j,k] at each row of
     ``points``; one value per row.  ``coeffs`` is 1-d, one entry per term.
 
@@ -228,6 +266,12 @@ def eval_template(template: StcTemplate, coeffs: np.ndarray, points: np.ndarray)
     sub-block holds the one call's tail.  A last sub-block of fewer than 4
     rows joins the one before it: NumPy computes a 1-row product as a dot
     product, which does not round like the tail of a longer gemv.
+
+    A caller that evaluates many batches can pass its own workspaces:
+    ``out``, a contiguous float array of N values, receives the values and
+    is returned, and ``basis_out`` holds each sub-block's basis (C-contiguous
+    floats, at least min(N, ``_BASIS_BLOCK`` + 3) rows by term_count).  The
+    values are the same with or without them.
     """
     if np.shape(coeffs) != (template.term_count,):
         raise DimensionError(
@@ -236,13 +280,17 @@ def eval_template(template: StcTemplate, coeffs: np.ndarray, points: np.ndarray)
         )
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
+    if out is None:
+        out = np.empty(n)
+    elif out.shape != (n,) or out.dtype != float or not out.flags.c_contiguous:
+        raise DimensionError(f"value buffer of shape {out.shape} cannot hold {n} float values")
     starts = list(range(0, n, _BASIS_BLOCK)) or [0]
     if len(starts) > 1 and n - starts[-1] < 4:
         starts.pop()
-    values = np.empty(n)
     for start, stop in zip(starts, starts[1:] + [n]):
-        values[start:stop] = template.basis_values(pts[start:stop]) @ coeffs
-    return values
+        basis = template.basis_values(pts[start:stop], out=basis_out)
+        np.matmul(basis, coeffs, out=out[start:stop])
+    return out
 
 
 def _check_symmetric(name: str, m: np.ndarray):

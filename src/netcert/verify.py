@@ -22,6 +22,7 @@ import numpy as np
 
 from .blackbox import Topology, simulate_network
 from .core import (
+    _BASIS_BLOCK,
     InvariantError,
     SubsystemClass,
     eval_template,
@@ -43,15 +44,14 @@ _CHUNK = 2**15
 # peak RSS (on a 2-CPU host).
 _MAX_WORKERS = 2
 # One heatmap thread per this many points, rounded up.  Measured on a 2-CPU
-# host with BLAS on one thread, alternating one- and two-thread runs, medians
-# of two series of 40 pairs: platoon grids of three or four blocks ran 3-19%
-# faster on two threads (83,521 points: 19.3 -> 17.7 ms and 16.2 -> 15.6 ms,
-# 104,976: 23.7 -> 20.8 ms and 19.8 -> 16.0 ms).  On grids of two blocks two
-# threads won 32 and 35 of 40 pairs at 50,625 points (15.6 -> 12.7 ms, 14.4
-# -> 11.2 ms) and 28 and 31 of 40 at 65,536 (20.2 -> 17.4 ms, 17.1 -> 13.3
-# ms).  Earlier series, at a higher cost per block, gave two threads anywhere
-# from 6 of 25 to 34 of 40 pairs on such grids; the boundary was set from
-# those and is unchanged.
+# host with BLAS on one thread, alternating one- and two-thread runs in
+# process.  At an earlier cost per block, platoon grids of three or four
+# blocks ran 3-19% faster on two threads.  On grids of two blocks, series of
+# 40 pairs have never given two threads the 36 wins that would move the
+# boundary: at the cost of blocks cut from state runs into per-thread
+# workspaces, two threads won 25 and 29 of 40 at 50,625 points (10.7 -> 10.6
+# ms and 10.1 -> 9.3 ms medians) and 28 and 20 of 40 at 65,536 (12.2 -> 11.5
+# ms, 11.3 -> 11.3 ms); earlier series gave them 6 of 25 to 35 of 40.
 _POINTS_PER_WORKER = 2**16
 
 # extension module -> the thread setter of the OpenBLAS copy it links:
@@ -169,19 +169,22 @@ def decrease_heatmap(
 
     The joint grid is the product of a state grid and an input grid, rows
     in state-major order.  B(x) and the supply's x^T s22 x are computed
-    once per state point and d^T s11 d once per input point; the (x, d)
-    rows are assembled ``_CHUNK`` at a time from their flat index (state
-    ``i // |D|``, input ``i % |D|``), and each block gathers those values
-    and computes only the cross term d^T s12 x per pair.  On one BLAS
-    thread every value is bit-identical to the evaluators on the
-    materialised joint grid, block by block.  B(x) is one gemv over the
-    state grid padded to a multiple of 4 rows, so every state point takes
-    OpenBLAS's full-group rounding, which is what every row of an m-row
-    block gets but its last m % 4.  Those tail rows are taken from a gemv
-    over the block's last 4 + m % 4 gathered rows (all m rows when m < 4),
-    where they are the tail again; a 1-row product would not do, as NumPy
-    computes it as a dot product.  ``rowwise_bilinear`` gives each row the
-    value it has in any batch.
+    once per state point and d^T s11 d once per input point.  A block of
+    ``_CHUNK`` rows spans a run of state rows, the first and last maybe in
+    part, and takes its states, B(x) and x^T s22 x by repeating each state
+    row as often as the block holds it.  It takes its inputs and d^T s11 d
+    as one slice of the input grid repeated to cover any block's offset;
+    that grid is shared by every block and read-only, so an oracle that
+    writes into its ``d`` raises ``ValueError``.  Only the cross term d^T
+    s12 x is computed per pair.  On one BLAS thread every value is
+    bit-identical to the evaluators on the materialised joint grid, block
+    by block.  B(x) is one gemv over the state grid padded to a multiple of
+    4 rows, so every state point takes OpenBLAS's full-group rounding,
+    which is what every row of an m-row block gets but its last m % 4.
+    Those tail rows are taken from a gemv over the block's last 4 + m % 4
+    rows (all m rows when m < 4), where they are the tail again; a 1-row
+    product would not do, as NumPy computes it as a dot product.
+    ``rowwise_bilinear`` gives each row the value it has in any batch.
 
     Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
     the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points
@@ -191,9 +194,14 @@ def decrease_heatmap(
     threads can round some rows differently, and the heatmap threads may
     oversubscribe the CPUs.  Blocks are submitted in grid order with at
     most one block per thread in flight, so memory stays O(threads x chunk)
-    however large the grid grows.  The calling thread takes the finished
-    blocks in grid order for the maximum, the fault check and the CSV rows,
-    so the result does not depend on the thread count.
+    however large the grid grows.  Each thread's worth of blocks has a
+    workspace of its own, made once per heatmap: block k writes its
+    sub-blocks' basis of f(x, d) (``eval_template``'s ``basis_out``) and its
+    values into workspace k mod threads.  Block k + threads is submitted
+    only after block k has been consumed, so no two blocks in flight share
+    one.  The calling thread takes the finished blocks in grid order for
+    the maximum, the fault check and the CSV rows, so the result does not
+    depend on the thread count.
 
     Pass ``csv_path`` to also persist the full table (x..., d..., value).
     A non-finite oracle output or decrease value raises ``DataFaultError``
@@ -211,19 +219,45 @@ def decrease_heatmap(
     rate = solution.supply
     quad_d = rowwise_bilinear(ds, rate.s11, ds)
     quad_x = rowwise_bilinear(xs, rate.s22, xs)
-    total = xs.shape[0] * ds.shape[0]
+    n_d = ds.shape[0]
+    total = xs.shape[0] * n_d
+    chunk = min(_CHUNK, total)
+    # the input grid repeated: a block starting at input k takes rows k.. of it
+    cycle = np.arange(n_d - 1 + chunk) % n_d
+    d_grid, quad_d_grid = ds[cycle], quad_d[cycle]
+    d_grid.flags.writeable = False
+    workers = _heatmap_workers(total)
+    # one (sub-block basis, values) workspace per block in flight
+    slots = [
+        (np.empty((min(chunk, _BASIS_BLOCK + 3), cls.template.term_count)), np.empty(chunk))
+        for _ in range(workers)
+    ]
 
-    def evaluate(start: int):
-        xi, di = np.divmod(np.arange(start, min(start + _CHUNK, total)), ds.shape[0])
-        x, d = xs.take(xi, axis=0), ds.take(di, axis=0)
-        bx = b_grid.take(xi)
-        tail = xi.shape[0] % 4
+    def evaluate(block: int):
+        start = block * _CHUNK
+        stop = min(start + _CHUNK, total)
+        m, offset = stop - start, start % n_d
+        # the block spans a run of state rows, the first and last maybe in part
+        first, last = start // n_d, (stop - 1) // n_d
+        runs = np.full(last - first + 1, n_d)
+        runs[0] -= offset
+        runs[-1] -= (last + 1) * n_d - stop
+        states = slice(first, last + 1)
+        x = xs[states].repeat(runs, axis=0)
+        d = d_grid[offset : offset + m]
+        bx = b_grid[states].repeat(runs)
+        tail = m % 4
         if tail:
-            bx[-tail:] = (basis_x.take(xi[-4 - tail :], axis=0) @ coeffs)[-tail:]
-        supply = supply_sum(quad_d.take(di), rowwise_bilinear(d, rate.s12, x), quad_x.take(xi))
-        del xi, di  # the indices are freed before the oracle and basis of f(x, d) allocate
+            xi = np.arange(stop - min(m, 4 + tail), stop) // n_d
+            bx[-tail:] = (basis_x[xi] @ coeffs)[-tail:]
+        supply = supply_sum(
+            quad_d_grid[offset : offset + m],
+            rowwise_bilinear(d, rate.s12, x),
+            quad_x[states].repeat(runs),
+        )
         fx = cls.oracle.batch(x, d)
-        vals = eval_template(cls.template, coeffs, fx)
+        basis, vals = slots[block % workers]
+        vals = eval_template(cls.template, coeffs, fx, out=vals[:m], basis_out=basis)
         vals -= bx
         vals -= supply
         if np.isfinite(vals).all() and np.isfinite(fx).all():
@@ -248,7 +282,6 @@ def decrease_heatmap(
         if fh is not None:
             write_csv_rows(fh, x, d, vals)
 
-    workers = _heatmap_workers(total)
     with ExitStack() as stack:
         if csv_path is not None:
             fh = stack.enter_context(open(csv_path, "w", newline=""))
@@ -256,10 +289,10 @@ def decrease_heatmap(
             fh.write(csv_line(header + ["value"]))
         pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
         pending = deque()
-        for start in range(0, total, _CHUNK):
+        for block in range(-(-total // _CHUNK)):
             if len(pending) == workers:
                 consume(*pending.popleft().result())
-            pending.append(pool.submit(evaluate, start))
+            pending.append(pool.submit(evaluate, block))
         while pending:
             consume(*pending.popleft().result())
     return HeatmapSummary(max_value=best_val, argmax=best_pt, point_count=total)

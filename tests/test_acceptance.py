@@ -283,8 +283,8 @@ def test_criterion_6_room_heatmap_nonpositive(room_pipeline):
 def test_criterion_9_room_runs_byte_identical(room_pipeline):
     path1 = room_pipeline["result"].certificate_path
     path2 = room_pipeline["result2"].certificate_path
-    bytes1 = open(path1, "rb").read()
-    bytes2 = open(path2, "rb").read()
+    with open(path1, "rb") as fh1, open(path2, "rb") as fh2:
+        bytes1, bytes2 = fh1.read(), fh2.read()
     ok = bytes1 == bytes2
     record_acceptance(
         f"criterion 9 (determinism): {len(bytes1)} byte certificates "

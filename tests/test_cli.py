@@ -46,6 +46,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOM_CONFIG = os.path.join(REPO_ROOT, "configs", "room.json")
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
@@ -168,7 +173,7 @@ class TestConfigValidation:
     def test_unknown_class_keys_rejected(self, doc, path, value, message):
         """Every level rejects a key it does not define, naming its path,
         instead of silently falling back to the default."""
-        doc = json.load(open(ROOM_CONFIG)) if doc == "room" else drift_config_doc("d.csv", "out")
+        doc = read_json(ROOM_CONFIG) if doc == "room" else drift_config_doc("d.csv", "out")
         target = doc
         for key in path[:-1]:
             target = target[key]
@@ -213,7 +218,7 @@ class TestConfigValidation:
     def test_values_of_the_wrong_kind_rejected(self, tmp_path, path, value, message):
         """A flag is only a JSON boolean, an int only an integral number and
         a float only a finite one; nothing is converted silently."""
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         target = doc
         for key in path[:-1]:
             target = target[key]
@@ -265,7 +270,7 @@ class TestConfigValidation:
         checked when the file loads: a value that the grids, the portrait or
         the dense checks could not use is a configuration error (exit 2)
         naming its key, and nothing is computed or written."""
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         target = doc
         for key in path[:-1]:
@@ -291,7 +296,7 @@ class TestDataFaults:
     """Faults in the data, not the configuration, end the run with exit 3."""
 
     def test_non_finite_benchmark_parameter(self, tmp_path, capsys):
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(
             counts_state=[5], counts_input=[5], benchmark_params={"c": float("nan")}
         )
@@ -342,7 +347,7 @@ class TestDataFaults:
             return replace(cls, oracle=TransitionOracle(step_with_hole))
 
         monkeypatch.setattr(netcert.pipeline, "BENCHMARKS", {"room": room_with_hole})
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         out = tmp_path / "out"
         code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
@@ -500,7 +505,7 @@ class TestSynthRoomBenchmark:
         cells it holds: re-read with ``csv.reader`` and re-rendered one
         ``writerow`` per row, floats as ``repr(float(cell))`` and ints and
         words as written, the bytes are the same."""
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         doc.update(portrait_counts=[4], portrait_steps=20)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         out = tmp_path / "out"
@@ -523,7 +528,7 @@ class TestSynthRoomBenchmark:
         """An oracle-backed certificate is also checked on a dense decrease
         heatmap and a phase portrait; verify exits 1 exactly when a check
         says FAIL or a trajectory enters the unsafe box."""
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         out = tmp_path / "out"
         main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
@@ -586,7 +591,8 @@ class TestCertificatePersistence:
         out_dir = tmp_path / "out"
         cfg = config_from_dict(drift_config_doc(drift_csv, out_dir))
         result = run_pipeline(cfg)
-        text = open(result.certificate_path).read()
+        with open(result.certificate_path) as fh:
+            text = fh.read()
         bad = tmp_path / "truncated.json"
         bad.write_text(text[: len(text) // 2])
         with pytest.raises(CertificateFormatError):
@@ -596,7 +602,7 @@ class TestCertificatePersistence:
         out_dir = tmp_path / "out"
         cfg = config_from_dict(drift_config_doc(drift_csv, out_dir))
         result = run_pipeline(cfg)
-        doc = json.load(open(result.certificate_path))
+        doc = read_json(result.certificate_path)
         doc["version"] = 2
         bad = tmp_path / "wrong_version.json"
         bad.write_text(json.dumps(doc))
@@ -823,7 +829,7 @@ class TestSchemaRoundTrip:
     def test_class_entries_name_only_their_keys(self):
         """The config embedded in every certificate writes a class as the
         bundled files do, so its bytes do not depend on unused fields."""
-        for doc in (json.load(open(ROOM_CONFIG)), drift_config_doc("d.csv", "out")):
+        for doc in (read_json(ROOM_CONFIG), drift_config_doc("d.csv", "out")):
             assert config_to_dict(config_from_dict(doc))["classes"] == doc["classes"]
 
     def test_record_annotations_resolve(self):
@@ -916,7 +922,7 @@ class TestOtherSubcommands:
     def test_simulate_output_with_several_classes_rejected(self, tmp_path, capsys):
         """Each class would write the one --output file over the one before:
         a configuration error naming the classes, before any simulation."""
-        doc = json.load(open(ROOM_CONFIG))
+        doc = read_json(ROOM_CONFIG)
         doc["classes"].append(dict(doc["classes"][0], id="room2"))
         out = tmp_path / "traj.csv"
         code = main(["simulate", "--config", write_config(tmp_path, doc), "--output", str(out)])

@@ -127,6 +127,10 @@ COORDINATES = st.one_of(
 )
 
 
+# nan, the infinities, signed zeros and the smallest subnormals
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]
+
+
 class TestBasisValues:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -193,8 +197,7 @@ class TestBasisValues:
         """Exponents 0 and 1 are not computed with ``pow``; at nan, the
         infinities, signed zeros and the smallest subnormal the basis still
         has the reference's bits."""
-        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]
-        pts = np.array([[a, b] for a in special for b in special])
+        pts = np.array([[a, b] for a in SPECIAL for b in SPECIAL])
         template = StcTemplate(
             state_dim=2,
             exponents=[[0, 0], [1, 0], [0, 1], [1, 1], [0, 2], [2, 0], [2, 1], [1, 3]],
@@ -202,6 +205,57 @@ class TestBasisValues:
         with np.errstate(all="ignore"):
             got, expected = template.basis_values(pts), reference_basis(template, pts)
         assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            [[2, 0], [2, 1]],
+            [[2, 1], [2, 0], [1, 3], [0, 3]],
+            [[2, 0], [2, 0]],
+            [[0, 3], [1, 1], [0, 3], [2, 3], [0, 0]],
+        ],
+        ids=["also-a-factor", "factor-first", "twice", "twice-and-a-factor"],
+    )
+    def test_lone_powers_of_special_values(self, exponents):
+        """A power that is a term on its own is raised straight into that
+        term's column, which may also be a factor of later terms or be
+        wanted by a second identical term; the bits stay the reference's."""
+        pts = np.array([[a, b] for a in SPECIAL for b in SPECIAL])
+        template = StcTemplate(state_dim=2, exponents=exponents)
+        with np.errstate(all="ignore"):
+            got, expected = template.basis_values(pts), reference_basis(template, pts)
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("rows", [1, 7, _BASIS_BLOCK + 3], ids=["1", "7", "block+3"])
+    def test_into_an_oversized_buffer(self, rows):
+        """``out`` may have more rows than the points: the basis is its
+        first rows, with the reference's bits, and the rest is untouched."""
+        template = StcTemplate(state_dim=2, exponents=[[2, 0], [2, 1], [1, 0], [0, 0], [3, 3]])
+        special = np.array([[a, b] for a in SPECIAL for b in SPECIAL])
+        pts = np.resize(special, (rows, 2))
+        buf = np.full((_BASIS_BLOCK + 8, template.term_count), 7.0)
+        with np.errstate(all="ignore"):
+            got = template.basis_values(pts, out=buf)
+            expected = reference_basis(template, pts)
+        assert got.shape == (rows, template.term_count)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(bits(buf[:rows]), bits(expected))
+        assert (buf[rows:] == 7.0).all()
+
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            np.empty((3, 2)),
+            np.empty((2, 3)),
+            np.empty((4, 3), np.float32),
+            np.empty((3, 4))[:, :3],
+        ],
+        ids=["short", "narrow", "float32", "strided"],
+    )
+    def test_unfit_buffer_rejected(self, buf):
+        template = StcTemplate(state_dim=1, exponents=[[2], [1], [0]])
+        with pytest.raises(DimensionError):
+            template.basis_values(np.ones((4, 1)), out=buf)
 
 
 class TestEvalTemplateSubBlocks:
@@ -235,6 +289,24 @@ class TestEvalTemplateSubBlocks:
             bits(template.basis_values(pts) @ coeffs),
         )
 
+    @pytest.mark.parametrize("rows", [1, 3, 5, _BASIS_BLOCK + 3, 2 * _BASIS_BLOCK + 6])
+    def test_workspaces_keep_the_bits(self, rows):
+        """Values written into ``out``, with each sub-block's basis in
+        ``basis_out``, are those of a call that allocates its own."""
+        template = StcTemplate(state_dim=2, exponents=[[2, 0], [2, 1], [1, 1], [0, 0], [0, 4]])
+        rng = np.random.default_rng(rows)
+        pts = rng.uniform(-3.0, 3.0, (rows, 2))
+        coeffs = rng.uniform(-200.0, 200.0, template.term_count)
+        out = np.empty(rows)
+        basis_out = np.empty((min(rows, _BASIS_BLOCK + 3), template.term_count))
+        got = eval_template(template, coeffs, pts, out=out, basis_out=basis_out)
+        assert got is out
+        assert np.array_equal(bits(got), bits(eval_template(template, coeffs, pts)))
+
+    def test_unfit_value_buffer_rejected(self):
+        with pytest.raises(DimensionError):
+            eval_template(ROOM_TEMPLATE, ROOM_COEFFS, np.ones((4, 1)), out=np.empty(5))
+
     @pytest.mark.parametrize("tail", [0, 1, 2, 3])
     def test_short_last_sub_block_joins_the_one_before(self, monkeypatch, tail):
         """Sub-blocks start at multiples of ``_BASIS_BLOCK``; a last one of
@@ -242,9 +314,9 @@ class TestEvalTemplateSubBlocks:
         calls = []
         basis_values = StcTemplate.basis_values
 
-        def recording(self, points):
+        def recording(self, points, out=None):
             calls.append(np.shape(points)[0])
-            return basis_values(self, points)
+            return basis_values(self, points, out=out)
 
         monkeypatch.setattr(StcTemplate, "basis_values", recording)
         rows = 2 * _BASIS_BLOCK + tail

@@ -1,5 +1,6 @@
 import csv
 import re
+import sys
 import threading
 import time
 import tracemalloc
@@ -181,8 +182,9 @@ JOINT_GRID_IDS = [
 
 
 class TestProductGridHeatmap:
-    """The heatmap walks the X x D product grid from flat indices; it must
-    reproduce the materialised joint grid bit for bit.  B(x) comes from one
+    """The heatmap cuts the X x D product grid into blocks from runs of
+    state rows and slices of the input grid; it must reproduce the
+    materialised joint grid bit for bit.  B(x) comes from one
     gemv over the state grid padded to a multiple of 4 rows, and the last
     m % 4 rows of an m-row block from a gemv over the block's last rows, so
     the grids cover state grids of every size mod 4 and blocks of every
@@ -220,6 +222,20 @@ class TestProductGridHeatmap:
         nan_oracle = TransitionOracle(lambda x, d: np.full(x.shape, np.nan))
         cls = replace(room_class, oracle=nan_oracle)
         with pytest.raises(DataFaultError, match=re.escape("x=[10.0], d=[10.0]")):
+            decrease_heatmap(cls, room_solution, (21, 21))
+
+    def test_oracle_cannot_write_the_input_grid(self, room_class, room_solution, monkeypatch):
+        """Every block's inputs are a view of one input grid, so an oracle
+        that writes into its ``d`` raises instead of changing later blocks."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+
+        def writing(x, d):
+            fx = room_class.oracle.batch(x, d)
+            d[:] = 0.0
+            return fx
+
+        cls = replace(room_class, oracle=TransitionOracle(writing))
+        with pytest.raises(ValueError, match="read-only"):
             decrease_heatmap(cls, room_solution, (21, 21))
 
     @pytest.mark.parametrize(
@@ -374,6 +390,29 @@ class TestHeatmapPool:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * 1.5 * peaks[0]
 
+    def test_workspaces_are_not_shared_in_flight(
+        self, tmp_path, room_class, room_solution, monkeypatch, heatmap_threads
+    ):
+        """Each block in flight has a workspace of its own: four threads on
+        51 blocks of 97 rows, switching every microsecond, give the bytes of
+        one thread in every run.  Runs repeat for about two seconds."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        counts = (70, 70)
+        heatmap_threads(1)
+        single = heatmap_outputs(room_class, room_solution, counts, tmp_path / "one.csv")
+        heatmap_threads(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            for run in range(50):
+                csv_path = tmp_path / f"four{run}.csv"
+                assert heatmap_outputs(room_class, room_solution, counts, csv_path) == single
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize(
         "cpus, points, threads",
         [(4, 441, 1), (4, 2**16, 1), (4, 2**16 + 1, 2), (4, 9_000_000, 2), (1, 9_000_000, 1)],
@@ -434,7 +473,8 @@ class TestSurfaceData:
         pts, vals = surface_data(room_class, room_reference_solution, (5,))
         path = tmp_path / "surface.csv"
         write_surface_csv(path, room_class, pts, vals)
-        header = open(path).readline().strip()
+        with open(path) as fh:
+            header = fh.readline().strip()
         assert header == "x0,B"
 
 
