@@ -200,10 +200,6 @@ class Trajectory:
     def safe(self) -> bool:
         return self.first_unsafe_step is None
 
-    @property
-    def stayed_in_box(self) -> bool:
-        return self.first_exit_step is None
-
 
 def _first_step(flags: np.ndarray) -> Optional[int]:
     return int(np.argmax(flags)) if flags.any() else None

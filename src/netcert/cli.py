@@ -31,19 +31,15 @@ from .pipeline import (
     build_class,
     config_from_dict,
     config_to_dict,
+    diagnose_class,
     load_certificate,
     load_config,
+    portrait_line,
     run_pipeline,
     render_report,
 )
 from .sampling import CoverageError, DataFaultError
-from .verify import (
-    check_level_sets,
-    decrease_heatmap,
-    one_blas_thread,
-    phase_portrait,
-    write_trajectories_csv,
-)
+from .verify import one_blas_thread, phase_portrait, write_trajectories_csv
 
 EXIT_CERTIFIED = 0
 EXIT_NOT_CERTIFIED = 1
@@ -137,31 +133,17 @@ def cmd_verify(args) -> int:
     print(f"stored verdict: {cert.verdict}")
     for ccert in cert.classes:
         cls = classes[ccert.class_id]
-        sol = ccert.solution()
-        counts = (args.grid_per_dim,) * cls.state_dim
-        levels = check_level_sets(cls, sol, counts)
-        print(
-            f"[{ccert.class_id}] initial max {levels.initial_max!r} vs sigma {levels.sigma!r}"
-            f" ({'ok' if levels.initial_ok else 'FAIL'}); unsafe min {levels.unsafe_min!r}"
-            f" vs phi {levels.phi!r} ({'ok' if levels.unsafe_ok else 'FAIL'})"
+        grid = (args.grid_per_dim,)
+        diagnostics = diagnose_class(
+            cls,
+            ccert.solution(),
+            cfg.topology,
+            (grid * cls.state_dim, grid * cls.input_dim),
+            (args.trajectories,) * cls.state_dim,
+            args.steps,
         )
-        ok &= levels.passed
-        if cls.oracle is not None:
-            joint_counts = (args.grid_per_dim,) * cls.joint_box.dim
-            heat = decrease_heatmap(cls, sol, joint_counts)
-            print(
-                f"[{ccert.class_id}] decrease heatmap max {heat.max_value!r} "
-                f"({'<= 0, ok' if heat.passed else '> 0, FAIL'})"
-            )
-            ok &= heat.passed
-            portrait = phase_portrait(
-                cls, cfg.topology, (args.trajectories,) * cls.state_dim, args.steps
-            )
-            print(
-                f"[{ccert.class_id}] portrait: {portrait.unsafe_entries} unsafe entries"
-                f" / {portrait.initial_points.shape[0]} trajectories"
-            )
-            ok &= portrait.unsafe_entries == 0
+        print("\n".join(diagnostics.lines()))
+        ok &= diagnostics.passed
     return EXIT_CERTIFIED if ok else EXIT_NOT_CERTIFIED
 
 
@@ -226,11 +208,7 @@ def cmd_simulate(args) -> int:
         counts = (args.trajectories,) * cls.state_dim
         portrait = phase_portrait(cls, cfg.topology, counts, args.steps)
         unsafe_total += portrait.unsafe_entries
-        print(
-            f"[{cls.id}] {portrait.initial_points.shape[0]} trajectories, "
-            f"{args.steps} steps, topology {cfg.topology.kind}: "
-            f"{portrait.unsafe_entries} unsafe entries"
-        )
+        print(portrait_line(cls.id, cfg.topology.kind, portrait))
         if args.output is not None:
             write_trajectories_csv(args.output, cls, portrait)
             print(f"[{cls.id}] trajectories written to {args.output}")

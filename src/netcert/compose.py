@@ -11,17 +11,11 @@ and is deliberately not offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (
-    DimensionError,
-    InvariantError,
-    StcTemplate,
-    SupplyRate,
-    eval_template,
-)
+from .core import InvariantError, SupplyRate
 from .lipschitz import LipschitzConfig
 from .scp import ScpSolution
 
@@ -100,10 +94,6 @@ class ClassCertificate(ClassMargins):
     l1_fallback: bool = False
     l2_fallback: bool = False
 
-    def template(self) -> StcTemplate:
-        exps = np.array(self.template_exponents, dtype=int)
-        return StcTemplate(state_dim=exps.shape[1], exponents=exps)
-
     def solution(self) -> ScpSolution:
         """The stored scenario optimum, in the form the verifiers take."""
         return ScpSolution(
@@ -128,9 +118,9 @@ class NetworkCertificate:
     (class, condition, amount) and the network-level verdict.
 
     The verdict is certified exactly when every class satisfies its margins
-    with a strictly positive level gap.  Network level values are reported
-    for a finite deployment of ``reference_size`` copies per class; per-class
-    values are what the certification logically rests on.
+    with a strictly positive level gap, for any number of copies of each
+    class.  ``reference_size`` records the run's surrogate size; the
+    verdict does not depend on it.
     """
 
     classes: tuple[ClassCertificate, ...]
@@ -152,44 +142,8 @@ class NetworkCertificate:
     def certified(self) -> bool:
         return self.verdict == VERDICT_CERTIFIED
 
-    def network_levels(self, multiplicities: Optional[dict[str, int]] = None) -> tuple[float, float]:
-        """(sigma, phi) summed over a finite multiset of copies."""
-        sigma = phi = 0.0
-        for c in self.classes:
-            k = self.reference_size if multiplicities is None else multiplicities.get(c.class_id, 0)
-            sigma += k * c.sigma
-            phi += k * c.phi
-        return sigma, phi
-
     def class_by_id(self, class_id: str) -> ClassCertificate:
         for c in self.classes:
             if c.class_id == class_id:
                 return c
         raise KeyError(class_id)
-
-
-def eval_network_certificate(
-    certificate: NetworkCertificate,
-    states: Sequence[np.ndarray],
-    assignment: Optional[Sequence[str]] = None,
-) -> float:
-    """Sum of per-subsystem certificate values over a finite surrogate.
-
-    ``assignment[i]`` names the class of subsystem i; with a single class it
-    may be omitted.  An empty surrogate sums to zero.
-    """
-    states = list(states)
-    if not states:
-        return 0.0
-    if assignment is None:
-        if len(certificate.classes) != 1:
-            raise InvariantError("an explicit class assignment is required with several classes")
-        assignment = [certificate.classes[0].class_id] * len(states)
-    if len(assignment) != len(states):
-        raise DimensionError("one class id per subsystem state is required")
-    total = 0.0
-    for cid in dict.fromkeys(assignment):
-        cert = certificate.class_by_id(cid)
-        points = [np.asarray(x, float).reshape(-1) for x, c in zip(states, assignment) if c == cid]
-        total += float(np.sum(eval_template(cert.template(), cert.coeffs, points)))
-    return total

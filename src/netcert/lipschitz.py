@@ -251,7 +251,9 @@ def estimate_from_pairs(
     recorded points within ``gamma`` of each other contributes a quotient.
 
     Used for classes whose transitions come from a data file, where the
-    decrease map can only be evaluated at the recorded points.
+    decrease map can only be evaluated at the recorded points.  Fewer than
+    ``outer_count`` such pairs of distinct points is a DataFaultError that
+    gives the smallest distance between distinct points.
     """
     pts = np.atleast_2d(np.asarray(joint_points, float))
     vals = np.asarray(values, float).reshape(-1)
@@ -266,10 +268,14 @@ def estimate_from_pairs(
     keep = dist > 0
     distinct = int(np.count_nonzero(keep))
     if distinct < config.outer_count:
-        raise InvariantError(
-            f"only {distinct} pairs of distinct recorded points lie within gamma of each "
-            f"other ({pairs.shape[0] - distinct} coincide), fewer than outer_count = "
-            f"{config.outer_count}; increase gamma"
+        rows = np.unique(pts, axis=0)
+        # inf when every row coincides: a lone point has no neighbour
+        closest = float(cKDTree(rows).query(rows, k=2)[0][:, 1].min())
+        raise DataFaultError(
+            f"only {distinct} pairs of distinct recorded points lie within gamma = "
+            f"{config.gamma!r} of each other ({pairs.shape[0] - distinct} coincide), fewer "
+            f"than outer_count = {config.outer_count}; the closest distinct rows are "
+            f"{closest!r} apart; increase gamma"
         )
     first, second = pairs[keep, 0], pairs[keep, 1]
     slopes = np.abs(vals[first] - vals[second]) / dist[keep]

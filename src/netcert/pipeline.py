@@ -58,6 +58,9 @@ from .scp import (
     solve_scp,
 )
 from .verify import (
+    HeatmapSummary,
+    LevelSetReport,
+    PortraitResult,
     check_level_sets,
     decrease_heatmap,
     phase_portrait,
@@ -371,7 +374,6 @@ class ClassRun:
     """Intermediate artifacts for one class in one refinement round."""
 
     cls: SubsystemClass
-    config: ClassConfig
     samples: SampleSet
     solution: ScpSolution
     certificate: ClassCertificate
@@ -413,7 +415,6 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
         l2 = estimate_from_pairs(samples.joint, gamma_vals, cfg.lipschitz)
     return ClassRun(
         cls=cls,
-        config=cc,
         samples=samples,
         solution=solution,
         certificate=ClassCertificate(
@@ -448,7 +449,6 @@ class PipelineResult:
     certificate: NetworkCertificate
     runs: list[ClassRun]
     certificate_path: str
-    output_dir: str
     refinement_rounds: int
 
 
@@ -488,9 +488,100 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
         certificate=certificate,
         runs=run_list,
         certificate_path=cert_path,
-        output_dir=cfg.output_dir,
         refinement_rounds=rounds,
     )
+
+
+@dataclass
+class ClassDiagnostics:
+    """Dense-grid checks of one class's solution, apart from its margins:
+    the level sets and, for a class with an oracle, the decrease heatmap and
+    a surrogate phase portrait under a ``topology_kind`` topology."""
+
+    class_id: str
+    topology_kind: str
+    levels: LevelSetReport
+    heatmap: Optional[HeatmapSummary] = None
+    portrait: Optional[PortraitResult] = None
+    # the heatmap was too large for its CSV, which was asked for
+    heatmap_csv_skipped: bool = False
+
+    @property
+    def passed(self) -> bool:
+        """Levels pass, heatmap max <= 0, no trajectory enters the unsafe box."""
+        return (
+            self.levels.passed
+            and (self.heatmap is None or self.heatmap.passed)
+            and (self.portrait is None or self.portrait.unsafe_entries == 0)
+        )
+
+    def lines(self) -> list[str]:
+        """The class's diagnostic lines, as ``report.txt`` holds them."""
+        cid, heat, levels = self.class_id, self.heatmap, self.levels
+        lines = []
+        if heat is not None:
+            lines.append(
+                f"[{cid}] decrease heatmap: max {heat.max_value!r} at "
+                f"{heat.argmax.tolist()} over {heat.point_count} points "
+                f"({'<= 0, pass' if heat.passed else '> 0, FAIL'})"
+            )
+            if self.heatmap_csv_skipped:
+                lines.append(
+                    f"[{cid}] decrease heatmap CSV not written: {heat.point_count} points "
+                    f"exceed the cap of {HEATMAP_CSV_POINT_CAP}"
+                )
+        if self.portrait is not None:
+            lines.append(portrait_line(cid, self.topology_kind, self.portrait))
+        lines.append(
+            f"[{cid}] levels: initial max {levels.initial_max!r} vs sigma {levels.sigma!r} "
+            f"({'ok' if levels.initial_ok else 'FAIL'}); unsafe min {levels.unsafe_min!r} "
+            f"vs phi {levels.phi!r} ({'ok' if levels.unsafe_ok else 'FAIL'})"
+        )
+        return lines
+
+
+def portrait_line(class_id: str, topology_kind: str, portrait: PortraitResult) -> str:
+    return (
+        f"[{class_id}] phase portrait ({topology_kind}): {portrait.unsafe_entries} unsafe "
+        f"entries out of {portrait.initial_points.shape[0]} trajectories"
+    )
+
+
+def diagnose_class(
+    cls: SubsystemClass,
+    solution: ScpSolution,
+    topology: Topology,
+    counts: tuple[tuple[int, ...], tuple[int, ...]],
+    portrait_counts: tuple[int, ...],
+    steps: int,
+    out: Optional[str] = None,
+) -> ClassDiagnostics:
+    """Check ``solution`` on grids of (state, input) ``counts`` and, for a
+    class with an oracle, simulate from a ``portrait_counts`` grid of the
+    initial box for ``steps`` steps.  With ``out``, the level, surface,
+    heatmap (up to ``HEATMAP_CSV_POINT_CAP`` points) and trajectory CSVs are
+    written there."""
+    cid = cls.id
+    state_counts, input_counts = counts
+    levels = check_level_sets(cls, solution, state_counts)
+    if out is not None:
+        write_levels_csv(os.path.join(out, f"{cid}_levels.csv"), levels)
+        pts, vals = surface_data(cls, solution, state_counts)
+        write_surface_csv(os.path.join(out, f"{cid}_surface.csv"), cls, pts, vals)
+    if cls.oracle is None:
+        return ClassDiagnostics(cid, topology.kind, levels)
+    joint_counts = state_counts + input_counts
+    csv_path = None
+    if out is not None and int(np.prod(joint_counts)) <= HEATMAP_CSV_POINT_CAP:
+        csv_path = os.path.join(out, f"{cid}_heatmap.csv")
+    heatmap = decrease_heatmap(cls, solution, joint_counts, csv_path=csv_path)
+    portrait = phase_portrait(cls, topology, portrait_counts, steps)
+    if out is not None:
+        write_trajectories_csv(
+            os.path.join(out, f"{cid}_trajectories_{topology.kind}.csv"), cls, portrait
+        )
+    skipped = out is not None and csv_path is None
+    return ClassDiagnostics(cid, topology.kind, levels, heatmap, portrait, skipped)
 
 
 def write_run_outputs(
@@ -504,67 +595,34 @@ def write_run_outputs(
     store_certificate(certificate, cert_path)
     report_lines = [render_report(certificate)]
     for run in runs:
-        cid = run.config.id
+        cid = run.cls.id
         save_samples_csv(os.path.join(out, f"{cid}_samples.csv"), run.samples)
         if cfg.export_lp:
             lp = build_scp(run.cls, run.samples, cfg.scp)
             export_lp_text(lp, os.path.join(out, f"{cid}_program.lp"))
-        state_counts = _verify_counts(run, cfg.verify_multiplier, state_only=True)
-        levels = check_level_sets(run.cls, run.solution, state_counts)
-        write_levels_csv(os.path.join(out, f"{cid}_levels.csv"), levels)
-        pts, vals = surface_data(run.cls, run.solution, state_counts)
-        write_surface_csv(os.path.join(out, f"{cid}_surface.csv"), run.cls, pts, vals)
-        if run.cls.oracle is not None:
-            joint_counts = _verify_counts(run, cfg.verify_multiplier, state_only=False)
-            points = int(np.prod(joint_counts))
-            csv_path = (
-                os.path.join(out, f"{cid}_heatmap.csv")
-                if points <= HEATMAP_CSV_POINT_CAP
-                else None
-            )
-            heat = decrease_heatmap(run.cls, run.solution, joint_counts, csv_path=csv_path)
-            report_lines.append(
-                f"[{cid}] decrease heatmap: max {heat.max_value!r} at "
-                f"{heat.argmax.tolist()} over {heat.point_count} points "
-                f"({'<= 0, pass' if heat.passed else '> 0, FAIL'})"
-            )
-            if csv_path is None:
-                report_lines.append(
-                    f"[{cid}] decrease heatmap CSV not written: {points} points exceed "
-                    f"the cap of {HEATMAP_CSV_POINT_CAP}"
-                )
-            portrait_counts = cfg.portrait_counts or (5,) * run.cls.state_dim
-            portrait = phase_portrait(
-                run.cls, cfg.topology, portrait_counts, cfg.portrait_steps
-            )
-            write_trajectories_csv(
-                os.path.join(out, f"{cid}_trajectories_{cfg.topology.kind}.csv"),
-                run.cls,
-                portrait,
-            )
-            report_lines.append(
-                f"[{cid}] phase portrait ({cfg.topology.kind}): "
-                f"{portrait.unsafe_entries} unsafe entries out of "
-                f"{portrait.initial_points.shape[0]} trajectories"
-            )
-        report_lines.append(
-            f"[{cid}] levels: initial max {levels.initial_max!r} vs sigma {levels.sigma!r} "
-            f"({'ok' if levels.initial_ok else 'FAIL'}); unsafe min {levels.unsafe_min!r} "
-            f"vs phi {levels.phi!r} ({'ok' if levels.unsafe_ok else 'FAIL'})"
+        diagnostics = diagnose_class(
+            run.cls,
+            run.solution,
+            cfg.topology,
+            _verify_counts(run, cfg.verify_multiplier),
+            cfg.portrait_counts or (5,) * run.cls.state_dim,
+            cfg.portrait_steps,
+            out=out,
         )
+        report_lines += diagnostics.lines()
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write("\n".join(report_lines) + "\n")
     return cert_path
 
 
-def _verify_counts(run: ClassRun, mult: int, state_only: bool) -> tuple[int, ...]:
+def _verify_counts(run: ClassRun, mult: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if run.samples.grid_spec is not None:
         cs, ci = run.samples.grid_spec
     else:
         per_dim = max(3, int(round(run.samples.count ** (1.0 / run.cls.joint_box.dim))))
         cs = (per_dim,) * run.cls.state_dim
         ci = (per_dim,) * run.cls.input_dim
-    return tuple(mult * c for c in (cs if state_only else cs + ci))
+    return tuple(mult * c for c in cs), tuple(mult * c for c in ci)
 
 
 def render_report(certificate: NetworkCertificate) -> str:

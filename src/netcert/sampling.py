@@ -26,7 +26,8 @@ _PROBE_BLOCK = 2**16  # probe points per nearest-sample query in dispersion_gene
 
 class DataFaultError(RuntimeError):
     """The data are unusable: an oracle returned a non-finite value for a
-    sampled point, a slope is not finite, or a data CSV is malformed."""
+    sampled point, a slope is not finite, a data CSV is malformed, or too few
+    recorded points lie within gamma of each other for a slope fit."""
 
 
 class CoverageError(ValueError):

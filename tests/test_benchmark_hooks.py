@@ -18,6 +18,11 @@ EXPECTED_SPANS = (
     "pipeline.check_solution",
     "scp.linprog",
     "lipschitz.minimize",  # the tiny config's maxima vary, so both fits run
+    "pipeline.check_level_sets",
+    "pipeline.decrease_heatmap",
+    "pipeline.phase_portrait",
+    "pipeline.surface_data",
+    "pipeline.write_run_outputs",
 )
 
 # Imports netcert.cli, runs `synth` in the same interpreter and prints

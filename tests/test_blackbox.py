@@ -115,7 +115,7 @@ class TestSimulateNetwork:
             topo = Topology(kind=kind, surrogate_size=10)
             traj = simulate_network(room_class, topo, np.full((1, 10, 1), 10.0), 100)[0]
             assert np.allclose(traj.states, 10.0, atol=1e-9)
-            assert traj.safe and traj.stayed_in_box
+            assert traj.safe and traj.first_exit_step is None
 
     def test_zero_steps_returns_initial_only(self, room_class):
         topo = Topology(kind="ring", surrogate_size=10)

@@ -36,6 +36,7 @@ from netcert.pipeline import (
     config_to_dict,
     load_certificate,
     load_config,
+    render_report,
     run_pipeline,
     store_certificate,
 )
@@ -355,6 +356,23 @@ class TestDataFaults:
         assert capsys.readouterr().err.startswith("synthesis failed: non-finite slope between [")
         assert not out.exists()
 
+    def test_too_few_pairs_within_gamma(self, tmp_path, drift_csv, capsys):
+        """No two distinct drift rows lie within gamma = 0.01, so the data
+        give no slope quotient for L2: one line that names the smallest
+        distance between distinct rows, and nothing is written."""
+        out = tmp_path / "out"
+        doc = drift_config_doc(drift_csv, out)
+        doc["lipschitz"]["gamma"] = 0.01
+        assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "synthesis failed: only 0 pairs of distinct recorded points lie within "
+            "gamma = 0.01 of each other"
+        )
+        assert "; the closest distinct rows are 0.19999999999999973 apart; " in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 def exit_code(argv):
     try:
@@ -537,15 +555,45 @@ class TestSynthRoomBenchmark:
         flags = ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
         code = main(["verify", "--certificate", certificate, *flags])
         lines = capsys.readouterr().out.splitlines()
-        heatmap = [line for line in lines if line.startswith("[room] decrease heatmap max ")]
+        heatmap = [line for line in lines if line.startswith("[room] decrease heatmap: max ")]
         portrait = [
-            re.fullmatch(r"\[room\] portrait: (\d+) unsafe entries / 2 trajectories", line)
+            re.fullmatch(
+                r"\[room\] phase portrait \(ring\): (\d+) unsafe entries out of 2 trajectories",
+                line,
+            )
             for line in lines
-            if line.startswith("[room] portrait: ")
+            if line.startswith("[room] phase portrait ")
         ]
         assert len(heatmap) == 1 and len(portrait) == 1 and portrait[0], lines
         failed = any("FAIL" in line for line in lines) or int(portrait[0].group(1)) > 0
         assert code == (1 if failed else 0), lines
+
+    def test_verify_prints_the_report_diagnostics(self, tmp_path, capsys):
+        """On the grids synth used (5 x 5 samples times 4, 2 portrait
+        trajectories of 5 steps), verify prints each class's diagnostic
+        lines exactly as report.txt holds them."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        doc.update(verify_multiplier=4, portrait_counts=[2], portrait_steps=5)
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        capsys.readouterr()
+        certificate = out / "certificate.json"
+        flags = ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
+        code = main(["verify", "--certificate", str(certificate), *flags])
+        stored_verdict, *printed = capsys.readouterr().out.splitlines()
+        summary = render_report(load_certificate(certificate)).splitlines()
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[: len(summary)] == summary
+        diagnostics = report[len(summary) :]
+        assert [line.split(":")[0] for line in diagnostics] == [
+            "[room] decrease heatmap",
+            "[room] phase portrait (ring)",
+            "[room] levels",
+        ]
+        assert stored_verdict == "stored verdict: not-certified"
+        assert printed == diagnostics
+        assert code == (1 if any("FAIL" in line for line in diagnostics) else 0)
 
     @pytest.mark.parametrize("cap", [2_500, 2_499], ids=["at-cap", "over-cap"])
     def test_heatmap_csv_skip_is_reported(self, tmp_path, monkeypatch, cap):

@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from netcert.blackbox import TOPOLOGY_KINDS, Topology
-from netcert.compose import (
-    ClassCertificate,
-    ClassMargins,
-    NetworkCertificate,
-    eval_network_certificate,
-)
-from netcert.core import InvariantError
+from netcert.compose import ClassCertificate, ClassMargins, NetworkCertificate
+from netcert.core import InvariantError, eval_template
 from netcert.lipschitz import LipschitzConfig, estimate_for_class
 from netcert.pipeline import render_report
 from netcert.verify import phase_portrait
 
 from tests.conftest import (
     ROOM_BETA,
-    ROOM_COEFFS,
     ROOM_ETA,
     ROOM_L1,
     ROOM_L2,
@@ -148,12 +142,6 @@ class TestCertifyPolicy:
         for coarse, fine in zip(verdicts, verdicts[1:]):
             assert fine >= coarse  # True never degrades to False
 
-    def test_network_levels_scale_with_copies(self):
-        m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=2.0, phi=3.0)
-        cert = NetworkCertificate((make_class_certificate(m),), reference_size=10)
-        assert cert.network_levels() == (20.0, 30.0)
-        assert cert.network_levels({"c": 3}) == (6.0, 9.0)
-
 
 class TestFailureReport:
     """The report advises more samples only when a smaller dispersion could
@@ -187,40 +175,6 @@ class TestFailureReport:
         advice = self._advice(eta=-1e-3, beta=2e-3, l1=1.0, l2=1.0, theta=0.01)
         assert "theta < 0.001 (now 0.01)" in advice["m1"]
         assert "stays positive however small" in advice["m2"]
-
-
-class TestEvalNetworkCertificate:
-    def _room_certificate(self):
-        m = ClassMargins(
-            eta=ROOM_ETA,
-            beta=ROOM_BETA,
-            l1=ROOM_L1,
-            l2=ROOM_L2,
-            theta=ROOM_THETA,
-            sigma=ROOM_SIGMA,
-            phi=ROOM_PHI,
-        )
-        cert = replace(
-            make_class_certificate(m, "room"),
-            template_exponents=((4,), (2,), (0,)),
-            coeffs=ROOM_COEFFS,
-        )
-        return NetworkCertificate((cert,), 10)
-
-    def test_three_rooms_at_eleven(self):
-        cert = self._room_certificate()
-        total = eval_network_certificate(cert, [np.array([11.0])] * 3)
-        assert total == pytest.approx(3 * 135.6791, abs=1e-9)
-        assert total == pytest.approx(407.0373, abs=1e-9)
-
-    def test_empty_surrogate_is_zero(self):
-        cert = self._room_certificate()
-        assert eval_network_certificate(cert, []) == 0.0
-
-    def test_single_subsystem_equals_template_eval(self):
-        cert = self._room_certificate()
-        total = eval_network_certificate(cert, [np.array([12.0])])
-        assert total == pytest.approx(211.6136, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -258,15 +212,17 @@ class TestCertifiedDriftClass:
     def test_certified_implies_decreasing_and_safe(self, drift_class, drift_certificate):
         """Certified certificates must not increase along any surrogate
         trajectory and no state may enter the unsafe box."""
+        coeffs = np.array(drift_certificate.classes[0].coeffs)
         for kind in TOPOLOGY_KINDS:
             topo = Topology(kind=kind, surrogate_size=10)
             portrait = phase_portrait(drift_class, topo, (5,), 100)
             assert portrait.unsafe_entries == 0
             for traj in portrait.trajectories:
-                values = [
-                    eval_network_certificate(drift_certificate, list(step_states))
-                    for step_states in traj.states
-                ]
+                # sum over the copies of B(x_i) at each step
+                steps, copies, dim = traj.states.shape
+                values = eval_template(
+                    drift_class.template, coeffs, traj.states.reshape(-1, dim)
+                ).reshape(steps, copies).sum(axis=1)
                 diffs = np.diff(values)
                 assert np.all(diffs <= 1e-6)
 
@@ -285,9 +241,3 @@ class TestCertifyValidation:
         cert = NetworkCertificate((make_class_certificate(m, "present"),), 10)
         with pytest.raises(KeyError):
             cert.class_by_id("absent")
-
-    def test_assignment_length_must_match(self):
-        m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
-        cert = NetworkCertificate((make_class_certificate(m, "c"),), 10)
-        with pytest.raises(Exception):
-            eval_network_certificate(cert, [np.array([1.0])], assignment=["c", "c"])

@@ -17,6 +17,7 @@ from netcert.lipschitz import (
     estimate_lipschitz,
     slope_batch,
 )
+from netcert.sampling import DataFaultError
 from netcert.scp import ScpSolution
 from netcert.core import SupplyRate
 
@@ -213,13 +214,13 @@ class TestEstimateFromPairs:
         pts = np.array([[0.0], [1.0], [2.0]])
         vals = np.zeros(3)
         cfg = LipschitzConfig(gamma=0.1, inner_count=5, outer_count=5, seed=0)
-        with pytest.raises(InvariantError):
+        with pytest.raises(DataFaultError, match="the closest distinct rows are 1.0 apart"):
             estimate_from_pairs(pts, vals, cfg)
 
     def test_all_pairs_duplicate_rejected(self):
         pts = np.zeros((12, 1))  # 66 pairs, every one at distance 0
         cfg = LipschitzConfig(gamma=0.1, inner_count=5, outer_count=5, seed=0)
-        with pytest.raises(InvariantError, match="only 0 pairs of distinct"):
+        with pytest.raises(DataFaultError, match="only 0 pairs of distinct"):
             estimate_from_pairs(pts, np.zeros(12), cfg)
 
     def test_duplicates_do_not_count_towards_outer_count(self):
@@ -228,7 +229,8 @@ class TestEstimateFromPairs:
         pts = np.vstack([np.zeros((10, 1)), [[0.05]]])
         vals = 2.0 * pts[:, 0]
         cfg = LipschitzConfig(gamma=0.1, inner_count=5, outer_count=30, seed=0)
-        with pytest.raises(InvariantError, match=r"only 10 pairs .* \(45 coincide\)"):
+        message = r"only 10 pairs .* \(45 coincide\).* the closest distinct rows are 0\.05 apart"
+        with pytest.raises(DataFaultError, match=message):
             estimate_from_pairs(pts, vals, cfg)
 
 
