@@ -9,14 +9,21 @@
 Exit status of ``synth`` is 0 exactly when the verdict is certified.
 Configuration comes only from the file and explicit flags; environment
 variables are never consulted, so runs are reproducible by construction.
-``main`` first runs the bundled BLAS on one thread
-(``verify.one_blas_thread``), the setting the dense heatmap's thread pool
-is sized for.
+The bundled BLAS runs on one thread, the setting the dense heatmap's thread
+pool is sized for.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
+before numpy and scipy load, so their OpenBLAS copies start no worker
+threads; ``main`` still calls ``verify.one_blas_thread`` for a process that
+loaded numpy before this module.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# read by each bundled OpenBLAS as it loads; set over any inherited value, since
+# main forces one thread anyway and a larger count only starts idle workers
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -134,14 +141,18 @@ def cmd_verify(args) -> int:
     for ccert in cert.classes:
         cls = classes[ccert.class_id]
         grid = (args.grid_per_dim,)
-        diagnostics = diagnose_class(
-            cls,
-            ccert.solution(),
-            cfg.topology,
-            (grid * cls.state_dim, grid * cls.input_dim),
-            (args.trajectories,) * cls.state_dim,
-            args.steps,
-        )
+        try:
+            diagnostics = diagnose_class(
+                cls,
+                ccert.solution(),
+                cfg.topology,
+                (grid * cls.state_dim, grid * cls.input_dim),
+                (args.trajectories,) * cls.state_dim,
+                args.steps,
+            )
+        except DataFaultError as exc:
+            print(f"cannot verify: {exc}", file=sys.stderr)
+            return EXIT_COMPUTE_ERROR
         print("\n".join(diagnostics.lines()))
         ok &= diagnostics.passed
     return EXIT_CERTIFIED if ok else EXIT_NOT_CERTIFIED

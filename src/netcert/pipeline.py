@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
@@ -43,6 +44,7 @@ from .lipschitz import (
     estimate_for_class,
 )
 from .sampling import (
+    DataFaultError,
     SampleSet,
     collect_pairs,
     load_samples_csv,
@@ -383,15 +385,25 @@ class PipelineError(RuntimeError):
     """A class failed to produce a usable certificate (with diagnosis)."""
 
 
+@contextmanager
+def _faults_of(class_id: str):
+    """Re-raise a ``DataFaultError`` with the class it arose in."""
+    try:
+        yield
+    except DataFaultError as exc:
+        raise DataFaultError(f"class {class_id!r}: {exc}") from exc
+
+
 def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> ClassRun:
     cls = build_class(cc)
-    if cc.data_csv is not None:
-        samples = load_samples_csv(
-            cc.data_csv, cls.state_dim, cls.input_dim, cls.joint_box
-        )
-    else:
-        counts = counts_override or (cc.counts_state, cc.counts_input)
-        samples = collect_pairs(cls, counts[0], counts[1])
+    with _faults_of(cc.id):
+        if cc.data_csv is not None:
+            samples = load_samples_csv(
+                cc.data_csv, cls.state_dim, cls.input_dim, cls.joint_box
+            )
+        else:
+            counts = counts_override or (cc.counts_state, cc.counts_input)
+            samples = collect_pairs(cls, counts[0], counts[1])
     lp = build_scp(cls, samples, cfg.scp)
     try:
         solution = solve_scp(lp)
@@ -403,16 +415,18 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
             f"class {cc.id!r}: solution residuals exceed tolerance in group "
             f"{residuals.worst_group!r}: {residuals.max_violation}"
         )
-    if cc.data_csv is None:
-        l1, l2 = estimate_for_class(cls, solution, cfg.lipschitz)
-    else:
-        # no oracle: the certificate slope is still sampleable, the decrease
-        # slope comes from quotients between recorded transitions
-        l1 = estimate_lipschitz(certificate_target(cls, solution), cls.state_box, cfg.lipschitz)
-        gamma_vals = eval_template(cls.template, solution.coeffs, samples.fx) - eval_template(
-            cls.template, solution.coeffs, samples.x
-        )
-        l2 = estimate_from_pairs(samples.joint, gamma_vals, cfg.lipschitz)
+    with _faults_of(cc.id):
+        if cc.data_csv is None:
+            l1, l2 = estimate_for_class(cls, solution, cfg.lipschitz)
+        else:
+            # no oracle: the certificate slope is still sampleable, the decrease
+            # slope comes from quotients between recorded transitions
+            target = certificate_target(cls, solution)
+            l1 = estimate_lipschitz(target, cls.state_box, cfg.lipschitz)
+            gamma_vals = eval_template(cls.template, solution.coeffs, samples.fx) - eval_template(
+                cls.template, solution.coeffs, samples.x
+            )
+            l2 = estimate_from_pairs(samples.joint, gamma_vals, cfg.lipschitz)
     return ClassRun(
         cls=cls,
         samples=samples,
@@ -535,7 +549,8 @@ class ClassDiagnostics:
         lines.append(
             f"[{cid}] levels: initial max {levels.initial_max!r} vs sigma {levels.sigma!r} "
             f"({'ok' if levels.initial_ok else 'FAIL'}); unsafe min {levels.unsafe_min!r} "
-            f"vs phi {levels.phi!r} ({'ok' if levels.unsafe_ok else 'FAIL'})"
+            f"vs phi {levels.phi!r} ({'ok' if levels.unsafe_ok else 'FAIL'}); "
+            f"phi - sigma {levels.phi - levels.sigma!r} ({'ok' if levels.gap_ok else 'FAIL'})"
         )
         return lines
 
@@ -574,7 +589,8 @@ def diagnose_class(
     csv_path = None
     if out is not None and int(np.prod(joint_counts)) <= HEATMAP_CSV_POINT_CAP:
         csv_path = os.path.join(out, f"{cid}_heatmap.csv")
-    heatmap = decrease_heatmap(cls, solution, joint_counts, csv_path=csv_path)
+    with _faults_of(cid):
+        heatmap = decrease_heatmap(cls, solution, joint_counts, csv_path=csv_path)
     portrait = phase_portrait(cls, topology, portrait_counts, steps)
     if out is not None:
         write_trajectories_csv(

@@ -71,6 +71,10 @@ def one_blas_thread() -> None:
     dependencies, so no library path is searched.  A copy that is not
     loaded, or that lacks the setter, keeps its threads.  This changes the
     whole process, so it is left to the caller (``cli.main`` calls it).
+    Importing ``netcert.cli`` already loads both copies on one thread; this
+    call covers a process that loaded numpy or scipy first, such as the test
+    suite or ``perfbench/traced.py``, whose copies started their worker
+    threads then.
     """
     for module, setter in BLAS_THREAD_SETTERS.items():
         ext = sys.modules.get(module)

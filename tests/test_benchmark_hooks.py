@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from netcert.pipeline import config_from_dict, run_pipeline
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -25,15 +27,21 @@ EXPECTED_SPANS = (
     "pipeline.write_run_outputs",
 )
 
-# Imports netcert.cli, runs `synth` in the same interpreter and prints
-# whether scipy.stats was loaded after each step.
+# Imports netcert.cli, runs `synth` in the same interpreter and prints,
+# after each step, whether scipy.stats was loaded and how many threads the
+# process has (None without /proc/self/task).
 FOOTPRINT = """
-import json, sys
+import json, os, sys
+
+def footprint():
+    tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None
+    return ['scipy.stats' in sys.modules, tasks]
+
 import netcert.cli
-loaded = ['scipy.stats' in sys.modules]
+steps = [footprint()]
 code = netcert.cli.main(['synth', '--config', sys.argv[1], '--output-dir', sys.argv[2]])
-loaded.append('scipy.stats' in sys.modules)
-print(json.dumps(loaded))
+steps.append(footprint())
+print(json.dumps(steps))
 sys.exit(code)
 """
 
@@ -49,8 +57,15 @@ def tiny_room_config(tmp_path):
     return config
 
 
-def run_python(args):
+def run_python(args, **env_changes):
+    """Run a fresh interpreter on ``args``, with environment variables set
+    from ``env_changes`` (removed where the value is None)."""
     env = dict(os.environ)
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -86,9 +101,31 @@ def test_synth_never_imports_scipy_stats(tmp_path):
     config = tiny_room_config(tmp_path)
     proc = run_python(["-c", FOOTPRINT, str(config), str(tmp_path / "out")])
     assert proc.returncode == 1, proc.stderr
-    after_import, after_synth = json.loads(proc.stdout.splitlines()[-1])
+    (after_import, _), (after_synth, _) = json.loads(proc.stdout.splitlines()[-1])
     assert not after_import, "import netcert.cli loaded scipy.stats"
     assert not after_synth, "netcert synth loaded scipy.stats"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_process_starts_no_blas_thread(tmp_path):
+    """Importing netcert.cli loads numpy's and scipy's OpenBLAS on one
+    thread, so neither starts worker threads that would only wait; the
+    process has one thread after the import and after `synth`, whatever
+    OPENBLAS_NUM_THREADS it inherits, and the certificate keeps its bytes.
+    The variable is removed, not inherited from this process, which has it
+    from its own import of netcert.cli."""
+    config = tiny_room_config(tmp_path)
+    certificates = []
+    for inherited in (None, "4"):
+        out = tmp_path / f"out-{inherited}"
+        proc = run_python(
+            ["-c", FOOTPRINT, str(config), str(out)], OPENBLAS_NUM_THREADS=inherited
+        )
+        assert proc.returncode == 1, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert [tasks for _, tasks in steps] == [1, 1], (inherited, steps)
+        certificates.append((out / "certificate.json").read_bytes())
+    assert certificates[0] == certificates[1]
 
 
 def test_make_expected_matches_the_pipeline(tmp_path, monkeypatch):

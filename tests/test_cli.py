@@ -304,14 +304,18 @@ class TestDataFaults:
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("synthesis failed: oracle returned a non-finite value")
+        assert err.startswith(
+            "synthesis failed: class 'room': oracle returned a non-finite value"
+        )
 
     def test_data_csv_with_wrong_header(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("a,b\n1,2\n")
         doc = drift_config_doc(csv_path, tmp_path / "out")
         assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
-        assert capsys.readouterr().err.startswith("synthesis failed: expected CSV header")
+        assert capsys.readouterr().err.startswith(
+            "synthesis failed: class 'drift': expected CSV header"
+        )
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "abc", None], ids=str)
     def test_malformed_data_csv(self, tmp_path, drift_csv, capsys, cell):
@@ -329,7 +333,9 @@ class TestDataFaults:
         doc = drift_config_doc(drift_csv, out)
         assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"synthesis failed: {drift_csv} line 4: expected 3 finite numbers")
+        assert err.startswith(
+            f"synthesis failed: class 'drift': {drift_csv} line 4: expected 3 finite numbers"
+        )
         assert not out.exists()
 
     def test_non_finite_slope_sample(self, tmp_path, capsys, monkeypatch):
@@ -353,7 +359,9 @@ class TestDataFaults:
         out = tmp_path / "out"
         code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("synthesis failed: non-finite slope between [")
+        assert capsys.readouterr().err.startswith(
+            "synthesis failed: class 'room': non-finite slope between ["
+        )
         assert not out.exists()
 
     def test_too_few_pairs_within_gamma(self, tmp_path, drift_csv, capsys):
@@ -366,12 +374,32 @@ class TestDataFaults:
         assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(
-            "synthesis failed: only 0 pairs of distinct recorded points lie within "
-            "gamma = 0.01 of each other"
+            "synthesis failed: class 'drift': only 0 pairs of distinct recorded points "
+            "lie within gamma = 0.01 of each other"
         )
         assert "; the closest distinct rows are 0.19999999999999973 apart; " in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_verify_names_the_class_of_a_heatmap_fault(self, tmp_path, capsys):
+        """A certificate whose embedded room parameters overflow the oracle
+        on the heatmap grid: verify exits 3 with one line that names the
+        class and the first faulty point, not a traceback."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        cert_doc = read_json(out / "certificate.json")
+        cert_doc["provenance"]["config"]["classes"][0]["benchmark_params"] = {"a": 1e308}
+        certificate = write_config(tmp_path, cert_doc, name="certificate.json")
+        capsys.readouterr()
+        flags = ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
+        code = main(["verify", "--certificate", certificate, *flags])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "cannot verify: class 'room': non-finite oracle output or decrease value "
+            "at x=[10.0], d=[10.0]\n"
+        )
 
 
 def exit_code(argv):
@@ -594,6 +622,34 @@ class TestSynthRoomBenchmark:
         assert stored_verdict == "stored verdict: not-certified"
         assert printed == diagnostics
         assert code == (1 if any("FAIL" in line for line in diagnostics) else 0)
+
+    def test_levels_line_shows_the_gap(self, tmp_path, capsys):
+        """With ``scp.gap`` 0 the solved levels meet (phi = sigma), which
+        verify fails while the level extrema, the heatmap and the portrait
+        all pass: the levels line ends with that gap and its FAIL, in
+        report.txt and in verify's output alike."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        doc["scp"]["gap"] = 0.0
+        doc["verify_multiplier"] = 1
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        capsys.readouterr()
+        certificate = str(out / "certificate.json")
+        flags = ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
+        code = main(["verify", "--certificate", certificate, *flags])
+        _, *printed = capsys.readouterr().out.splitlines()
+        assert code == 1, printed
+        *passing, levels = printed
+        assert passing[0].endswith("(<= 0, pass)"), passing
+        assert " 0 unsafe entries " in passing[1], passing
+        assert re.fullmatch(
+            r"\[room\] levels: initial max (\S+) vs sigma (\S+) \(ok\); "
+            r"unsafe min (\S+) vs phi (\S+) \(ok\); phi - sigma 0\.0 \(FAIL\)",
+            levels,
+        ), levels
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[-1].endswith("; phi - sigma 0.0 (FAIL)")
 
     @pytest.mark.parametrize("cap", [2_500, 2_499], ids=["at-cap", "over-cap"])
     def test_heatmap_csv_skip_is_reported(self, tmp_path, monkeypatch, cap):
