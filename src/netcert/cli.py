@@ -39,6 +39,7 @@ from .pipeline import (
     config_from_dict,
     config_to_dict,
     diagnose_class,
+    faults_of,
     load_certificate,
     load_config,
     portrait_line,
@@ -100,16 +101,7 @@ def _load_config(args):
 
 
 def cmd_synth(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        result = run_pipeline(cfg)
-    except (PipelineError, CoverageError, DataFaultError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
+    result = run_pipeline(_load_config(args))
     print(render_report(result.certificate))
     print(f"certificate: {result.certificate_path}")
     if result.refinement_rounds:
@@ -117,42 +109,54 @@ def cmd_synth(args) -> int:
     return EXIT_CERTIFIED if result.certificate.certified else EXIT_NOT_CERTIFIED
 
 
-def _classes_from_certificate(cert):
-    """Rebuild the class definitions from the config embedded in the
-    certificate's provenance."""
+def _load_checked_certificate(path):
+    """The stored certificate and the configuration and classes rebuilt from
+    the config embedded in its provenance; each class certificate must fit
+    its class's template and dimensions."""
+    cert = load_certificate(path)
     doc = cert.provenance.get("config")
     if doc is None:
         raise CertificateFormatError(
             "certificate carries no embedded configuration; cannot rebuild classes"
         )
     cfg = config_from_dict(doc)
-    return cfg, {cc.id: build_class(cc) for cc in cfg.classes}
+    classes = {cc.id: build_class(cc) for cc in cfg.classes}
+    for ccert in cert.classes:
+        cls = classes.get(ccert.class_id)
+        if cls is None:
+            raise CertificateFormatError(
+                f"class {ccert.class_id!r} is not in the embedded configuration"
+            )
+        if not np.array_equal(ccert.template_exponents, cls.template.exponents):
+            stored = list(map(list, ccert.template_exponents))
+            raise CertificateFormatError(
+                f"class {cls.id!r}: template_exponents {stored} differ from the embedded "
+                f"configuration's {cls.template.exponents.tolist()}"
+            )
+        dims = (ccert.supply.input_dim, ccert.supply.state_dim)
+        if dims != (cls.input_dim, cls.state_dim):
+            raise CertificateFormatError(
+                f"class {cls.id!r}: supply blocks for (input, state) dimensions {dims}, "
+                f"class has {(cls.input_dim, cls.state_dim)}"
+            )
+    return cert, cfg, classes
 
 
 def cmd_verify(args) -> int:
-    try:
-        cert = load_certificate(args.certificate)
-        cfg, classes = _classes_from_certificate(cert)
-    except (CertificateFormatError, ConfigError) as exc:
-        print(f"cannot verify: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cert, cfg, classes = _load_checked_certificate(args.certificate)
     ok = True
     print(f"stored verdict: {cert.verdict}")
     for ccert in cert.classes:
         cls = classes[ccert.class_id]
         grid = (args.grid_per_dim,)
-        try:
-            diagnostics = diagnose_class(
-                cls,
-                ccert.solution(),
-                cfg.topology,
-                (grid * cls.state_dim, grid * cls.input_dim),
-                (args.trajectories,) * cls.state_dim,
-                args.steps,
-            )
-        except DataFaultError as exc:
-            print(f"cannot verify: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE_ERROR
+        diagnostics = diagnose_class(
+            cls,
+            ccert,
+            cfg.topology,
+            (grid * cls.state_dim, grid * cls.input_dim),
+            (args.trajectories,) * cls.state_dim,
+            args.steps,
+        )
         print("\n".join(diagnostics.lines()))
         ok &= diagnostics.passed
     return EXIT_CERTIFIED if ok else EXIT_NOT_CERTIFIED
@@ -168,8 +172,7 @@ def cmd_lipschitz(args) -> int:
     try:
         config = LipschitzConfig(args.gamma, args.inner, args.outer, args.seed)
     except InvariantError as exc:
-        print(f"cannot estimate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(exc) from exc
     if args.demo is not None:
         target, box, exact = DEMO_TARGETS[args.demo]
         est = estimate_lipschitz(target, box, config)
@@ -177,21 +180,16 @@ def cmd_lipschitz(args) -> int:
         print(f"fit: {est.fit}  fallback: {est.fallback_used}")
         return 0
     if args.certificate is None or args.class_id is None:
-        print("need either --demo or both --certificate and --class-id", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        cert = load_certificate(args.certificate)
-        _, classes = _classes_from_certificate(cert)
-        ccert = cert.class_by_id(args.class_id)
-    except (CertificateFormatError, ConfigError, KeyError) as exc:
-        print(f"cannot estimate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    cls = classes[args.class_id]
+        raise ConfigError("need either --demo or both --certificate and --class-id")
+    cert, _, classes = _load_checked_certificate(args.certificate)
+    ccert = next((c for c in cert.classes if c.class_id == args.class_id), None)
+    if ccert is None:
+        raise ConfigError(f"no class {args.class_id!r} in the certificate")
+    cls = classes[ccert.class_id]
     if cls.oracle is None:
-        print("class has no oracle; cannot rebuild the decrease map", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    sol = ccert.solution()
-    l1, l2 = estimate_for_class(cls, sol, config)
+        raise ConfigError("class has no oracle; cannot rebuild the decrease map")
+    with faults_of(cls.id):
+        l1, l2 = estimate_for_class(cls, ccert, config)
     print(f"L1 = {l1.value!r} (fallback: {l1.fallback_used})")
     print(f"L2 = {l2.value!r} (fallback: {l2.fallback_used})")
     print(f"stored values were L1 = {ccert.l1!r}, L2 = {ccert.l2!r}")
@@ -199,25 +197,22 @@ def cmd_lipschitz(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load_config(args)
-        classes = [build_class(cc) for cc in cfg.classes]
-        simulated = [cls.id for cls in classes if cls.oracle is not None]
-        if args.output is not None and len(simulated) > 1:
-            raise ConfigError(
-                f"--output names one file, but classes {', '.join(map(repr, simulated))} "
-                "would each write it"
-            )
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = _load_config(args)
+    classes = [build_class(cc) for cc in cfg.classes]
+    simulated = [cls.id for cls in classes if cls.oracle is not None]
+    if args.output is not None and len(simulated) > 1:
+        raise ConfigError(
+            f"--output names one file, but classes {', '.join(map(repr, simulated))} "
+            "would each write it"
+        )
     unsafe_total = 0
     for cls in classes:
         if cls.oracle is None:
             print(f"[{cls.id}] data-backed class; nothing to simulate")
             continue
         counts = (args.trajectories,) * cls.state_dim
-        portrait = phase_portrait(cls, cfg.topology, counts, args.steps)
+        with faults_of(cls.id):
+            portrait = phase_portrait(cls, cfg.topology, counts, args.steps)
         unsafe_total += portrait.unsafe_entries
         print(portrait_line(cls.id, cfg.topology.kind, portrait))
         if args.output is not None:
@@ -230,8 +225,7 @@ def cmd_margins(args) -> int:
     try:
         m = ClassMargins(args.eta, args.beta, args.l1, args.l2, args.theta, args.sigma, args.phi)
     except InvariantError as exc:
-        print(f"cannot compute margins: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(exc) from exc
     print(f"m1 = {m.m1:.4f}")
     print(f"m2 = {m.m2:.4f}")
     print(f"m1_exact = {m.m1!r}")
@@ -255,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="run the full synthesis pipeline")
     synth.add_argument("--config", required=True)
     _add_config_flags(synth, *CONFIG_FLAGS)
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, faults=("configuration error", "synthesis failed"))
 
     verify = sub.add_parser("verify", help="re-check a stored certificate")
     verify.add_argument("--certificate", required=True)
     verify.add_argument("--grid-per-dim", type=_at_least(2), default=50)
     verify.add_argument("--trajectories", type=_at_least(1), default=5)
     verify.add_argument("--steps", type=_at_least(0), default=100)
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, faults=("cannot verify",) * 2)
 
     lipschitz = sub.add_parser("lipschitz", help="standalone slope estimation")
     lipschitz.add_argument("--certificate", default=None)
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     lipschitz.add_argument("--inner", type=int, default=200)
     lipschitz.add_argument("--outer", type=int, default=50)
     lipschitz.add_argument("--seed", type=int, default=0)
-    lipschitz.set_defaults(func=cmd_lipschitz)
+    lipschitz.set_defaults(func=cmd_lipschitz, faults=("cannot estimate",) * 2)
 
     simulate = sub.add_parser("simulate", help="surrogate phase portraits")
     simulate.add_argument("--config", required=True)
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trajectories", type=_at_least(1), default=5)
     simulate.add_argument("--steps", type=_at_least(0), default=100)
     simulate.add_argument("--output", default=None)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, faults=("configuration error", "simulation failed"))
 
     margins = sub.add_parser("margins", help="margin arithmetic on supplied numbers")
     margins.add_argument("--eta", type=float, required=True)
@@ -290,15 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
     margins.add_argument("--theta", type=float, required=True)
     margins.add_argument("--sigma", type=float, default=0.0)
     margins.add_argument("--phi", type=float, default=0.0)
-    margins.set_defaults(func=cmd_margins)
+    margins.set_defaults(func=cmd_margins, faults=("cannot compute margins", None))
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run a command.  A configuration or certificate it cannot use exits 2,
+    a computation at fault 3, each with one line on stderr that starts with
+    the command's ``faults`` prefix for that case."""
     one_blas_thread()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    config_fault, compute_fault = args.faults
+    try:
+        return args.func(args)
+    except (ConfigError, CertificateFormatError) as exc:
+        print(f"{config_fault}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except (PipelineError, CoverageError, DataFaultError) as exc:
+        print(f"{compute_fault}: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE_ERROR
 
 
 if __name__ == "__main__":

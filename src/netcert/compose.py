@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import InvariantError, SupplyRate
+from .core import InvariantError
 from .lipschitz import LipschitzConfig
 from .scp import ScpSolution
 
@@ -78,34 +78,26 @@ class ClassMargins:
 
 
 @dataclass(frozen=True)
-class ClassCertificate(ClassMargins):
-    """Everything recorded per class: the margins and their inputs, the
-    certificate itself, and the data provenance needed to audit them."""
+class ClassCertificate(ClassMargins, ScpSolution):
+    """Everything recorded per class: the scenario optimum, its margins and
+    their inputs, and the data provenance needed to audit them."""
 
     class_id: str
     template_exponents: tuple[tuple[int, ...], ...]
-    coeffs: tuple[float, ...]
-    supply_s11: tuple[tuple[float, ...], ...]
-    supply_s12: tuple[tuple[float, ...], ...]
-    supply_s22: tuple[tuple[float, ...], ...]
     sample_count: int
     grid_spec: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     lipschitz_config: Optional[LipschitzConfig] = None
     l1_fallback: bool = False
     l2_fallback: bool = False
 
-    def solution(self) -> ScpSolution:
-        """The stored scenario optimum, in the form the verifiers take."""
-        return ScpSolution(
-            coeffs=self.coeffs,
-            sigma=self.sigma,
-            phi=self.phi,
-            supply=SupplyRate(
-                np.array(self.supply_s11), np.array(self.supply_s12), np.array(self.supply_s22)
-            ),
-            eta=self.eta,
-            beta=self.beta,
-        )
+    def __post_init__(self):
+        ScpSolution.__post_init__(self)
+        ClassMargins.__post_init__(self)
+        if len(self.coeffs) != len(self.template_exponents):
+            raise InvariantError(
+                f"{len(self.coeffs)} coefficients for {len(self.template_exponents)} "
+                "template terms"
+            )
 
 
 VERDICT_CERTIFIED = "certified"

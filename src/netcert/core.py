@@ -68,10 +68,6 @@ class IntervalBox:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
         """Boolean membership per row of ``points`` (shape (N, dim) or (dim,))."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

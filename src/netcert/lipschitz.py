@@ -23,7 +23,7 @@ from .core import (
     SubsystemClass,
     eval_template,
 )
-from .sampling import DataFaultError
+from .sampling import DataFaultError, SampleSet
 from .scp import ScpSolution
 
 # target(points) -> values for a batch of points, one row per point
@@ -95,10 +95,11 @@ def slope_batch(
     if np.all(box.widths == 0):
         raise InvariantError("slope sampling needs a box with positive volume")
     base, partners = _draw_pairs(box, config.inner_count, config.gamma, rng)
-    fb = np.asarray(target(base), float).reshape(-1)
-    fp = np.asarray(target(partners), float).reshape(-1)
-    dist = np.linalg.norm(base - partners, axis=1)
-    return _finite_slopes(np.abs(fb - fp) / dist, base, partners)
+    with np.errstate(all="ignore"):  # a non-finite slope is reported below
+        fb = np.asarray(target(base), float).reshape(-1)
+        fp = np.asarray(target(partners), float).reshape(-1)
+        slopes = np.abs(fb - fp) / np.linalg.norm(base - partners, axis=1)
+    return _finite_slopes(slopes, base, partners)
 
 
 def _finite_slopes(slopes: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -233,13 +234,19 @@ def decrease_target(cls: SubsystemClass, solution: ScpSolution) -> BatchTarget:
 
 
 def estimate_for_class(
-    cls: SubsystemClass, solution: ScpSolution, config: LipschitzConfig
+    cls: SubsystemClass,
+    solution: ScpSolution,
+    config: LipschitzConfig,
+    samples: Optional[SampleSet] = None,
 ) -> tuple[LipschitzEstimate, LipschitzEstimate]:
     """(L1, L2): slopes of the certificate over X and of the one-step
-    decrease map over X x D."""
-    l1 = estimate_lipschitz(certificate_target(cls, solution), cls.state_box, config)
-    l2 = estimate_lipschitz(decrease_target(cls, solution), cls.joint_box, config)
-    return l1, l2
+    decrease map over X x D.  A class without an oracle takes L2 from the
+    quotients between its recorded transitions ``samples``."""
+    b = certificate_target(cls, solution)
+    l1 = estimate_lipschitz(b, cls.state_box, config)
+    if cls.oracle is None and samples is not None:
+        return l1, estimate_from_pairs(samples.joint, b(samples.fx) - b(samples.x), config)
+    return l1, estimate_lipschitz(decrease_target(cls, solution), cls.joint_box, config)
 
 
 def estimate_from_pairs(

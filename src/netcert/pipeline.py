@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import os
+import tempfile
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -34,15 +35,8 @@ from .core import (
     SafetySpec,
     StcTemplate,
     SubsystemClass,
-    eval_template,
 )
-from .lipschitz import (
-    LipschitzConfig,
-    certificate_target,
-    estimate_from_pairs,
-    estimate_lipschitz,
-    estimate_for_class,
-)
+from .lipschitz import LipschitzConfig, estimate_for_class
 from .sampling import (
     DataFaultError,
     SampleSet,
@@ -263,7 +257,7 @@ def _read(kind, doc, path: str, base=None):
     }
     try:
         record = kind(**values) if base is None else replace(base, **values)
-    except InvariantError as exc:
+    except ValueError as exc:  # InvariantError, DimensionError or a ragged array
         raise ConfigError(f"{path or 'document'}: {exc}") from exc
     for name in derived:
         recomputed = _plain(getattr(record, name))
@@ -377,8 +371,7 @@ class ClassRun:
 
     cls: SubsystemClass
     samples: SampleSet
-    solution: ScpSolution
-    certificate: ClassCertificate
+    solution: ClassCertificate
 
 
 class PipelineError(RuntimeError):
@@ -386,7 +379,7 @@ class PipelineError(RuntimeError):
 
 
 @contextmanager
-def _faults_of(class_id: str):
+def faults_of(class_id: str):
     """Re-raise a ``DataFaultError`` with the class it arose in."""
     try:
         yield
@@ -396,7 +389,7 @@ def _faults_of(class_id: str):
 
 def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> ClassRun:
     cls = build_class(cc)
-    with _faults_of(cc.id):
+    with faults_of(cc.id):
         if cc.data_csv is not None:
             samples = load_samples_csv(
                 cc.data_csv, cls.state_dim, cls.input_dim, cls.joint_box
@@ -415,33 +408,15 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
             f"class {cc.id!r}: solution residuals exceed tolerance in group "
             f"{residuals.worst_group!r}: {residuals.max_violation}"
         )
-    with _faults_of(cc.id):
-        if cc.data_csv is None:
-            l1, l2 = estimate_for_class(cls, solution, cfg.lipschitz)
-        else:
-            # no oracle: the certificate slope is still sampleable, the decrease
-            # slope comes from quotients between recorded transitions
-            target = certificate_target(cls, solution)
-            l1 = estimate_lipschitz(target, cls.state_box, cfg.lipschitz)
-            gamma_vals = eval_template(cls.template, solution.coeffs, samples.fx) - eval_template(
-                cls.template, solution.coeffs, samples.x
-            )
-            l2 = estimate_from_pairs(samples.joint, gamma_vals, cfg.lipschitz)
+    with faults_of(cc.id):
+        l1, l2 = estimate_for_class(cls, solution, cfg.lipschitz, samples)
     return ClassRun(
         cls=cls,
         samples=samples,
-        solution=solution,
-        certificate=ClassCertificate(
+        solution=ClassCertificate(
+            **{f.name: getattr(solution, f.name) for f in fields(ScpSolution)},
             class_id=cc.id,
-            template_exponents=_rows(cls.template.exponents),
-            coeffs=tuple(solution.coeffs.tolist()),
-            sigma=solution.sigma,
-            phi=solution.phi,
-            supply_s11=_rows(solution.supply.s11),
-            supply_s12=_rows(solution.supply.s12),
-            supply_s22=_rows(solution.supply.s22),
-            eta=solution.eta,
-            beta=solution.beta,
+            template_exponents=tuple(map(tuple, cls.template.exponents.tolist())),
             l1=l1.value,
             l2=l2.value,
             theta=samples.dispersion,
@@ -452,10 +427,6 @@ def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> Cl
             l2_fallback=l2.fallback_used,
         ),
     )
-
-
-def _rows(matrix: np.ndarray) -> tuple[tuple, ...]:
-    return tuple(map(tuple, matrix.tolist()))
 
 
 @dataclass
@@ -472,7 +443,7 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     runs = {cc.id: _run_class(cc, cfg) for cc in cfg.classes}
     rounds = 0
     while cfg.refine.enabled and rounds < cfg.refine.max_retries:
-        failing = [cc for cc in cfg.classes if not runs[cc.id].certificate.satisfied]
+        failing = [cc for cc in cfg.classes if not runs[cc.id].solution.satisfied]
         refinable = [cc for cc in failing if cc.data_csv is None]
         if not failing or not refinable:
             break
@@ -485,7 +456,7 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     # path out keeps runs into different directories byte-identical
     embedded_config.pop("output_dir", None)
     certificate = NetworkCertificate(
-        tuple(runs[cc.id].certificate for cc in cfg.classes),
+        tuple(runs[cc.id].solution for cc in cfg.classes),
         reference_size=cfg.topology.surrogate_size,
         provenance={
             "tool_version": __version__,
@@ -589,9 +560,9 @@ def diagnose_class(
     csv_path = None
     if out is not None and int(np.prod(joint_counts)) <= HEATMAP_CSV_POINT_CAP:
         csv_path = os.path.join(out, f"{cid}_heatmap.csv")
-    with _faults_of(cid):
+    with faults_of(cid):
         heatmap = decrease_heatmap(cls, solution, joint_counts, csv_path=csv_path)
-    portrait = phase_portrait(cls, topology, portrait_counts, steps)
+        portrait = phase_portrait(cls, topology, portrait_counts, steps)
     if out is not None:
         write_trajectories_csv(
             os.path.join(out, f"{cid}_trajectories_{topology.kind}.csv"), cls, portrait
@@ -604,31 +575,37 @@ def write_run_outputs(
     cfg: PipelineConfig, certificate: NetworkCertificate, runs: list[ClassRun]
 ) -> str:
     """Persist the certificate, the sample sets, and the verification CSVs.
-    Returns the certificate path."""
+    Returns the certificate path.  The files are written into a staging directory
+    beside ``output_dir`` and moved in once every class's diagnostics have
+    returned, so a failed run leaves the output directory as it was."""
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    cert_path = os.path.join(out, "certificate.json")
-    store_certificate(certificate, cert_path)
-    report_lines = [render_report(certificate)]
-    for run in runs:
-        cid = run.cls.id
-        save_samples_csv(os.path.join(out, f"{cid}_samples.csv"), run.samples)
-        if cfg.export_lp:
-            lp = build_scp(run.cls, run.samples, cfg.scp)
-            export_lp_text(lp, os.path.join(out, f"{cid}_program.lp"))
-        diagnostics = diagnose_class(
-            run.cls,
-            run.solution,
-            cfg.topology,
-            _verify_counts(run, cfg.verify_multiplier),
-            cfg.portrait_counts or (5,) * run.cls.state_dim,
-            cfg.portrait_steps,
-            out=out,
-        )
-        report_lines += diagnostics.lines()
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write("\n".join(report_lines) + "\n")
-    return cert_path
+    parent = os.path.dirname(os.path.abspath(out))
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".netcert-stage-", dir=parent) as stage:
+        store_certificate(certificate, os.path.join(stage, "certificate.json"))
+        report_lines = [render_report(certificate)]
+        for run in runs:
+            cid = run.cls.id
+            save_samples_csv(os.path.join(stage, f"{cid}_samples.csv"), run.samples)
+            if cfg.export_lp:
+                lp = build_scp(run.cls, run.samples, cfg.scp)
+                export_lp_text(lp, os.path.join(stage, f"{cid}_program.lp"))
+            diagnostics = diagnose_class(
+                run.cls,
+                run.solution,
+                cfg.topology,
+                _verify_counts(run, cfg.verify_multiplier),
+                cfg.portrait_counts or (5,) * run.cls.state_dim,
+                cfg.portrait_steps,
+                out=stage,
+            )
+            report_lines += diagnostics.lines()
+        with open(os.path.join(stage, "report.txt"), "w") as fh:
+            fh.write("\n".join(report_lines) + "\n")
+        os.makedirs(out, exist_ok=True)
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    return os.path.join(out, "certificate.json")
 
 
 def _verify_counts(run: ClassRun, mult: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -160,7 +160,8 @@ def collect_pairs(
     # state-major pairing: all input points for the first state point first
     x_rep = np.repeat(xs, ds.shape[0], axis=0)
     d_rep = np.tile(ds, (xs.shape[0], 1))
-    fx = cls.oracle.batch(x_rep, d_rep)
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        fx = cls.oracle.batch(x_rep, d_rep)
     bad = ~np.all(np.isfinite(fx), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))

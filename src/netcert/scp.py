@@ -9,6 +9,7 @@ strictly negative objective direction could be scaled without limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,26 +59,34 @@ class ScpOptions:
 
 @dataclass(frozen=True)
 class ScpSolution:
-    """Optimizer of the scenario program for one class; ``coeffs`` is a
-    read-only 1-d array, one entry per template term."""
+    """Optimizer of the scenario program for one class, held as plain tuples
+    so that it hashes and compares: ``coeffs`` has one float per template
+    term, and the supply blocks one tuple per matrix row."""
 
-    coeffs: np.ndarray
+    coeffs: tuple[float, ...]
     sigma: float
     phi: float
-    supply: SupplyRate
+    supply_s11: tuple[tuple[float, ...], ...]
+    supply_s12: tuple[tuple[float, ...], ...]
+    supply_s22: tuple[tuple[float, ...], ...]
     eta: float
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", frozen_array(self.coeffs, ndim=1))
+        object.__setattr__(self, "coeffs", tuple(frozen_array(self.coeffs, ndim=1).tolist()))
+        self.supply  # the blocks must form a SupplyRate
+
+    @cached_property
+    def supply(self) -> SupplyRate:
+        return SupplyRate(self.supply_s11, self.supply_s12, self.supply_s22)
 
 
 @dataclass(frozen=True)
 class VariableLayout:
     """Column indices of the decision vector.
 
-    Order: certificate coefficients, sigma, phi, upper triangles of s11 and
-    s22, full s12 (row-major), eta, beta.
+    Order: certificate coefficients, sigma, phi, the stored supply entries
+    (``supply_entries``), eta, beta.
     """
 
     term_count: int
@@ -127,21 +136,25 @@ class VariableLayout:
     def _tri(n: int) -> int:
         return n * (n + 1) // 2
 
-    @staticmethod
-    def _tri_pairs(n: int) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(n) for j in range(i, n)]
+    @property
+    def supply_entries(self) -> list[tuple[str, int, int]]:
+        """(block, row, column) of each stored supply entry, in column order:
+        the upper triangle of s11, s12 row by row, the upper triangle of s22."""
+        p, n = self.input_dim, self.state_dim
+        return (
+            [("s11", i, j) for i in range(p) for j in range(i, p)]
+            + [("s12", i, j) for i in range(p) for j in range(n)]
+            + [("s22", i, j) for i in range(n) for j in range(i, n)]
+        )
 
     def supply_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Coefficients of the supply value d'S11 d + 2 d'S12 x + x'S22 x as a
         linear function of the stored block entries, one (size,) row per
         matching row of ``d`` and ``x``."""
         p = self.input_dim
-        # operand pairs of z = [d, x] per stored entry, in column order
-        pairs = (
-            self._tri_pairs(p)
-            + [(i, p + j) for i in range(p) for j in range(self.state_dim)]
-            + [(p + i, p + j) for i, j in self._tri_pairs(self.state_dim)]
-        )
+        # operand pair of z = [d, x] per stored entry
+        offsets = {"s11": (0, 0), "s12": (0, p), "s22": (p, p)}
+        pairs = [(offsets[b][0] + i, offsets[b][1] + j) for b, i, j in self.supply_entries]
         left, right = np.array(pairs).T
         z = np.hstack([d, x])
         rows = np.zeros((z.shape[0], self.size))
@@ -152,17 +165,16 @@ class VariableLayout:
 
     def unpack(self, v: np.ndarray) -> ScpSolution:
         p, n = self.input_dim, self.state_dim
-        s11 = np.zeros((p, p))
-        for (i, j), val in zip(self._tri_pairs(p), v[self.s11]):
-            s11[i, j] = s11[j, i] = val
-        s22 = np.zeros((n, n))
-        for (i, j), val in zip(self._tri_pairs(n), v[self.s22]):
-            s22[i, j] = s22[j, i] = val
+        blocks = {"s11": np.zeros((p, p)), "s12": np.zeros((p, n)), "s22": np.zeros((n, n))}
+        for (b, i, j), val in zip(self.supply_entries, v[self.s11.start : self.s22.stop]):
+            blocks[b][i, j] = val
+            if b != "s12":  # s11 and s22 are symmetric
+                blocks[b][j, i] = val
         return ScpSolution(
             coeffs=v[self.theta],
             sigma=float(v[self.sigma]),
             phi=float(v[self.phi]),
-            supply=SupplyRate(s11, v[self.s12].reshape(p, n), s22),
+            **{f"supply_{b}": tuple(map(tuple, m.tolist())) for b, m in blocks.items()},
             eta=float(v[self.eta]),
             beta=float(v[self.beta]),
         )
@@ -277,12 +289,7 @@ def build_scp(
     c[layout.beta] = 1.0
 
     names = [f"theta{j}" for j in range(layout.term_count)] + ["sigma", "phi"]
-    names += [f"s11_{i}{j}" for i, j in layout._tri_pairs(layout.input_dim)]
-    names += [
-        f"s12_{i}{j}" for i in range(layout.input_dim) for j in range(layout.state_dim)
-    ]
-    names += [f"s22_{i}{j}" for i, j in layout._tri_pairs(layout.state_dim)]
-    names += ["eta", "beta"]
+    names += [f"{b}_{i}{j}" for b, i, j in layout.supply_entries] + ["eta", "beta"]
     return LinearProgram(
         c=c,
         a_ub=a_ub,

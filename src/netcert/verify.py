@@ -254,16 +254,18 @@ def decrease_heatmap(
         if tail:
             xi = np.arange(stop - min(m, 4 + tail), stop) // n_d
             bx[-tail:] = (basis_x[xi] @ coeffs)[-tail:]
-        supply = supply_sum(
-            quad_d_grid[offset : offset + m],
-            rowwise_bilinear(d, rate.s12, x),
-            quad_x[states].repeat(runs),
-        )
-        fx = cls.oracle.batch(x, d)
         basis, vals = slots[block % workers]
-        vals = eval_template(cls.template, coeffs, fx, out=vals[:m], basis_out=basis)
-        vals -= bx
-        vals -= supply
+        # a non-finite value is reported below; errstate is per thread
+        with np.errstate(all="ignore"):
+            supply = supply_sum(
+                quad_d_grid[offset : offset + m],
+                rowwise_bilinear(d, rate.s12, x),
+                quad_x[states].repeat(runs),
+            )
+            fx = cls.oracle.batch(x, d)
+            vals = eval_template(cls.template, coeffs, fx, out=vals[:m], basis_out=basis)
+            vals -= bx
+            vals -= supply
         if np.isfinite(vals).all() and np.isfinite(fx).all():
             return x, d, vals, None
         return x, d, vals, int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
@@ -332,10 +334,21 @@ def phase_portrait(
     steps: int,
 ) -> PortraitResult:
     """Simulate from every grid point of the initial box, all trajectories
-    stepped together, and flag those that ever touch the unsafe box."""
+    stepped together, and flag those that ever touch the unsafe box.  A
+    non-finite state, which lies in no box, raises ``DataFaultError`` naming
+    the earliest one (by step, then trajectory, then subsystem)."""
     points = grid_samples(cls.safety.initial, initial_counts)
     starts = np.repeat(points[:, None, :], topology.surrogate_size, axis=1)
-    trajectories = simulate_network(cls, topology, starts, steps)
+    with np.errstate(all="ignore"):  # a non-finite state is reported below
+        trajectories = simulate_network(cls, topology, starts, steps)
+    # (step, trajectory, subsystem), so the first flag is the earliest
+    bad = np.stack([~np.isfinite(traj.states).all(axis=-1) for traj in trajectories], axis=1)
+    if bad.any():
+        step, k, node = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DataFaultError(
+            f"non-finite state {trajectories[k].states[step, node].tolist()} at step {step} "
+            f"of subsystem {node} in the trajectory from {points[k].tolist()}"
+        )
     flags = np.array([not traj.safe for traj in trajectories], dtype=bool)
     return PortraitResult(initial_points=points, trajectories=trajectories, unsafe_flags=flags)
 

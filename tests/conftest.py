@@ -25,7 +25,6 @@ from netcert.core import (
     SafetySpec,
     StcTemplate,
     SubsystemClass,
-    SupplyRate,
 )
 from netcert.sampling import collect_pairs
 from netcert.scp import ScpOptions, ScpSolution, build_scp, solve_scp
@@ -95,11 +94,9 @@ def room_reference_solution():
         coeffs=np.array(ROOM_COEFFS),
         sigma=ROOM_SIGMA,
         phi=ROOM_PHI,
-        supply=SupplyRate(
-            np.array([[ROOM_SUPPLY[0]]]),
-            np.array([[ROOM_SUPPLY[1]]]),
-            np.array([[ROOM_SUPPLY[2]]]),
-        ),
+        supply_s11=((ROOM_SUPPLY[0],),),
+        supply_s12=((ROOM_SUPPLY[1],),),
+        supply_s22=((ROOM_SUPPLY[2],),),
         eta=ROOM_ETA,
         beta=ROOM_BETA,
     )

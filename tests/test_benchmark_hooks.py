@@ -130,21 +130,24 @@ def test_cli_process_starts_no_blas_thread(tmp_path):
 
 def test_make_expected_matches_the_pipeline(tmp_path, monkeypatch):
     """perfbench/make_expected.py re-estimates the slopes from each run's class
-    and solution; at seed 0 they are the L1 and L2 that ``run_pipeline``
+    and solution (``ClassRun.cls`` and ``ClassRun.solution``); at seed 0 and
+    at the config's seed 7 they are the L1 and L2 that ``run_pipeline``
     writes into the certificate."""
     path = os.path.join(REPO_ROOT, "perfbench", "make_expected.py")
     spec = importlib.util.spec_from_file_location("make_expected", path)
     make_expected = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_expected)
-    monkeypatch.setattr(make_expected, "TABLE_SEEDS", 2)
+    monkeypatch.setattr(make_expected, "TABLE_SEEDS", 8)
     monkeypatch.setattr(make_expected, "EXTRA_SEEDS", 1)
     doc = json.loads(tiny_room_config(tmp_path).read_text())
+    assert doc["lipschitz"]["seed"] == 7
     table = make_expected.expected_for(doc)
     expected = table["classes"]["room"]
-    assert len(expected["l1_by_seed"]) == len(expected["l2_by_seed"]) == 2
-    doc["lipschitz"]["seed"] = 0
-    cert = run_pipeline(config_from_dict(doc), write_outputs=False).certificate
-    room = cert.class_by_id("room")
-    assert expected["l1_by_seed"][0] == room.l1
-    assert expected["l2_by_seed"][0] == room.l2
-    assert table["failing"] == sorted([f.class_id, f.condition] for f in cert.failures)
+    assert len(expected["l1_by_seed"]) == len(expected["l2_by_seed"]) == 8
+    for seed in (0, 7):
+        doc["lipschitz"]["seed"] = seed
+        cert = run_pipeline(config_from_dict(doc), write_outputs=False).certificate
+        room = cert.class_by_id("room")
+        assert expected["l1_by_seed"][seed] == room.l1
+        assert expected["l2_by_seed"][seed] == room.l2
+        assert table["failing"] == sorted([f.class_id, f.condition] for f in cert.failures)

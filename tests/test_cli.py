@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import typing
 from dataclasses import replace
@@ -401,6 +402,178 @@ class TestDataFaults:
             "at x=[10.0], d=[10.0]\n"
         )
 
+    def test_heatmap_fault_leaves_the_output_directory_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A room oracle that is NaN only at the heatmap grid's second state
+        value passes sampling, the program and the slope fits; the heatmap
+        then ends the run, and the output directory of an earlier run keeps
+        exactly what it held, with no staging directory left beside it."""
+        hole = np.linspace(10.0, 13.0, 50)[1]
+
+        def room_with_point_hole(**params):
+            cls = build_room_class(**params)
+            step = cls.oracle.step_batch
+            oracle = TransitionOracle(lambda x, d: np.where(x == hole, np.nan, step(x, d)))
+            return replace(cls, oracle=oracle)
+
+        monkeypatch.setattr(netcert.pipeline, "BENCHMARKS", {"room": room_with_point_hole})
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        assert doc["verify_multiplier"] == 10
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sentinel.txt").write_text("earlier run\n")
+        code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "synthesis failed: class 'room': non-finite oracle output or decrease value "
+            "at x=[10.061224489795919], d=[10.0]\n"
+        )
+        assert os.listdir(out) == ["sentinel.txt"]
+        assert (out / "sentinel.txt").read_text() == "earlier run\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
+    def test_verify_names_the_class_of_a_portrait_fault(self, tmp_path, capsys, monkeypatch):
+        """A room oracle that is NaN only for 10.95 < x < 10.97 misses the
+        20-point heatmap grid, but the trajectory from x = 11 steps to 10.96
+        and then to NaN: verify exits 3 naming the class and that state
+        instead of passing a portrait no state of which is unsafe."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        capsys.readouterr()
+
+        def room_with_hole(**params):
+            cls = build_room_class(**params)
+            step = cls.oracle.step_batch
+            oracle = TransitionOracle(
+                lambda x, d: np.where((10.95 < x) & (x < 10.97), np.nan, step(x, d))
+            )
+            return replace(cls, oracle=oracle)
+
+        monkeypatch.setattr(netcert.pipeline, "BENCHMARKS", {"room": room_with_hole})
+        flags = ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
+        code = main(["verify", "--certificate", str(out / "certificate.json"), *flags])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "cannot verify: class 'room': non-finite state [nan] at step 2 of subsystem 0 "
+            "in the trajectory from [11.0]\n"
+        )
+
+    def test_simulate_exits_3_on_a_non_finite_portrait(self, tmp_path, capsys):
+        """Every state of an overflowing room oracle is inf or NaN, so none
+        lies in the unsafe box: one line naming the first one, exit 3."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0]["benchmark_params"] = {"a": 1e308}
+        args = ["--trajectories", "2", "--steps", "5"]
+        code = main(["simulate", "--config", write_config(tmp_path, doc), *args])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            "simulation failed: class 'room': non-finite state [inf] at step 1 of "
+            "subsystem 0 in the trajectory from [10.0]\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["synth", "verify", "lipschitz", "simulate"])
+    def test_overflow_prints_one_stderr_line(self, tmp_path, command):
+        """numpy's overflow warnings are silenced where a finiteness check
+        follows, so a fresh process prints the one error line only."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        if command in ("verify", "lipschitz"):
+            out = tmp_path / "out"
+            main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+            cert_doc = read_json(out / "certificate.json")
+            cert_doc["provenance"]["config"]["classes"][0]["benchmark_params"] = {"a": 1e308}
+            args = ["--certificate", write_config(tmp_path, cert_doc, "certificate.json")]
+            if command == "verify":
+                args += ["--grid-per-dim", "20", "--trajectories", "2", "--steps", "5"]
+            else:
+                args += ["--class-id", "room", "--inner", "10", "--outer", "5"]
+        else:
+            doc["classes"][0]["benchmark_params"] = {"a": 1e308}
+            args = ["--config", write_config(tmp_path, doc), "--output-dir", str(tmp_path / "o")]
+            if command == "simulate":
+                args = args[:2] + ["--trajectories", "2", "--steps", "5"]
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netcert.cli", command, *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.split(": ")[1] == "class 'room'"
+
+
+def rename_class(doc, new_id):
+    doc["classes"][0]["class_id"] = new_id
+    for failure in doc["failures"]:
+        failure["class_id"] = new_id
+
+
+# edit of a stored room certificate -> part of the one line that refuses it
+TAMPERED_CERTIFICATES = {
+    "asymmetric-s11": (
+        lambda doc: doc["classes"][0].update(supply_s11=[[1.0, 2.0], [0.0, 1.0]]),
+        "s11 must be symmetric",
+    ),
+    "s12-shape": (
+        lambda doc: doc["classes"][0].update(supply_s12=[[1.0, 2.0]]),
+        "s12 must be 1x1, got (1, 2)",
+    ),
+    "one-coefficient-short": (
+        lambda doc: doc["classes"][0]["coeffs"].pop(),
+        "2 coefficients for 3 template terms",
+    ),
+    "template": (
+        lambda doc: doc["classes"][0].update(template_exponents=[[4], [1], [0]]),
+        "class 'room': template_exponents [[4], [1], [0]] differ from the embedded "
+        "configuration's [[4], [2], [0]]",
+    ),
+    "ragged-s22": (
+        lambda doc: doc["classes"][0].update(supply_s22=[[1.0], [1.0, 2.0]]),
+        "classes[0]: ",
+    ),
+    "supply-dimensions": (
+        lambda doc: doc["classes"][0].update(
+            supply_s11=[[1.0, 0.0], [0.0, 1.0]], supply_s12=[[0.0], [0.0]]
+        ),
+        "class 'room': supply blocks for (input, state) dimensions (2, 1), class has (1, 1)",
+    ),
+    "unknown-class": (
+        lambda doc: rename_class(doc, "attic"),
+        "class 'attic' is not in the embedded configuration",
+    ),
+}
+
+
+class TestTamperedCertificates:
+    """A certificate whose class record is inconsistent, in itself or with
+    the class rebuilt from its embedded configuration, is refused when it
+    loads: exit 2 and one line, before any compute."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--grid-per-dim", "5"], ["lipschitz", "--class-id", "room"]],
+        ids=["verify", "lipschitz"],
+    )
+    @pytest.mark.parametrize("edit", TAMPERED_CERTIFICATES, ids=str)
+    def test_refused_with_exit_2(self, tmp_path, capsys, room_certificate_doc, command, edit):
+        change, message = TAMPERED_CERTIFICATES[edit]
+        doc = copy.deepcopy(room_certificate_doc)
+        change(doc)
+        path = write_config(tmp_path, doc, "certificate.json")
+        code = main([command[0], "--certificate", path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        prefix = "cannot verify: " if command[0] == "verify" else "cannot estimate: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == ""
+
 
 def exit_code(argv):
     try:
@@ -475,6 +648,8 @@ class TestSynthCertifiedPath:
         assert (out_dir / "drift_levels.csv").exists()
         assert (out_dir / "drift_surface.csv").exists()
         assert (out_dir / "report.txt").exists()
+        # the staging directory the artifacts were written into is gone
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "drift_samples.csv", "out"]
 
     def test_runs_are_byte_identical(self, tmp_path, drift_csv):
         cfg_a = write_config(tmp_path, drift_config_doc(drift_csv, tmp_path / "a"), "a.json")

@@ -19,7 +19,6 @@ from netcert.lipschitz import (
 )
 from netcert.sampling import DataFaultError
 from netcert.scp import ScpSolution
-from netcert.core import SupplyRate
 
 DENSE = LipschitzConfig(gamma=1e-3, inner_count=200, outer_count=50, seed=0)
 
@@ -150,7 +149,9 @@ class TestEstimateForClass:
             coeffs=np.array([0.0, 0.0, 5.0]),  # B(x) = 5
             sigma=5.0,
             phi=5.001,
-            supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
+            supply_s11=((0.0,),),
+            supply_s12=((0.0,),),
+            supply_s22=((0.0,),),
             eta=0.0,
             beta=0.0,
         )
@@ -170,7 +171,9 @@ class TestEstimateForClass:
             coeffs=np.array([0.0151, -0.7, -0.7]),
             sigma=150.0,
             phi=200.0,
-            supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
+            supply_s11=((0.0,),),
+            supply_s12=((0.0,),),
+            supply_s22=((0.0,),),
             eta=0.0,
             beta=0.0,
         )

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from netcert.core import (
     SafetySpec,
     StcTemplate,
     SubsystemClass,
-    SupplyRate,
     eval_supply,
     eval_template,
 )
@@ -190,15 +190,20 @@ class TestSolveScp:
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_solution_coefficients_are_a_read_only_vector(self, room_solution):
-        assert room_solution.coeffs.shape == (3,)
-        with pytest.raises(ValueError):
+        assert type(room_solution.coeffs) is tuple
+        assert [type(c) for c in room_solution.coeffs] == [float] * 3
+        with pytest.raises(TypeError):
             room_solution.coeffs[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            room_solution.coeffs = (1.0, 0.0, 0.0)
         with pytest.raises(DimensionError):
             ScpSolution(
                 coeffs=[[0.0]],
                 sigma=0.0,
                 phi=0.0,
-                supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
+                supply_s11=((0.0,),),
+                supply_s12=((0.0,),),
+                supply_s22=((0.0,),),
                 eta=0.0,
                 beta=0.0,
             )
@@ -315,7 +320,9 @@ class TestCheckSolutionZeroResiduals:
             coeffs=np.array([0.0]),
             sigma=0.0,
             phi=0.0,
-            supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]),
+            supply_s11=((0.0,),),
+            supply_s12=((0.0,),),
+            supply_s22=((0.0,),),
             eta=0.0,
             beta=0.0,
         )

@@ -15,7 +15,6 @@ from netcert.core import (
     SafetySpec,
     StcTemplate,
     SubsystemClass,
-    SupplyRate,
     eval_supply,
     eval_template,
 )
@@ -34,18 +33,15 @@ from netcert.verify import (
 
 
 def make_solution(coeffs, sigma, phi, supply=None, eta=0.0, beta=0.0):
-    p = 1 if supply is None else np.atleast_2d(supply[0]).shape[0]
-    n = 1 if supply is None else np.atleast_2d(supply[2]).shape[0]
-    rate = (
-        SupplyRate(np.zeros((p, p)), np.zeros((p, n)), np.zeros((n, n)))
-        if supply is None
-        else SupplyRate(*[np.atleast_2d(s) for s in supply])
-    )
+    blocks = [[[0.0]]] * 3 if supply is None else supply
+    s11, s12, s22 = [tuple(map(tuple, np.atleast_2d(s).tolist())) for s in blocks]
     return ScpSolution(
         coeffs=np.array(coeffs),
         sigma=sigma,
         phi=phi,
-        supply=rate,
+        supply_s11=s11,
+        supply_s12=s12,
+        supply_s22=s22,
         eta=eta,
         beta=beta,
     )
@@ -93,7 +89,8 @@ class TestDecreaseHeatmap:
             room_class,
             oracle=TransitionOracle(lambda x, d: x),
         )
-        sol = replace(room_reference_solution, supply=SupplyRate([[0.0]], [[0.0]], [[0.0]]))
+        zero = ((0.0,),)
+        sol = replace(room_reference_solution, supply_s11=zero, supply_s12=zero, supply_s22=zero)
         heat = decrease_heatmap(identity, sol, (21, 21))
         assert heat.max_value == pytest.approx(0.0, abs=1e-12)
         assert heat.passed
