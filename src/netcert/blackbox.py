@@ -188,21 +188,25 @@ def internal_inputs(
 
 
 @dataclass
-class Trajectory:
-    """One surrogate run: states has shape (steps+1, n, dim)."""
+class SurrogateRuns:
+    """Several surrogate networks stepped together, all as arrays.
+
+    states        (networks, steps+1, n, dim), the start at step 0
+    unsafe        (networks, steps+1): some node lies in the unsafe box
+    outside       (networks, steps+1): some node lies outside the state box
+    clamp_events  (networks,): node inputs clamped into the input box, summed
+                  over the steps
+    """
 
     states: np.ndarray
-    first_unsafe_step: Optional[int]
-    first_exit_step: Optional[int]
-    clamp_events: int
+    unsafe: np.ndarray
+    outside: np.ndarray
+    clamp_events: np.ndarray
 
     @property
-    def safe(self) -> bool:
-        return self.first_unsafe_step is None
-
-
-def _first_step(flags: np.ndarray) -> Optional[int]:
-    return int(np.argmax(flags)) if flags.any() else None
+    def unsafe_entries(self) -> int:
+        """Networks that ever touch the unsafe box."""
+        return int(np.count_nonzero(self.unsafe.any(axis=1)))
 
 
 def simulate_network(
@@ -210,14 +214,13 @@ def simulate_network(
     topology: Topology,
     initial_states: np.ndarray,
     steps: int,
-) -> list[Trajectory]:
+) -> SurrogateRuns:
     """Iterate closed-loop surrogate networks of identical copies.
 
     ``initial_states`` is (networks, n, dim): the start of each of several
     independent surrogates.  They are stepped together, one oracle call per
-    step for all of them, and each gets its own Trajectory.  Flags (never
-    raises on) the first step at which any node enters the unsafe box or
-    leaves the state box.
+    step for all of them.  Flags (never raises on) every step at which any
+    node of a network is in the unsafe box or outside the state box.
     """
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle to simulate")
@@ -238,16 +241,7 @@ def simulate_network(
         rows = cls.oracle.batch(states.reshape(-1, dim), inputs.reshape(-1, dim))
         states = rows.reshape(states.shape)
         history[:, k] = states
-    # per network and step: does any node sit in the unsafe box / outside X?
     nodes = history.reshape(-1, dim)
     unsafe = cls.safety.unsafe.contains(nodes).reshape(history.shape[:-1]).any(axis=-1)
     inside = cls.state_box.contains(nodes).reshape(history.shape[:-1]).all(axis=-1)
-    return [
-        Trajectory(
-            states=history[i],
-            first_unsafe_step=_first_step(unsafe[i]),
-            first_exit_step=_first_step(~inside[i]),
-            clamp_events=int(clamps[i]),
-        )
-        for i in range(states.shape[0])
-    ]
+    return SurrogateRuns(states=history, unsafe=unsafe, outside=~inside, clamp_events=clamps)

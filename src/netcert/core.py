@@ -68,12 +68,12 @@ class IntervalBox:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean membership per row of ``points`` (shape (N, dim) or (dim,))."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionError(f"points have dimension {pts.shape[1]}, box has {self.dim}")
-        ok = np.all(pts >= self.lower - atol, axis=1) & np.all(pts <= self.upper + atol, axis=1)
+        ok = np.all(pts >= self.lower, axis=1) & np.all(pts <= self.upper, axis=1)
         return ok if np.asarray(points).ndim > 1 else bool(ok[0])
 
     def clamp(self, points: np.ndarray) -> np.ndarray:
@@ -309,18 +309,18 @@ class SupplyRate:
     s22: np.ndarray
 
     def __post_init__(self):
-        s11 = frozen_array(np.atleast_2d(self.s11))
-        s12 = frozen_array(np.atleast_2d(self.s12))
-        s22 = frozen_array(np.atleast_2d(self.s22))
-        _check_symmetric("s11", s11)
-        _check_symmetric("s22", s22)
-        if s12.shape != (s11.shape[0], s22.shape[0]):
+        for name in ("s11", "s12", "s22"):
+            rows = getattr(self, name)
+            lengths = [np.size(row) for row in rows] if isinstance(rows, (list, tuple)) else []
+            if len(set(lengths)) > 1:
+                raise InvariantError(f"{name} rows differ in length: {lengths}")
+            object.__setattr__(self, name, frozen_array(np.atleast_2d(rows)))
+        _check_symmetric("s11", self.s11)
+        _check_symmetric("s22", self.s22)
+        if self.s12.shape != (self.input_dim, self.state_dim):
             raise InvariantError(
-                f"s12 must be {s11.shape[0]}x{s22.shape[0]}, got {s12.shape}"
+                f"s12 must be {self.input_dim}x{self.state_dim}, got {self.s12.shape}"
             )
-        object.__setattr__(self, "s11", s11)
-        object.__setattr__(self, "s12", s12)
-        object.__setattr__(self, "s22", s22)
 
     @property
     def input_dim(self) -> int:

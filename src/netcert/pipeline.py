@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .blackbox import BENCHMARKS, Topology
+from .blackbox import BENCHMARKS, SurrogateRuns, Topology
 from .compose import (
     CONDITION_M1,
     CONDITION_M2,
@@ -56,7 +56,6 @@ from .scp import (
 from .verify import (
     HeatmapSummary,
     LevelSetReport,
-    PortraitResult,
     check_level_sets,
     decrease_heatmap,
     phase_portrait,
@@ -487,7 +486,7 @@ class ClassDiagnostics:
     topology_kind: str
     levels: LevelSetReport
     heatmap: Optional[HeatmapSummary] = None
-    portrait: Optional[PortraitResult] = None
+    portrait: Optional[SurrogateRuns] = None
     # the heatmap was too large for its CSV, which was asked for
     heatmap_csv_skipped: bool = False
 
@@ -526,10 +525,10 @@ class ClassDiagnostics:
         return lines
 
 
-def portrait_line(class_id: str, topology_kind: str, portrait: PortraitResult) -> str:
+def portrait_line(class_id: str, topology_kind: str, portrait: SurrogateRuns) -> str:
     return (
         f"[{class_id}] phase portrait ({topology_kind}): {portrait.unsafe_entries} unsafe "
-        f"entries out of {portrait.initial_points.shape[0]} trajectories"
+        f"entries out of {portrait.states.shape[0]} trajectories"
     )
 
 

@@ -244,11 +244,12 @@ def load_samples_csv(
     state_dim: int,
     input_dim: int,
     joint_box: IntervalBox,
-    probe_counts: Optional[Sequence[int]] = None,
 ) -> SampleSet:
     """Read externally collected pairs; dispersion is estimated with
     ``dispersion_general`` since nothing guarantees the data form a grid.
-    Every row must hold one finite number per header column."""
+    Every row must hold one finite number per header column.  A zero-width
+    dimension of ``joint_box`` gets one probe, which adds nothing to the
+    probe grid's half-diagonal."""
     expected = sample_csv_header(state_dim, input_dim)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -273,8 +274,7 @@ def load_samples_csv(
     x = data[:, :state_dim]
     d = data[:, state_dim : state_dim + input_dim]
     fx = data[:, state_dim + input_dim :]
-    if probe_counts is None:
-        per_dim = max(2, int(np.ceil(data.shape[0] ** (1.0 / joint_box.dim))) * 4)
-        probe_counts = (per_dim,) * joint_box.dim
+    per_dim = max(2, int(np.ceil(data.shape[0] ** (1.0 / joint_box.dim))) * 4)
+    probe_counts = [per_dim if w > 0 else 1 for w in joint_box.widths]
     theta = dispersion_general(joint_box, np.hstack([x, d]), probe_counts)
     return SampleSet(x=x, d=d, fx=fx, dispersion=theta, grid_spec=None)

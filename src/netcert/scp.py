@@ -106,35 +106,29 @@ class VariableLayout:
         return self.term_count + 1
 
     @property
-    def s11(self) -> slice:
+    def supply(self) -> slice:
+        """The stored supply entries, in ``supply_entries`` order."""
         start = self.term_count + 2
-        return slice(start, start + self._tri(self.input_dim))
-
-    @property
-    def s12(self) -> slice:
-        start = self.s11.stop
-        return slice(start, start + self.input_dim * self.state_dim)
-
-    @property
-    def s22(self) -> slice:
-        start = self.s12.stop
-        return slice(start, start + self._tri(self.state_dim))
+        return slice(start, start + len(self.supply_entries))
 
     @property
     def eta(self) -> int:
-        return self.s22.stop
+        return self.supply.stop
 
     @property
     def beta(self) -> int:
-        return self.s22.stop + 1
+        return self.supply.stop + 1
 
     @property
     def size(self) -> int:
         return self.beta + 1
 
-    @staticmethod
-    def _tri(n: int) -> int:
-        return n * (n + 1) // 2
+    @property
+    def names(self) -> list[str]:
+        """The name of each column, as the LP text export writes it."""
+        theta = [f"theta{j}" for j in range(self.term_count)]
+        supply = [f"{b}_{i}{j}" for b, i, j in self.supply_entries]
+        return theta + ["sigma", "phi"] + supply + ["eta", "beta"]
 
     @property
     def supply_entries(self) -> list[tuple[str, int, int]]:
@@ -160,13 +154,13 @@ class VariableLayout:
         rows = np.zeros((z.shape[0], self.size))
         # an off-diagonal entry appears twice in the quadratic form
         factor = np.where(left == right, 1.0, 2.0)
-        rows[:, self.s11.start : self.s22.stop] = factor * z[:, left] * z[:, right]
+        rows[:, self.supply] = factor * z[:, left] * z[:, right]
         return rows
 
     def unpack(self, v: np.ndarray) -> ScpSolution:
         p, n = self.input_dim, self.state_dim
         blocks = {"s11": np.zeros((p, p)), "s12": np.zeros((p, n)), "s22": np.zeros((n, n))}
-        for (b, i, j), val in zip(self.supply_entries, v[self.s11.start : self.s22.stop]):
+        for (b, i, j), val in zip(self.supply_entries, v[self.supply]):
             blocks[b][i, j] = val
             if b != "s12":  # s11 and s22 are symmetric
                 blocks[b][j, i] = val
@@ -193,17 +187,16 @@ class LinearProgram:
     layout: Optional[VariableLayout] = None
 
 
-@dataclass
-class LpResult:
-    x: Optional[np.ndarray]
-    objective: Optional[float]
-    status: str  # optimal | infeasible | unbounded | failed
-    message: str = ""
+class ScpSolveError(RuntimeError):
+    """HiGHS ended without an optimum.  A program that ``build_scp`` built
+    from valid ``ScpOptions`` is feasible and bounded, so for it this is a
+    solver failure (a time limit, numerical trouble)."""
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
+def solve_lp(lp: LinearProgram) -> np.ndarray:
     """Deterministic solve (HiGHS); the fixed row order makes repeated runs
-    bit-reproducible."""
+    bit-reproducible.  Returns the optimum, or raises ``ScpSolveError``
+    naming HiGHS's status and message when there is none."""
     res = linprog(
         lp.c,
         A_ub=lp.a_ub if lp.a_ub.size else None,
@@ -216,16 +209,10 @@ def solve_lp(lp: LinearProgram) -> LpResult:
             "dual_feasibility_tolerance": 1e-10,
         },
     )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
-    x = np.asarray(res.x, float) if res.x is not None else None
-    fun = float(res.fun) if res.fun is not None else None
-    return LpResult(x=x, objective=fun, status=status, message=str(res.message))
-
-
-class ScpSolveError(RuntimeError):
-    """HiGHS ended without an optimum.  With valid ``ScpOptions`` the program
-    is feasible and bounded, so this is a solver failure (a time limit,
-    numerical trouble)."""
+    if res.status != 0:
+        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+        raise ScpSolveError(f"scenario program {status}: {res.message}")
+    return np.asarray(res.x, float)
 
 
 def build_scp(
@@ -288,28 +275,22 @@ def build_scp(
     c[layout.eta] = 1.0
     c[layout.beta] = 1.0
 
-    names = [f"theta{j}" for j in range(layout.term_count)] + ["sigma", "phi"]
-    names += [f"{b}_{i}{j}" for b, i, j in layout.supply_entries] + ["eta", "beta"]
     return LinearProgram(
         c=c,
         a_ub=a_ub,
         b_ub=b_ub,
         bounds=bounds,
         row_groups=groups,
-        var_names=names,
+        var_names=layout.names,
         layout=layout,
     )
 
 
 def solve_scp(lp: LinearProgram) -> ScpSolution:
-    """Solve a program built by ``build_scp`` and unpack the optimizer;
-    raise ``ScpSolveError`` naming HiGHS's status when there is none."""
+    """Solve a program built by ``build_scp`` and unpack the optimizer."""
     if lp.layout is None:
         raise InvariantError("solve_scp needs a program built by build_scp")
-    result = solve_lp(lp)
-    if result.status != "optimal":
-        raise ScpSolveError(f"scenario program {result.status}: {result.message}")
-    return lp.layout.unpack(result.x)
+    return lp.layout.unpack(solve_lp(lp))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blackbox import Topology, simulate_network
+from .blackbox import SurrogateRuns, Topology, simulate_network
 from .core import (
     _BASIS_BLOCK,
     InvariantError,
@@ -313,44 +313,29 @@ def surface_data(
     return pts, eval_template(cls.template, solution.coeffs, pts)
 
 
-@dataclass
-class PortraitResult:
-    """Batch of surrogate trajectories started from a grid of the initial
-    box (all copies of a trajectory share the initial point)."""
-
-    initial_points: np.ndarray
-    trajectories: list  # list of Trajectory
-    unsafe_flags: np.ndarray
-
-    @property
-    def unsafe_entries(self) -> int:
-        return int(np.sum(self.unsafe_flags))
-
-
 def phase_portrait(
     cls: SubsystemClass,
     topology: Topology,
     initial_counts: Sequence[int],
     steps: int,
-) -> PortraitResult:
-    """Simulate from every grid point of the initial box, all trajectories
-    stepped together, and flag those that ever touch the unsafe box.  A
-    non-finite state, which lies in no box, raises ``DataFaultError`` naming
-    the earliest one (by step, then trajectory, then subsystem)."""
+) -> SurrogateRuns:
+    """Simulate from every grid point of the initial box, all copies of a
+    network at its point and all networks stepped together.  A non-finite
+    state, which lies in no box, raises ``DataFaultError`` naming the
+    earliest one (by step, then trajectory, then subsystem)."""
     points = grid_samples(cls.safety.initial, initial_counts)
     starts = np.repeat(points[:, None, :], topology.surrogate_size, axis=1)
     with np.errstate(all="ignore"):  # a non-finite state is reported below
-        trajectories = simulate_network(cls, topology, starts, steps)
+        runs = simulate_network(cls, topology, starts, steps)
     # (step, trajectory, subsystem), so the first flag is the earliest
-    bad = np.stack([~np.isfinite(traj.states).all(axis=-1) for traj in trajectories], axis=1)
+    bad = ~np.isfinite(runs.states).all(axis=-1).swapaxes(0, 1)
     if bad.any():
         step, k, node = np.unravel_index(np.argmax(bad), bad.shape)
         raise DataFaultError(
-            f"non-finite state {trajectories[k].states[step, node].tolist()} at step {step} "
+            f"non-finite state {runs.states[k, step, node].tolist()} at step {step} "
             f"of subsystem {node} in the trajectory from {points[k].tolist()}"
         )
-    flags = np.array([not traj.safe for traj in trajectories], dtype=bool)
-    return PortraitResult(initial_points=points, trajectories=trajectories, unsafe_flags=flags)
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +363,11 @@ def write_levels_csv(path, report: LevelSetReport) -> None:
         fh.write("".join(map(csv_line, rows)))
 
 
-def write_trajectories_csv(path, cls: SubsystemClass, portrait: PortraitResult) -> None:
+def write_trajectories_csv(path, cls: SubsystemClass, portrait: SurrogateRuns) -> None:
+    """One row per (trajectory, step, subsystem), in that nested order."""
+    states = portrait.states
+    lead = np.indices(states.shape[:-1]).reshape(3, -1).T
     with open(path, "w", newline="") as fh:
         header = ["trajectory", "step", "subsystem"] + [f"x{k}" for k in range(cls.state_dim)]
         fh.write(csv_line(header))
-        for t_idx, traj in enumerate(portrait.trajectories):
-            steps, nodes, _ = traj.states.shape
-            step, node = np.divmod(np.arange(steps * nodes), nodes)
-            lead = np.column_stack([np.full(steps * nodes, t_idx), step, node])
-            write_csv_rows(fh, traj.states.reshape(steps * nodes, -1), lead=lead)
+        write_csv_rows(fh, states.reshape(-1, cls.state_dim), lead=lead)

@@ -193,10 +193,9 @@ def test_criterion_5_lp_oracle_equivalence():
         expected = brute_force_lp_minimum(lp)
         if expected is None:
             continue
-        result = solve_lp(lp)
-        assert result.status == "optimal"
-        worst_gap = max(worst_gap, abs(result.objective - expected))
-        assert result.objective == pytest.approx(expected, abs=1e-6)
+        objective = float(lp.c @ solve_lp(lp))  # solve_lp raises without an optimum
+        worst_gap = max(worst_gap, abs(objective - expected))
+        assert objective == pytest.approx(expected, abs=1e-6)
         checked += 1
     cls, samples = make_trivial_instance()
     trivial = solve_scp(build_scp(cls, samples, ScpOptions(coeff_bound=1.0, gap=0.0)))

@@ -17,12 +17,14 @@ EXPECTED_SPANS = (
     "core.basis_values",
     "blackbox.oracle_batch",
     "pipeline.build_scp",
+    "pipeline.solve_scp",
     "pipeline.check_solution",
     "scp.linprog",
     "lipschitz.minimize",  # the tiny config's maxima vary, so both fits run
     "pipeline.check_level_sets",
     "pipeline.decrease_heatmap",
     "pipeline.phase_portrait",
+    "blackbox.simulate_network",
     "pipeline.surface_data",
     "pipeline.write_run_outputs",
 )

@@ -13,6 +13,12 @@ from netcert.core import DimensionError, IntervalBox, InvariantError
 from netcert.sampling import grid_samples
 
 
+def first_steps(flags):
+    """The first flagged step of each network (row of ``flags``), None where
+    no step is flagged."""
+    return [int(np.argmax(row)) if row.any() else None for row in flags]
+
+
 def validate_benchmark(cls, steps=100, grid_per_dim=5, surrogate_size=10):
     """Unsafe entries, box exits and input clamps of surrogate runs from a
     grid of the initial box under every topology; all three must be zero
@@ -23,10 +29,10 @@ def validate_benchmark(cls, steps=100, grid_per_dim=5, surrogate_size=10):
         topo = Topology(kind=kind, surrogate_size=surrogate_size)
         points = grid_samples(cls.safety.initial, (grid_per_dim,) * cls.state_dim)
         starts = np.repeat(points[:, None, :], surrogate_size, axis=1)
-        for traj in simulate_network(cls, topo, starts, steps):
-            faults["unsafe_entries"] += traj.first_unsafe_step is not None
-            faults["box_exits"] += traj.first_exit_step is not None
-            faults["clamp_events"] += traj.clamp_events
+        runs = simulate_network(cls, topo, starts, steps)
+        faults["unsafe_entries"] += runs.unsafe_entries
+        faults["box_exits"] += int(np.count_nonzero(runs.outside.any(axis=1)))
+        faults["clamp_events"] += int(runs.clamp_events.sum())
     return faults
 
 
@@ -113,46 +119,49 @@ class TestSimulateNetwork:
     def test_room_fixed_point_propagates(self, room_class):
         for kind in TOPOLOGY_KINDS:
             topo = Topology(kind=kind, surrogate_size=10)
-            traj = simulate_network(room_class, topo, np.full((1, 10, 1), 10.0), 100)[0]
-            assert np.allclose(traj.states, 10.0, atol=1e-9)
-            assert traj.safe and traj.first_exit_step is None
+            runs = simulate_network(room_class, topo, np.full((1, 10, 1), 10.0), 100)
+            assert np.allclose(runs.states, 10.0, atol=1e-9)
+            assert first_steps(runs.unsafe) == first_steps(runs.outside) == [None]
 
     def test_zero_steps_returns_initial_only(self, room_class):
         topo = Topology(kind="ring", surrogate_size=10)
-        traj = simulate_network(room_class, topo, np.full((1, 10, 1), 10.5), 0)[0]
-        assert traj.states.shape == (1, 10, 1)
-        assert np.allclose(traj.states[0], 10.5)
+        runs = simulate_network(room_class, topo, np.full((1, 10, 1), 10.5), 0)
+        assert runs.states.shape == (1, 1, 10, 1)
+        assert runs.unsafe.shape == runs.outside.shape == (1, 1)
+        assert np.allclose(runs.states[0, 0], 10.5)
 
     def test_platoon_fixed_point(self, platoon_class):
         topo = Topology(kind="ring", surrogate_size=10)
-        traj = simulate_network(platoon_class, topo, np.tile([1.0, 1.0], (1, 10, 1)), 50)[0]
-        assert np.allclose(traj.states, 1.0, atol=1e-9)
+        runs = simulate_network(platoon_class, topo, np.tile([1.0, 1.0], (1, 10, 1)), 50)
+        assert np.allclose(runs.states, 1.0, atol=1e-9)
 
     def test_determinism(self, platoon_class):
         topo = Topology(kind="dense-decay", surrogate_size=5, weight_decay=0.7)
         init = np.tile([0.9, 0.95], (1, 5, 1))
-        (a,) = simulate_network(platoon_class, topo, init, 40)
-        (b,) = simulate_network(platoon_class, topo, init, 40)
+        a = simulate_network(platoon_class, topo, init, 40)
+        b = simulate_network(platoon_class, topo, init, 40)
         assert np.array_equal(a.states, b.states)
 
     def test_unsafe_entry_is_flagged_not_fatal(self, room_class):
         # starting inside the unsafe box is flagged at step 0
         topo = Topology(kind="ring", surrogate_size=10)
-        traj = simulate_network(room_class, topo, np.full((1, 10, 1), 12.5), 5)[0]
-        assert traj.first_unsafe_step == 0
+        runs = simulate_network(room_class, topo, np.full((1, 10, 1), 12.5), 5)
+        assert first_steps(runs.unsafe) == [0]
+        assert runs.unsafe_entries == 1
 
     def test_networks_flagged_separately(self, room_class):
         """Networks stepped together keep their own flags and states."""
         topo = Topology(kind="cascade", surrogate_size=4)
         starts = np.array([10.5, 12.5, 14.0]).reshape(3, 1, 1).repeat(4, axis=1)
-        safe, unsafe, outside = simulate_network(room_class, topo, starts, 3)
-        assert (safe.first_unsafe_step, safe.first_exit_step) == (None, None)
-        assert (unsafe.first_unsafe_step, unsafe.first_exit_step) == (0, None)
-        assert outside.first_exit_step == 0 and outside.clamp_events > 0
-        assert safe.clamp_events == unsafe.clamp_events == 0
-        for start, traj in zip(starts, (safe, unsafe, outside)):
-            (alone,) = simulate_network(room_class, topo, start[None], 3)
-            assert np.array_equal(traj.states, alone.states)
+        runs = simulate_network(room_class, topo, starts, 3)
+        unsafe, outside = first_steps(runs.unsafe), first_steps(runs.outside)
+        assert (unsafe[0], outside[0]) == (None, None)
+        assert (unsafe[1], outside[1]) == (0, None)
+        assert outside[2] == 0 and runs.clamp_events[2] > 0
+        assert runs.clamp_events[0] == runs.clamp_events[1] == 0
+        for k, start in enumerate(starts):
+            alone = simulate_network(room_class, topo, start[None], 3)
+            assert np.array_equal(runs.states[k], alone.states[0])
 
     def test_initial_states_need_a_network_axis(self, room_class):
         topo = Topology(kind="ring", surrogate_size=10)

@@ -535,7 +535,7 @@ TAMPERED_CERTIFICATES = {
     ),
     "ragged-s22": (
         lambda doc: doc["classes"][0].update(supply_s22=[[1.0], [1.0, 2.0]]),
-        "classes[0]: ",
+        "classes[0]: s22 rows differ in length: [1, 2]",
     ),
     "supply-dimensions": (
         lambda doc: doc["classes"][0].update(
@@ -676,6 +676,30 @@ class TestSynthCertifiedPath:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "stored verdict: certified" in out
+
+
+class TestZeroWidthDataBox:
+    def test_synth_writes_a_certificate(self, tmp_path):
+        """A data class whose input box has zero width, with every recorded
+        d0 at that width's one value, gets one dispersion probe in that
+        dimension: the run writes its certificate and prints a verdict, with
+        no traceback."""
+        states = np.linspace(0.0, 4.0, 41).tolist()
+        rows = ["x0,d0,fx0"] + [f"{x!r},2.0,{x - 0.5!r}" for x in states]
+        csv_path = tmp_path / "flat.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        doc = drift_config_doc(csv_path, out)
+        doc["classes"][0]["input_box"] = [[2.0], [2.0]]
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netcert.cli", "synth", "--config", write_config(tmp_path, doc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode in (0, 1), proc.stderr
+        assert proc.stdout.startswith("verdict: ")
+        assert (out / "certificate.json").exists()
 
 
 class TestSolverFailure:

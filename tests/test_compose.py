@@ -217,14 +217,13 @@ class TestCertifiedDriftClass:
             topo = Topology(kind=kind, surrogate_size=10)
             portrait = phase_portrait(drift_class, topo, (5,), 100)
             assert portrait.unsafe_entries == 0
-            for traj in portrait.trajectories:
-                # sum over the copies of B(x_i) at each step
-                steps, copies, dim = traj.states.shape
-                values = eval_template(
-                    drift_class.template, coeffs, traj.states.reshape(-1, dim)
-                ).reshape(steps, copies).sum(axis=1)
-                diffs = np.diff(values)
-                assert np.all(diffs <= 1e-6)
+            # per trajectory, the sum over the copies of B(x_i) at each step
+            states = portrait.states
+            values = eval_template(
+                drift_class.template, coeffs, states.reshape(-1, states.shape[-1])
+            ).reshape(states.shape[:-1]).sum(axis=-1)
+            diffs = np.diff(values, axis=1)
+            assert np.all(diffs <= 1e-6)
 
     def test_margins_strictly_negative(self, drift_certificate):
         m = drift_certificate.classes[0]

@@ -199,7 +199,7 @@ class TestCsvRoundTrip:
         samples = collect_pairs(room_class, (5,), (4,))
         path = tmp_path / "room.csv"
         save_samples_csv(path, samples)
-        loaded = load_samples_csv(path, 1, 1, room_class.joint_box, probe_counts=(41, 41))
+        loaded = load_samples_csv(path, 1, 1, room_class.joint_box)
         assert np.array_equal(loaded.x, samples.x)
         assert np.array_equal(loaded.d, samples.d)
         assert np.array_equal(loaded.fx, samples.fx)

@@ -20,6 +20,7 @@ from netcert.core import (
 )
 from netcert.sampling import DataFaultError, grid_samples
 from netcert.scp import ScpSolution
+import netcert.sampling as sampling_mod
 import netcert.verify as verify_mod
 from netcert.verify import (
     check_level_sets,
@@ -30,6 +31,7 @@ from netcert.verify import (
     write_surface_csv,
     write_trajectories_csv,
 )
+from tests.test_blackbox import first_steps
 
 
 def make_solution(coeffs, sigma, phi, supply=None, eta=0.0, beta=0.0):
@@ -480,20 +482,19 @@ class TestPhasePortrait:
         topo = Topology(kind="ring", surrogate_size=10)
         portrait = phase_portrait(room_class, topo, (1,), 20)
         # single midpoint initial state; trajectory contracts, stays safe
-        assert portrait.initial_points.shape == (1, 1)
+        assert portrait.states[:, 0, 0].shape == (1, 1)
         assert portrait.unsafe_entries == 0
 
     def test_zero_steps(self, room_class):
         topo = Topology(kind="cascade", surrogate_size=4)
         portrait = phase_portrait(room_class, topo, (3,), 0)
-        for traj in portrait.trajectories:
-            assert traj.states.shape[0] == 1
+        assert portrait.states.shape[:2] == (3, 1)
 
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_room_benchmark_portraits_safe(self, room_class, kind):
         topo = Topology(kind=kind, surrogate_size=10)
         portrait = phase_portrait(room_class, topo, (25,), 100)
-        assert portrait.initial_points.shape[0] == 25
+        assert portrait.states.shape[0] == 25
         assert portrait.unsafe_entries == 0
 
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
@@ -506,11 +507,12 @@ class TestPhasePortrait:
         cls = request.getfixturevalue(f"{name}_class")
         topo = Topology(kind=kind, surrogate_size=10)
         portrait = phase_portrait(cls, topo, counts, 100)
-        assert len(portrait.trajectories) == portrait.initial_points.shape[0]
-        for point, traj in zip(portrait.initial_points, portrait.trajectories):
-            (alone,) = simulate_network(cls, topo, np.tile(point, (1, 10, 1)), 100)
-            assert np.array_equal(traj.states, alone.states)
-            assert traj.first_unsafe_step == alone.first_unsafe_step
+        points = grid_samples(cls.safety.initial, counts)
+        assert np.array_equal(portrait.states[:, 0, 0], points)
+        for k, point in enumerate(points):
+            alone = simulate_network(cls, topo, np.tile(point, (1, 10, 1)), 100)
+            assert np.array_equal(portrait.states[k], alone.states[0])
+            assert first_steps(portrait.unsafe[k : k + 1]) == first_steps(alone.unsafe)
 
     def test_trajectory_csv(self, tmp_path, room_class):
         topo = Topology(kind="ring", surrogate_size=3)
@@ -521,6 +523,23 @@ class TestPhasePortrait:
             rows = list(csv.reader(fh))
         assert rows[0] == ["trajectory", "step", "subsystem", "x0"]
         assert len(rows) == 1 + 2 * 3 * 3  # trajectories x steps+1 x nodes
+
+    def test_trajectory_csv_matches_per_row_loop(self, tmp_path, monkeypatch, platoon_class):
+        """The whole stack, written in one call, gives the bytes of one
+        ``writerow`` of (trajectory, step, subsystem, x...) per row, in that
+        nested order, also where a write block spans two trajectories."""
+        monkeypatch.setattr(sampling_mod, "_CSV_BLOCK", 7)
+        topo = Topology(kind="dense-decay", surrogate_size=4)
+        portrait = phase_portrait(platoon_class, topo, (2, 3), 7)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["trajectory", "step", "subsystem", "x0", "x1"])
+            for k, trajectory in enumerate(portrait.states):
+                for step, nodes in enumerate(trajectory):
+                    for node, x in enumerate(nodes):
+                        writer.writerow([k, step, node] + [repr(float(v)) for v in x])
+        write_trajectories_csv(tmp_path / "new.csv", platoon_class, portrait)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSafetyConsistencyChain:
