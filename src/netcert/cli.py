@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 # read by each bundled OpenBLAS as it loads; set over any inherited value, since
 # main forces one thread anyway and a larger count only starts idle workers
@@ -36,6 +37,8 @@ from .pipeline import (
     ConfigError,
     PipelineError,
     build_class,
+    certify_class,
+    class_samples,
     config_from_dict,
     config_to_dict,
     diagnose_class,
@@ -144,6 +147,7 @@ def _load_checked_certificate(path):
 
 def cmd_verify(args) -> int:
     cert, cfg, classes = _load_checked_certificate(args.certificate)
+    configs = {cc.id: cc for cc in cfg.classes}
     ok = True
     print(f"stored verdict: {cert.verdict}")
     for ccert in cert.classes:
@@ -158,7 +162,15 @@ def cmd_verify(args) -> int:
             args.steps,
         )
         print("\n".join(diagnostics.lines()))
-        ok &= diagnostics.passed
+        fresh = certify_class(cls, class_samples(configs[cls.id], cls, ccert.grid_spec), ccert, cfg)
+        # fields compare as they print, so -0.0 differs from 0.0
+        differ = [
+            f"stored {f.name} {getattr(ccert, f.name)!r}, re-derived {getattr(fresh, f.name)!r}"
+            for f in fields(ccert)
+            if repr(getattr(ccert, f.name)) != repr(getattr(fresh, f.name))
+        ]
+        print(f"[{cls.id}] margins: {differ[0] if differ else 'reproduced'}")
+        ok &= diagnostics.passed and not differ
     return EXIT_CERTIFIED if ok else EXIT_NOT_CERTIFIED
 
 
@@ -169,25 +181,31 @@ DEMO_TARGETS = {
 
 
 def cmd_lipschitz(args) -> int:
-    try:
-        config = LipschitzConfig(args.gamma, args.inner, args.outer, args.seed)
-    except InvariantError as exc:
-        raise ConfigError(exc) from exc
+    flags = {f.name: getattr(args, f.name) for f in fields(LipschitzConfig)}
+    given = {name: value for name, value in flags.items() if value is not None}
+
+    def fit_config(base: LipschitzConfig) -> LipschitzConfig:
+        try:
+            return replace(base, **given)
+        except InvariantError as exc:
+            raise ConfigError(exc) from exc
+
     if args.demo is not None:
         target, box, exact = DEMO_TARGETS[args.demo]
-        est = estimate_lipschitz(target, box, config)
+        est = estimate_lipschitz(target, box, fit_config(LipschitzConfig(1e-3, 200, 50, 0)))
         print(f"demo target {args.demo}: estimate {est.value!r} (exact constant {exact})")
         print(f"fit: {est.fit}  fallback: {est.fallback_used}")
         return 0
     if args.certificate is None or args.class_id is None:
         raise ConfigError("need either --demo or both --certificate and --class-id")
-    cert, _, classes = _load_checked_certificate(args.certificate)
+    cert, cfg, classes = _load_checked_certificate(args.certificate)
     ccert = next((c for c in cert.classes if c.class_id == args.class_id), None)
     if ccert is None:
         raise ConfigError(f"no class {args.class_id!r} in the certificate")
     cls = classes[ccert.class_id]
     if cls.oracle is None:
         raise ConfigError("class has no oracle; cannot rebuild the decrease map")
+    config = fit_config(ccert.lipschitz_config or cfg.lipschitz)
     with faults_of(cls.id):
         l1, l2 = estimate_for_class(cls, ccert, config)
     print(f"L1 = {l1.value!r} (fallback: {l1.fallback_used})")
@@ -262,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     lipschitz.add_argument("--certificate", default=None)
     lipschitz.add_argument("--class-id", default=None)
     lipschitz.add_argument("--demo", choices=sorted(DEMO_TARGETS), default=None)
-    lipschitz.add_argument("--gamma", type=float, default=1e-3)
-    lipschitz.add_argument("--inner", type=int, default=200)
-    lipschitz.add_argument("--outer", type=int, default=50)
-    lipschitz.add_argument("--seed", type=int, default=0)
+    lipschitz.add_argument("--gamma", type=float)
+    lipschitz.add_argument("--inner", type=int, dest="inner_count")
+    lipschitz.add_argument("--outer", type=int, dest="outer_count")
+    lipschitz.add_argument("--seed", type=int)
     lipschitz.set_defaults(func=cmd_lipschitz, faults=("cannot estimate",) * 2)
 
     simulate = sub.add_parser("simulate", help="surrogate phase portraits")

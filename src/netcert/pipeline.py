@@ -45,6 +45,7 @@ from .sampling import (
     save_samples_csv,
 )
 from .scp import (
+    LinearProgram,
     ScpOptions,
     ScpSolution,
     ScpSolveError,
@@ -370,6 +371,7 @@ class ClassRun:
 
     cls: SubsystemClass
     samples: SampleSet
+    program: LinearProgram
     solution: ClassCertificate
 
 
@@ -386,46 +388,52 @@ def faults_of(class_id: str):
         raise DataFaultError(f"class {class_id!r}: {exc}") from exc
 
 
-def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> ClassRun:
-    cls = build_class(cc)
+def class_samples(cc: ClassConfig, cls: SubsystemClass, counts) -> SampleSet:
+    """The class's data CSV, or its oracle on the (state, input) ``counts`` grid."""
     with faults_of(cc.id):
         if cc.data_csv is not None:
-            samples = load_samples_csv(
-                cc.data_csv, cls.state_dim, cls.input_dim, cls.joint_box
-            )
-        else:
-            counts = counts_override or (cc.counts_state, cc.counts_input)
-            samples = collect_pairs(cls, counts[0], counts[1])
+            return load_samples_csv(cc.data_csv, cls.state_dim, cls.input_dim, cls.joint_box)
+        return collect_pairs(cls, counts[0], counts[1])
+
+
+def certify_class(
+    cls: SubsystemClass, samples: SampleSet, solution: ScpSolution, cfg: PipelineConfig
+) -> ClassCertificate:
+    """The certificate of ``solution`` on ``samples``, with the slacks the evaluators
+    give; a row above the solution's own slacks by over ``feasibility_tol`` fails it."""
+    residuals = check_solution(solution, cls, samples, cfg.scp)
+    if not residuals.passed:
+        raise PipelineError(
+            f"class {cls.id!r}: solution residuals exceed tolerance in group "
+            f"{residuals.worst_group!r}: {residuals.max_violation}"
+        )
+    with faults_of(cls.id):
+        l1, l2 = estimate_for_class(cls, solution, cfg.lipschitz, samples)
+    optimum = {f.name: getattr(solution, f.name) for f in fields(ScpSolution)}
+    return ClassCertificate(
+        **{**optimum, "eta": residuals.eta, "beta": residuals.beta},
+        class_id=cls.id,
+        template_exponents=tuple(map(tuple, cls.template.exponents.tolist())),
+        l1=l1.value,
+        l2=l2.value,
+        theta=samples.dispersion,
+        sample_count=samples.count,
+        grid_spec=samples.grid_spec,
+        lipschitz_config=cfg.lipschitz,
+        l1_fallback=l1.fallback_used,
+        l2_fallback=l2.fallback_used,
+    )
+
+
+def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> ClassRun:
+    cls = build_class(cc)
+    samples = class_samples(cc, cls, counts_override or (cc.counts_state, cc.counts_input))
     lp = build_scp(cls, samples, cfg.scp)
     try:
         solution = solve_scp(lp)
     except ScpSolveError as exc:
         raise PipelineError(f"class {cc.id!r}: {exc}") from exc
-    residuals = check_solution(solution, cls, samples, cfg.scp)
-    if not residuals.passed:
-        raise PipelineError(
-            f"class {cc.id!r}: solution residuals exceed tolerance in group "
-            f"{residuals.worst_group!r}: {residuals.max_violation}"
-        )
-    with faults_of(cc.id):
-        l1, l2 = estimate_for_class(cls, solution, cfg.lipschitz, samples)
-    return ClassRun(
-        cls=cls,
-        samples=samples,
-        solution=ClassCertificate(
-            **{f.name: getattr(solution, f.name) for f in fields(ScpSolution)},
-            class_id=cc.id,
-            template_exponents=tuple(map(tuple, cls.template.exponents.tolist())),
-            l1=l1.value,
-            l2=l2.value,
-            theta=samples.dispersion,
-            sample_count=samples.count,
-            grid_spec=samples.grid_spec,
-            lipschitz_config=cfg.lipschitz,
-            l1_fallback=l1.fallback_used,
-            l2_fallback=l2.fallback_used,
-        ),
-    )
+    return ClassRun(cls, samples, lp, certify_class(cls, samples, solution, cfg))
 
 
 @dataclass
@@ -587,8 +595,7 @@ def write_run_outputs(
             cid = run.cls.id
             save_samples_csv(os.path.join(stage, f"{cid}_samples.csv"), run.samples)
             if cfg.export_lp:
-                lp = build_scp(run.cls, run.samples, cfg.scp)
-                export_lp_text(lp, os.path.join(stage, f"{cid}_program.lp"))
+                export_lp_text(run.program, os.path.join(stage, f"{cid}_program.lp"))
             diagnostics = diagnose_class(
                 run.cls,
                 run.solution,

@@ -251,23 +251,26 @@ def load_samples_csv(
     dimension of ``joint_box`` gets one probe, which adds nothing to the
     probe grid's half-diagonal."""
     expected = sample_csv_header(state_dim, input_dim)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise DataFaultError(f"expected CSV header {expected}, got {header}")
-        rows = []
-        for row in filter(None, reader):
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                values = []
-            if len(values) != len(expected) or not np.all(np.isfinite(values)):
-                raise DataFaultError(
-                    f"{path} line {reader.line_num}: expected {len(expected)} finite "
-                    f"numbers, got {row}"
-                )
-            rows.append(values)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh.readlines())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFaultError(f"cannot read data CSV {path}: {exc}") from exc
+    header = next(reader, None)
+    if header != expected:
+        raise DataFaultError(f"expected CSV header {expected}, got {header}")
+    rows = []
+    for row in filter(None, reader):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != len(expected) or not np.all(np.isfinite(values)):
+            raise DataFaultError(
+                f"{path} line {reader.line_num}: expected {len(expected)} finite "
+                f"numbers, got {row}"
+            )
+        rows.append(values)
     if not rows:
         raise DataFaultError(f"no sample rows in {path}")
     data = np.array(rows, float)

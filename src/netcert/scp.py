@@ -183,7 +183,6 @@ class LinearProgram:
     b_ub: np.ndarray
     bounds: list[tuple[Optional[float], Optional[float]]]
     row_groups: list[str] = field(default_factory=list)
-    var_names: list[str] = field(default_factory=list)
     layout: Optional[VariableLayout] = None
 
 
@@ -281,7 +280,6 @@ def build_scp(
         b_ub=b_ub,
         bounds=bounds,
         row_groups=groups,
-        var_names=layout.names,
         layout=layout,
     )
 
@@ -295,11 +293,13 @@ def solve_scp(lp: LinearProgram) -> ScpSolution:
 
 @dataclass
 class ResidualReport:
-    """Worst constraint violation per row group, recomputed from the domain
-    evaluators rather than the assembled matrices."""
+    """Worst violation per row group, recomputed from the domain evaluators, not the
+    matrices, and the slacks the rows need: the largest level or decrease row and supply."""
 
     max_violation: dict[str, float]
     tolerance: float
+    eta: float
+    beta: float
 
     @property
     def passed(self) -> bool:
@@ -323,35 +323,37 @@ def check_solution(
     s = eval_supply(solution.supply, samples.d, samples.x)
     in_initial = cls.safety.initial.contains(samples.x)
     in_unsafe = cls.safety.unsafe.contains(samples.x)
-    rows = {
-        "initial": bx[in_initial] - solution.sigma - solution.eta,
-        "unsafe": -bx[in_unsafe] + solution.phi - solution.eta,
-        "decrease": bfx - bx - s - solution.eta,
-        "supply": s - solution.beta,
+    levels = {
+        "initial": bx[in_initial] - solution.sigma,
+        "unsafe": -bx[in_unsafe] + solution.phi,
+        "decrease": bfx - bx - s,
     }
-    viol = {g: float(np.max(v, initial=0.0)) for g, v in rows.items()}
+    viol = {g: float(np.max(v - solution.eta, initial=0.0)) for g, v in levels.items()}
+    viol["supply"] = float(np.max(s - solution.beta, initial=0.0))
     viol["gap"] = solution.sigma + options.gap - solution.phi
-    return ResidualReport(max_violation=viol, tolerance=options.feasibility_tol)
+    eta = float(np.max(np.concatenate(list(levels.values()))))
+    return ResidualReport(viol, options.feasibility_tol, eta, float(np.max(s)))
 
 
 def export_lp_text(lp: LinearProgram, path) -> None:
     """Write the program in the plain LP interchange format so external
     solvers can cross-check the optimum."""
+    names = lp.layout.names
 
     def term(coef: float, name: str) -> str:
         sign = "+" if coef >= 0 else "-"
         return f" {sign} {abs(coef):.17g} {name}"
 
     lines = ["Minimize", " obj:" + "".join(
-        term(c, lp.var_names[j]) for j, c in enumerate(lp.c) if c != 0.0
+        term(c, names[j]) for j, c in enumerate(lp.c) if c != 0.0
     ), "Subject To"]
     for i in range(lp.a_ub.shape[0]):
         body = "".join(
-            term(v, lp.var_names[j]) for j, v in enumerate(lp.a_ub[i]) if v != 0.0
+            term(v, names[j]) for j, v in enumerate(lp.a_ub[i]) if v != 0.0
         )
         lines.append(f" {lp.row_groups[i]}_{i}:{body} <= {lp.b_ub[i]:.17g}")
     lines.append("Bounds")
-    for name, (lo, hi) in zip(lp.var_names, lp.bounds):
+    for name, (lo, hi) in zip(names, lp.bounds):
         lo_s = "-inf" if lo is None else f"{lo:.17g}"
         hi_s = "+inf" if hi is None else f"{hi:.17g}"
         lines.append(f" {lo_s} <= {name} <= {hi_s}")

@@ -399,3 +399,31 @@ def test_criterion_8_dispersion_soundness(room_pipeline, platoon_pipeline):
     for key, (w, theta) in worst.items():
         assert w <= theta + 1e-12, key
     assert elapsed < 10.0
+
+
+# ---------------------------------------------------------------------------
+# Criterion 10: verify re-derives the stored certificates
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_10_verify_reproduces_the_certificates(
+    room_pipeline, platoon_pipeline, capsys
+):
+    """verify re-derives each class's certificate from its samples through
+    synth's own ``certify_class`` and finds every field equal to the stored
+    one, on the room and platoon certificates."""
+    flags = ["--grid-per-dim", "2", "--trajectories", "1", "--steps", "1"]
+    t0 = time.perf_counter()
+    margins = {}
+    for key, bundle in (("room", room_pipeline), ("platoon", platoon_pipeline)):
+        main(["verify", "--certificate", bundle["result"].certificate_path, *flags])
+        margins[key] = capsys.readouterr().out.splitlines()[-1]
+    elapsed = time.perf_counter() - t0
+    ok = all(line == f"[{key}] margins: reproduced" for key, line in margins.items())
+    record_acceptance(
+        "criterion 10 (reproduction): "
+        + " ".join(f"{key}: {line.split(': ', 1)[-1]}" for key, line in margins.items())
+        + f" in {elapsed:.1f} s -> {'PASS' if ok else 'FAIL'}"
+    )
+    for key, line in margins.items():
+        assert line == f"[{key}] margins: reproduced"

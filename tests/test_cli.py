@@ -23,7 +23,7 @@ from netcert.blackbox import TOPOLOGY_KINDS, Topology, build_room_class
 from netcert.cli import main
 from netcert.compose import ClassCertificate, NetworkCertificate
 from netcert.core import TransitionOracle
-from netcert.lipschitz import LipschitzConfig
+from netcert.lipschitz import LipschitzConfig, estimate_for_class
 from netcert.pipeline import (
     CertificateFormatError,
     ClassConfig,
@@ -31,6 +31,7 @@ from netcert.pipeline import (
     ConfigError,
     PipelineConfig,
     RefineConfig,
+    build_class,
     certificate_from_dict,
     certificate_to_dict,
     config_from_dict,
@@ -317,6 +318,42 @@ class TestDataFaults:
         assert capsys.readouterr().err.startswith(
             "synthesis failed: class 'drift': expected CSV header"
         )
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_data_csv(self, tmp_path, capsys, kind):
+        """A data CSV that cannot be opened or decoded ends synth with exit
+        3 and one line that names the class and the file; nothing is written
+        into the output directory."""
+        csv_path = tmp_path / "data.csv"
+        if kind == "directory":
+            csv_path.mkdir()
+        elif kind == "undecodable":
+            csv_path.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = drift_config_doc(csv_path, out)
+        assert main(["synth", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"synthesis failed: class 'drift': cannot read data CSV {csv_path}: "
+        ), err
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    def test_verify_with_a_missing_data_csv(self, tmp_path, drift_csv, capsys):
+        """verify re-reads the data CSV to re-derive the margins: once the
+        file is gone it exits 3 with one line naming the class and file."""
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, drift_config_doc(drift_csv, out))
+        assert main(["synth", "--config", cfg_path]) == 0
+        drift_csv.unlink()
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(out / "certificate.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"cannot verify: class 'drift': cannot read data CSV {drift_csv}: "
+        ), err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "abc", None], ids=str)
     def test_malformed_data_csv(self, tmp_path, drift_csv, capsys, cell):
@@ -677,6 +714,19 @@ class TestSynthCertifiedPath:
         assert code == 0, out
         assert "stored verdict: certified" in out
 
+    def test_verify_reproduces_the_margins(self, tmp_path, drift_csv, capsys):
+        """The data class's samples come from its CSV and its L2 from the
+        recorded pairs; verify re-derives both and the certificate equals the
+        stored one field for field."""
+        out_dir = tmp_path / "out"
+        cfg_path = write_config(tmp_path, drift_config_doc(drift_csv, out_dir))
+        assert main(["synth", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--certificate", str(out_dir / "certificate.json")])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0, out
+        assert out[-1] == "[drift] margins: reproduced"
+
 
 class TestZeroWidthDataBox:
     def test_synth_writes_a_certificate(self, tmp_path):
@@ -798,7 +848,8 @@ class TestSynthRoomBenchmark:
     def test_verify_prints_the_report_diagnostics(self, tmp_path, capsys):
         """On the grids synth used (5 x 5 samples times 4, 2 portrait
         trajectories of 5 steps), verify prints each class's diagnostic
-        lines exactly as report.txt holds them."""
+        lines exactly as report.txt holds them, then the margins line of a
+        certificate it re-derives field for field."""
         doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         doc.update(verify_multiplier=4, portrait_counts=[2], portrait_steps=5)
@@ -819,14 +870,14 @@ class TestSynthRoomBenchmark:
             "[room] levels",
         ]
         assert stored_verdict == "stored verdict: not-certified"
-        assert printed == diagnostics
+        assert printed == diagnostics + ["[room] margins: reproduced"]
         assert code == (1 if any("FAIL" in line for line in diagnostics) else 0)
 
     def test_levels_line_shows_the_gap(self, tmp_path, capsys):
         """With ``scp.gap`` 0 the solved levels meet (phi = sigma), which
-        verify fails while the level extrema, the heatmap and the portrait
-        all pass: the levels line ends with that gap and its FAIL, in
-        report.txt and in verify's output alike."""
+        verify fails while the level extrema, the heatmap, the portrait and
+        the re-derived margins all pass: the levels line ends with that gap
+        and its FAIL, in report.txt and in verify's output alike."""
         doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         doc["scp"]["gap"] = 0.0
@@ -839,7 +890,8 @@ class TestSynthRoomBenchmark:
         code = main(["verify", "--certificate", certificate, *flags])
         _, *printed = capsys.readouterr().out.splitlines()
         assert code == 1, printed
-        *passing, levels = printed
+        *passing, levels, margins = printed
+        assert margins == "[room] margins: reproduced"
         assert passing[0].endswith("(<= 0, pass)"), passing
         assert " 0 unsafe entries " in passing[1], passing
         assert re.fullmatch(
@@ -849,6 +901,49 @@ class TestSynthRoomBenchmark:
         ), levels
         report = (out / "report.txt").read_text().splitlines()
         assert report[-1].endswith("; phi - sigma 0.0 (FAIL)")
+
+    def test_verify_names_a_margin_field_that_differs(self, tmp_path, capsys):
+        """A room certificate with one coefficient moved by 1e-9 relative
+        still loads, since its stored margins are consistent with its stored
+        inputs; verify re-derives the slacks from the samples, prints the
+        first field that differs, eta, and exits 1."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        cert_doc = read_json(out / "certificate.json")
+        cert_doc["classes"][0]["coeffs"][1] *= 1 + 1e-9
+        certificate = write_config(tmp_path, cert_doc, name="edited.json")
+        stored = load_certificate(certificate).class_by_id("room")
+        capsys.readouterr()
+        flags = ["--grid-per-dim", "5", "--trajectories", "1", "--steps", "1"]
+        code = main(["verify", "--certificate", certificate, *flags])
+        margins = capsys.readouterr().out.splitlines()[-1]
+        assert code == 1
+        match = re.fullmatch(r"\[room\] margins: stored eta (\S+), re-derived (\S+)", margins)
+        assert match, margins
+        assert match.group(1) == repr(stored.eta) != match.group(2)
+
+    def test_verify_exits_3_when_a_row_exceeds_the_stored_slacks(self, tmp_path, capsys):
+        """Moved by 1e-3 relative, the quartic coefficient raises sampled
+        rows above the stored eta by more than ``feasibility_tol``: the
+        re-derivation fails as synth would, with exit 3 and one line that
+        names the class and the group."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        cert_doc = read_json(out / "certificate.json")
+        cert_doc["classes"][0]["coeffs"][0] *= 1 + 1e-3
+        certificate = write_config(tmp_path, cert_doc, name="edited.json")
+        capsys.readouterr()
+        flags = ["--grid-per-dim", "5", "--trajectories", "1", "--steps", "1"]
+        assert main(["verify", "--certificate", certificate, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "cannot verify: class 'room': solution residuals exceed tolerance in group "
+        ), err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("cap", [2_500, 2_499], ids=["at-cap", "over-cap"])
     def test_heatmap_csv_skip_is_reported(self, tmp_path, monkeypatch, cap):
@@ -1205,6 +1300,35 @@ class TestOtherSubcommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "L1 =" in out and "L2 =" in out and "stored values" in out
+
+    def test_lipschitz_defaults_to_the_stored_fit(self, tmp_path, capsys):
+        """With no fit flags, certificate mode refits with the class's
+        stored lipschitz_config and prints the stored L1 and L2 bit for bit;
+        a flag that is given replaces only its own field."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["synth", "--config", cfg_path, "--output-dir", str(out)]) == 1
+        certificate = str(out / "certificate.json")
+        stored = load_certificate(certificate).class_by_id("room")
+        capsys.readouterr()
+        args = ["lipschitz", "--certificate", certificate, "--class-id", "room"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            f"L1 = {stored.l1!r} (fallback: {stored.l1_fallback})",
+            f"L2 = {stored.l2!r} (fallback: {stored.l2_fallback})",
+        ]
+        assert main([*args, "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cls = build_class(load_config(cfg_path).classes[0])
+        l1, l2 = estimate_for_class(cls, stored, replace(stored.lipschitz_config, seed=3))
+        assert lines[:2] == [
+            f"L1 = {l1.value!r} (fallback: {l1.fallback_used})",
+            f"L2 = {l2.value!r} (fallback: {l2.fallback_used})",
+        ]
+        assert l1.value != stored.l1
 
     def test_simulate_room(self, tmp_path, capsys):
         code = main(

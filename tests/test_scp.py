@@ -15,6 +15,8 @@ from netcert.core import (
     eval_supply,
     eval_template,
 )
+from netcert.lipschitz import LipschitzConfig
+from netcert.pipeline import PipelineConfig, PipelineError, certify_class
 from netcert.sampling import CoverageError, SampleSet, collect_pairs
 from netcert.scp import (
     LinearProgram,
@@ -79,7 +81,6 @@ def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
         b_ub=b,
         bounds=[(-2.0, 2.0)] * n,
         row_groups=[f"r{i}" for i in range(m)],
-        var_names=[f"v{j}" for j in range(n)],
     )
 
 
@@ -233,7 +234,6 @@ class TestSolveScp:
             b_ub=np.array([-1.0, -1.0]),
             bounds=[(-5.0, 5.0)],
             row_groups=["upper", "lower"],
-            var_names=["v0"],
         )
         with pytest.raises(ScpSolveError, match="^scenario program infeasible: "):
             solve_lp(lp)
@@ -345,6 +345,48 @@ class TestCheckSolutionZeroResiduals:
         )
         report = check_solution(zero, cls, samples, ScpOptions(gap=0.0))
         assert all(v <= 0.0 for v in report.max_violation.values())
+
+
+class TestSlacksFromTheEvaluators:
+    """The stored slacks are the largest sampled row values that the
+    evaluators give; the LP's own eta and beta only bound them."""
+
+    def test_a_row_violated_within_tolerance_is_stored(self, room_class, room_samples):
+        """An LP vector whose eta is lowered by half ``feasibility_tol``
+        leaves a decrease row above it by less than the tolerance: the
+        residual check passes, and the certificate's eta and beta still
+        bound every recomputed row."""
+        options = ScpOptions()
+        lp = build_scp(room_class, room_samples, options)
+        v = solve_lp(lp)
+        v[lp.layout.eta] -= 0.5 * options.feasibility_tol
+        solution = lp.layout.unpack(v)
+        bx = eval_template(room_class.template, solution.coeffs, room_samples.x)
+        bfx = eval_template(room_class.template, solution.coeffs, room_samples.fx)
+        s = eval_supply(solution.supply, room_samples.d, room_samples.x)
+        initial = room_class.safety.initial.contains(room_samples.x)
+        unsafe = room_class.safety.unsafe.contains(room_samples.x)
+        decrease = bfx - bx - s
+        assert 0 < decrease.max() - solution.eta <= options.feasibility_tol
+        assert check_solution(solution, room_class, room_samples, options).passed
+        cfg = PipelineConfig(
+            classes=[], scp=options, lipschitz=LipschitzConfig(0.1, 20, 5, seed=0)
+        )
+        cert = certify_class(room_class, room_samples, solution, cfg)
+        assert cert.eta >= decrease.max()
+        assert cert.eta >= (bx[initial] - solution.sigma).max()
+        assert cert.eta >= (-bx[unsafe] + solution.phi).max()
+        assert cert.beta >= s.max()
+        assert cert.eta > solution.eta
+
+    def test_a_row_beyond_tolerance_names_its_group(self, room_class, room_samples):
+        options = ScpOptions()
+        lp = build_scp(room_class, room_samples, options)
+        v = solve_lp(lp)
+        v[lp.layout.beta] -= 2 * options.feasibility_tol
+        cfg = PipelineConfig(classes=[], scp=options)
+        with pytest.raises(PipelineError, match="exceed tolerance in group 'supply'"):
+            certify_class(room_class, room_samples, lp.layout.unpack(v), cfg)
 
 
 class TestLpExport:
