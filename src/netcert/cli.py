@@ -203,11 +203,13 @@ def cmd_lipschitz(args) -> int:
     if ccert is None:
         raise ConfigError(f"no class {args.class_id!r} in the certificate")
     cls = classes[ccert.class_id]
-    if cls.oracle is None:
-        raise ConfigError("class has no oracle; cannot rebuild the decrease map")
     config = fit_config(ccert.lipschitz_config or cfg.lipschitz)
+    samples = None
+    if cls.oracle is None:  # L2 from the recorded pairs, as in synth and verify
+        cc = next(cc for cc in cfg.classes if cc.id == cls.id)
+        samples = class_samples(cc, cls, ccert.grid_spec)
     with faults_of(cls.id):
-        l1, l2 = estimate_for_class(cls, ccert, config)
+        l1, l2 = estimate_for_class(cls, ccert, config, samples)
     print(f"L1 = {l1.value!r} (fallback: {l1.fallback_used})")
     print(f"L2 = {l2.value!r} (fallback: {l2.fallback_used})")
     print(f"stored values were L1 = {ccert.l1!r}, L2 = {ccert.l2!r}")

@@ -13,7 +13,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array
 
 from .core import (
     InvariantError,
@@ -192,26 +193,85 @@ class ScpSolveError(RuntimeError):
     solver failure (a time limit, numerical trouble)."""
 
 
+# The options scipy's linprog(method="highs") passes to HiGHS, with both
+# tolerances tighter than the downstream residual tolerance of 1e-8.
+_HIGHS_OPTIONS = (
+    ("presolve", "on"),
+    ("simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("primal_feasibility_tolerance", 1e-10),
+    ("dual_feasibility_tolerance", 1e-10),
+)
+
+
+@dataclass(frozen=True)
+class HighsRun:
+    """What one HiGHS run hands back: the column values (None without an
+    optimum), the model status and its name, and the iteration count."""
+
+    x: Optional[np.ndarray]
+    status: highs.HighsModelStatus
+    message: str
+    nit: int
+
+
+def linprog(lp: LinearProgram) -> HighsRun:
+    """Solve ``lp`` in one run of scipy's bundled HiGHS, handed the model and
+    options that ``scipy.optimize.linprog(method="highs")`` hands it, so the
+    optimum has the same bits; only the column values, the model status and
+    the iteration count are read back, never the per-row solution.
+
+    It keeps scipy's name, and ``solve_lp`` looks it up as a module global,
+    because the traced benchmark wraps ``netcert.scp.linprog`` (reading
+    ``.nit``) and tests replace it to stage a solver failure."""
+    rows, cols = lp.a_ub.shape
+    a = csc_array(lp.a_ub)  # linprog's conversion: sorted indices, zeros dropped
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = cols
+    model.num_row_ = model.a_matrix_.num_row_ = rows
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = a.indptr
+    model.a_matrix_.index_ = a.indices
+    model.a_matrix_.value_ = a.data
+    model.col_cost_ = lp.c
+    model.col_lower_ = [-highs.kHighsInf if lo is None else lo for lo, _ in lp.bounds]
+    model.col_upper_ = [highs.kHighsInf if hi is None else hi for _, hi in lp.bounds]
+    model.row_lower_ = np.full(rows, -highs.kHighsInf)
+    model.row_upper_ = lp.b_ub
+    solver = highs._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        solver.setOptionValue(name, value)
+    # HiGHS takes a NaN coefficient without complaint, where linprog refused it
+    loaded = np.isfinite(a.data).all() and solver.passModel(model) != highs.HighsStatus.kError
+    del model, a  # HiGHS holds its own copy
+    if loaded:
+        solver.run()
+        status = solver.getModelStatus()
+    else:
+        status = highs.HighsModelStatus.kModelError
+    info = solver.getInfo()
+    optimal = status == highs.HighsModelStatus.kOptimal
+    return HighsRun(
+        x=np.array(solver.getSolution().col_value) if optimal else None,
+        status=status,
+        message=solver.modelStatusToString(status),
+        nit=info.simplex_iteration_count or info.ipm_iteration_count,
+    )
+
+
 def solve_lp(lp: LinearProgram) -> np.ndarray:
     """Deterministic solve (HiGHS); the fixed row order makes repeated runs
     bit-reproducible.  Returns the optimum, or raises ``ScpSolveError``
-    naming HiGHS's status and message when there is none."""
-    res = linprog(
-        lp.c,
-        A_ub=lp.a_ub if lp.a_ub.size else None,
-        b_ub=lp.b_ub if lp.b_ub.size else None,
-        bounds=lp.bounds,
-        method="highs",
-        options={
-            # tighter than the downstream residual tolerance of 1e-8
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
-        raise ScpSolveError(f"scenario program {status}: {res.message}")
-    return np.asarray(res.x, float)
+    naming HiGHS's model status when there is none."""
+    run = linprog(lp)
+    if run.status != highs.HighsModelStatus.kOptimal:
+        kind = {
+            highs.HighsModelStatus.kInfeasible: "infeasible",
+            highs.HighsModelStatus.kUnbounded: "unbounded",
+        }.get(run.status, "failed")
+        raise ScpSolveError(f"scenario program {kind}: {run.message}")
+    return run.x
 
 
 def build_scp(

@@ -92,9 +92,13 @@ def test_traced_benchmark_sees_every_layer(tmp_path):
     assert proc.returncode == 1, proc.stderr
     # a name traced.py cannot patch also exits 1, but writes no trace
     assert trace.exists(), proc.stderr
-    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    doc = json.loads(trace.read_text())
+    names = [span[0] for span in doc["spans"]]
     missing = [name for name in EXPECTED_SPANS if name not in names]
     assert not missing, f"traced run recorded no span for {missing}"
+    # the solver span and its counter come from what scp.linprog returns
+    assert names.count("scp.linprog") == names.count("pipeline.solve_scp") == 1
+    assert doc["counters"]["scp.solver_iters"] > 0
 
 
 def test_synth_never_imports_scipy_stats(tmp_path):

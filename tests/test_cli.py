@@ -1330,6 +1330,21 @@ class TestOtherSubcommands:
         ]
         assert l1.value != stored.l1
 
+    def test_lipschitz_fits_a_data_class_from_its_pairs(self, tmp_path, drift_csv, capsys):
+        """A data class has no oracle; its L2 comes from the recorded pairs,
+        as in synth, so the stored L1 and L2 come back bit for bit."""
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, drift_config_doc(drift_csv, out))
+        assert main(["synth", "--config", cfg_path]) == 0
+        stored = load_certificate(out / "certificate.json").class_by_id("drift")
+        capsys.readouterr()
+        args = ["lipschitz", "--certificate", str(out / "certificate.json"), "--class-id", "drift"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            f"L1 = {stored.l1!r} (fallback: {stored.l1_fallback})",
+            f"L2 = {stored.l2!r} (fallback: {stored.l2_fallback})",
+        ]
+
     def test_simulate_room(self, tmp_path, capsys):
         code = main(
             [

@@ -4,6 +4,9 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcert.core import (
     DimensionError,
@@ -237,6 +240,71 @@ class TestSolveScp:
         )
         with pytest.raises(ScpSolveError, match="^scenario program infeasible: "):
             solve_lp(lp)
+
+    def test_unbounded_reports_status(self):
+        # a free column with negative cost and no row to stop it
+        lp = LinearProgram(
+            c=np.array([-1.0, 1.0]),
+            a_ub=np.array([[0.0, 1.0]]),
+            b_ub=np.array([1.0]),
+            bounds=[(None, None), (0.0, 2.0)],
+            row_groups=["upper"],
+        )
+        with pytest.raises(ScpSolveError, match="^scenario program unbounded: Unbounded$"):
+            solve_lp(lp)
+
+    def test_nan_coefficient_is_a_model_error(self):
+        """HiGHS would take a NaN coefficient and report an optimum."""
+        lp = LinearProgram(
+            c=np.array([1.0]),
+            a_ub=np.array([[np.nan]]),
+            b_ub=np.array([1.0]),
+            bounds=[(-5.0, 5.0)],
+            row_groups=["upper"],
+        )
+        with pytest.raises(ScpSolveError, match="^scenario program failed: Model error$"):
+            solve_lp(lp)
+
+
+def scipy_optimum(lp: LinearProgram) -> np.ndarray:
+    """The optimum of ``scipy.optimize.linprog`` with the tolerances
+    ``solve_lp`` uses."""
+    res = scipy.optimize.linprog(
+        lp.c,
+        A_ub=lp.a_ub,
+        b_ub=lp.b_ub,
+        bounds=lp.bounds,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return res.x
+
+
+class TestDirectHighs:
+    """``solve_lp`` hands HiGHS the model and options scipy's linprog hands
+    it, so the optimum keeps scipy's bits."""
+
+    @pytest.mark.parametrize("name", ["room", "platoon", "drift", "room-62"])
+    def test_same_bits_as_scipy(self, request, name):
+        if name == "room-62":
+            cls = request.getfixturevalue("room_class")
+            samples = collect_pairs(cls, (62,), (62,))
+        else:
+            cls = request.getfixturevalue(f"{name}_class")
+            samples = request.getfixturevalue(f"{name}_samples")
+        lp = build_scp(cls, samples, ScpOptions())
+        assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["room", "platoon"]))
+    def test_same_bits_on_any_grid(self, room_class, platoon_class, data, name):
+        cls = room_class if name == "room" else platoon_class
+        counts = st.integers(2, 12)
+        state_counts = data.draw(st.tuples(*[counts] * cls.state_dim), label="state")
+        input_counts = data.draw(st.tuples(*[counts] * cls.input_dim), label="input")
+        lp = build_scp(cls, collect_pairs(cls, state_counts, input_counts), ScpOptions())
+        assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
 
 
 class TestScpOptions:
