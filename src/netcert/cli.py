@@ -40,12 +40,11 @@ from .pipeline import (
     certify_class,
     class_samples,
     config_from_dict,
-    config_to_dict,
     diagnose_class,
     faults_of,
     load_certificate,
-    load_config,
     portrait_line,
+    read_json,
     run_pipeline,
     render_report,
 )
@@ -90,16 +89,20 @@ def _add_config_flags(parser, *flags) -> None:
 
 
 def _load_config(args):
-    """The configuration file with every given config flag set over it."""
-    doc = config_to_dict(load_config(args.config))
+    """The configuration file with every given config flag set over it; a
+    section the file leaves out takes its other values from the defaults."""
+    doc = read_json(args.config, ConfigError, "configuration")
     for path, _ in CONFIG_FLAGS.values():
         value = getattr(args, path, None)
         if value is not None:
             *sections, key = path.split(".")
             target = doc
             for name in sections:
-                target = target[name]
-            target[key] = value
+                target = target.setdefault(name, {}) if isinstance(target, dict) else None
+            # a document or section that is no JSON object is left for
+            # config_from_dict to name
+            if isinstance(target, dict):
+                target[key] = value
     return config_from_dict(doc)
 
 
@@ -113,9 +116,9 @@ def cmd_synth(args) -> int:
 
 
 def _load_checked_certificate(path):
-    """The stored certificate and the configuration and classes rebuilt from
-    the config embedded in its provenance; each class certificate must fit
-    its class's template and dimensions."""
+    """The stored certificate, its embedded configuration and, in order, the
+    class of each class certificate rebuilt from that configuration; each
+    class certificate must fit its class's template and dimensions."""
     cert = load_certificate(path)
     doc = cert.provenance.get("config")
     if doc is None:
@@ -142,16 +145,14 @@ def _load_checked_certificate(path):
                 f"class {cls.id!r}: supply blocks for (input, state) dimensions {dims}, "
                 f"class has {(cls.input_dim, cls.state_dim)}"
             )
-    return cert, cfg, classes
+    return cert, cfg, tuple(classes[ccert.class_id] for ccert in cert.classes)
 
 
 def cmd_verify(args) -> int:
     cert, cfg, classes = _load_checked_certificate(args.certificate)
-    configs = {cc.id: cc for cc in cfg.classes}
     ok = True
     print(f"stored verdict: {cert.verdict}")
-    for ccert in cert.classes:
-        cls = classes[ccert.class_id]
+    for ccert, cls in zip(cert.classes, classes):
         grid = (args.grid_per_dim,)
         diagnostics = diagnose_class(
             cls,
@@ -162,7 +163,7 @@ def cmd_verify(args) -> int:
             args.steps,
         )
         print("\n".join(diagnostics.lines()))
-        fresh = certify_class(cls, class_samples(configs[cls.id], cls, ccert.grid_spec), ccert, cfg)
+        fresh = certify_class(cls, class_samples(cls, ccert.grid_spec), ccert, cfg)
         # fields compare as they print, so -0.0 differs from 0.0
         differ = [
             f"stored {f.name} {getattr(ccert, f.name)!r}, re-derived {getattr(fresh, f.name)!r}"
@@ -199,17 +200,14 @@ def cmd_lipschitz(args) -> int:
     if args.certificate is None or args.class_id is None:
         raise ConfigError("need either --demo or both --certificate and --class-id")
     cert, cfg, classes = _load_checked_certificate(args.certificate)
-    ccert = next((c for c in cert.classes if c.class_id == args.class_id), None)
-    if ccert is None:
+    found = [(c, cls) for c, cls in zip(cert.classes, classes) if c.class_id == args.class_id]
+    if not found:
         raise ConfigError(f"no class {args.class_id!r} in the certificate")
-    cls = classes[ccert.class_id]
-    config = fit_config(ccert.lipschitz_config or cfg.lipschitz)
-    samples = None
-    if cls.oracle is None:  # L2 from the recorded pairs, as in synth and verify
-        cc = next(cc for cc in cfg.classes if cc.id == cls.id)
-        samples = class_samples(cc, cls, ccert.grid_spec)
+    ccert, cls = found[0]
+    # a data class's L2 comes from the recorded pairs, as in synth and verify
+    samples = None if cls.data_csv is None else class_samples(cls, ccert.grid_spec)
     with faults_of(cls.id):
-        l1, l2 = estimate_for_class(cls, ccert, config, samples)
+        l1, l2 = estimate_for_class(cls, ccert, fit_config(cfg.lipschitz), samples)
     print(f"L1 = {l1.value!r} (fallback: {l1.fallback_used})")
     print(f"L2 = {l2.value!r} (fallback: {l2.fallback_used})")
     print(f"stored values were L1 = {ccert.l1!r}, L2 = {ccert.l2!r}")

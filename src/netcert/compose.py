@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import InvariantError
-from .lipschitz import LipschitzConfig
 from .scp import ScpSolution
 
 CONDITION_GAP = "gap"  # phi* - sigma* > 0
@@ -86,7 +85,6 @@ class ClassCertificate(ClassMargins, ScpSolution):
     template_exponents: tuple[tuple[int, ...], ...]
     sample_count: int
     grid_spec: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-    lipschitz_config: Optional[LipschitzConfig] = None
     l1_fallback: bool = False
     l2_fallback: bool = False
 
@@ -111,12 +109,10 @@ class NetworkCertificate:
 
     The verdict is certified exactly when every class satisfies its margins
     with a strictly positive level gap, for any number of copies of each
-    class.  ``reference_size`` records the run's surrogate size; the
-    verdict does not depend on it.
+    class.
     """
 
     classes: tuple[ClassCertificate, ...]
-    reference_size: int
     provenance: dict = field(default_factory=dict)
     failures: tuple[Failure, ...] = field(init=False)
     verdict: str = field(init=False)

@@ -389,7 +389,8 @@ class TransitionOracle:
 @dataclass(frozen=True)
 class SubsystemClass:
     """One class of identical subsystems: domain boxes, safety spec,
-    certificate template, and the black-box transition handle."""
+    certificate template, and its source of transitions: the black-box
+    handle, or the path of a CSV of recorded ones."""
 
     id: str
     state_dim: int
@@ -399,6 +400,7 @@ class SubsystemClass:
     safety: SafetySpec
     template: StcTemplate
     oracle: Optional[TransitionOracle] = None
+    data_csv: Optional[str] = None
 
     def __post_init__(self):
         if self.state_box.dim != self.state_dim:

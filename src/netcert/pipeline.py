@@ -67,7 +67,7 @@ from .verify import (
 )
 
 CONFIG_VERSION = 1
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 # a larger decrease heatmap is summarised in report.txt but not written as CSV
 HEATMAP_CSV_POINT_CAP = 200_000
 
@@ -99,6 +99,12 @@ class ClassConfig:
     input_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
     initial_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
     unsafe_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
+
+    def __post_init__(self):
+        # against the working directory, as output_dir is, so the embedded
+        # configuration names the same file wherever it is verified from
+        if self.data_csv is not None:
+            self.data_csv = os.path.abspath(self.data_csv)
 
 
 # the keys only one kind of class takes; id and template_exponents apply to both
@@ -203,7 +209,7 @@ def build_class(cc: ClassConfig) -> SubsystemClass:
             template=StcTemplate(
                 state_dim=cc.state_dim, exponents=np.array(cc.template_exponents, dtype=int)
             ),
-            oracle=None,
+            data_csv=cc.data_csv,
         )
     except InvariantError as exc:
         raise ConfigError(f"data class {cc.id!r}: {exc}") from exc
@@ -351,13 +357,17 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return {"version": CONFIG_VERSION, **_plain(cfg), "classes": classes}
 
 
-def load_config(path) -> PipelineConfig:
+def read_json(path, error: type[Exception], what: str):
+    """The JSON document in file ``path``; a ``what`` it cannot read raises ``error``."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    return config_from_dict(doc)
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path) -> PipelineConfig:
+    return config_from_dict(read_json(path, ConfigError, "configuration"))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +398,11 @@ def faults_of(class_id: str):
         raise DataFaultError(f"class {class_id!r}: {exc}") from exc
 
 
-def class_samples(cc: ClassConfig, cls: SubsystemClass, counts) -> SampleSet:
+def class_samples(cls: SubsystemClass, counts) -> SampleSet:
     """The class's data CSV, or its oracle on the (state, input) ``counts`` grid."""
-    with faults_of(cc.id):
-        if cc.data_csv is not None:
-            return load_samples_csv(cc.data_csv, cls.state_dim, cls.input_dim, cls.joint_box)
+    with faults_of(cls.id):
+        if cls.data_csv is not None:
+            return load_samples_csv(cls.data_csv, cls.state_dim, cls.input_dim, cls.joint_box)
         return collect_pairs(cls, counts[0], counts[1])
 
 
@@ -419,20 +429,18 @@ def certify_class(
         theta=samples.dispersion,
         sample_count=samples.count,
         grid_spec=samples.grid_spec,
-        lipschitz_config=cfg.lipschitz,
         l1_fallback=l1.fallback_used,
         l2_fallback=l2.fallback_used,
     )
 
 
-def _run_class(cc: ClassConfig, cfg: PipelineConfig, counts_override=None) -> ClassRun:
-    cls = build_class(cc)
-    samples = class_samples(cc, cls, counts_override or (cc.counts_state, cc.counts_input))
+def _run_class(cls: SubsystemClass, counts, cfg: PipelineConfig) -> ClassRun:
+    samples = class_samples(cls, counts)
     lp = build_scp(cls, samples, cfg.scp)
     try:
         solution = solve_scp(lp)
     except ScpSolveError as exc:
-        raise PipelineError(f"class {cc.id!r}: {exc}") from exc
+        raise PipelineError(f"class {cls.id!r}: {exc}") from exc
     return ClassRun(cls, samples, lp, certify_class(cls, samples, solution, cfg))
 
 
@@ -447,38 +455,37 @@ class PipelineResult:
 def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineResult:
     """Collect, solve, estimate, and compose; refine failing classes by
     doubling their grid counts up to the configured retry limit."""
-    runs = {cc.id: _run_class(cc, cfg) for cc in cfg.classes}
+    runs = [
+        _run_class(build_class(cc), (cc.counts_state, cc.counts_input), cfg) for cc in cfg.classes
+    ]
     rounds = 0
     while cfg.refine.enabled and rounds < cfg.refine.max_retries:
-        failing = [cc for cc in cfg.classes if not runs[cc.id].solution.satisfied]
-        refinable = [cc for cc in failing if cc.data_csv is None]
-        if not failing or not refinable:
+        failing = [i for i, run in enumerate(runs) if not run.solution.satisfied]
+        refinable = [i for i in failing if runs[i].cls.data_csv is None]
+        if not refinable:
             break
         rounds += 1
-        for cc in refinable:
-            denser = tuple(tuple(2 * c for c in part) for part in runs[cc.id].samples.grid_spec)
-            runs[cc.id] = _run_class(cc, cfg, counts_override=denser)
+        for i in refinable:
+            denser = tuple(tuple(2 * c for c in part) for part in runs[i].samples.grid_spec)
+            runs[i] = _run_class(runs[i].cls, denser, cfg)
+    # where the artifacts land and whether the LP text is written do not shape
+    # the certificate; leaving them out keeps such runs byte-identical
     embedded_config = config_to_dict(cfg)
-    # where the artifacts land does not shape the certificate; leaving the
-    # path out keeps runs into different directories byte-identical
-    embedded_config.pop("output_dir", None)
+    del embedded_config["output_dir"], embedded_config["export_lp"]
     certificate = NetworkCertificate(
-        tuple(runs[cc.id].solution for cc in cfg.classes),
-        reference_size=cfg.topology.surrogate_size,
+        tuple(run.solution for run in runs),
         provenance={
             "tool_version": __version__,
             "config": embedded_config,
             "refinement_rounds": rounds,
-            "sample_counts": {cc.id: runs[cc.id].samples.count for cc in cfg.classes},
         },
     )
-    run_list = [runs[cc.id] for cc in cfg.classes]
     cert_path = ""
     if write_outputs:
-        cert_path = write_run_outputs(cfg, certificate, run_list)
+        cert_path = write_run_outputs(cfg, certificate, runs)
     return PipelineResult(
         certificate=certificate,
-        runs=run_list,
+        runs=runs,
         certificate_path=cert_path,
         refinement_rounds=rounds,
     )
@@ -696,9 +703,4 @@ def store_certificate(cert: NetworkCertificate, path) -> None:
 
 
 def load_certificate(path) -> NetworkCertificate:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CertificateFormatError(f"cannot read certificate {path}: {exc}") from exc
-    return certificate_from_dict(doc)
+    return certificate_from_dict(read_json(path, CertificateFormatError, "certificate"))

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from netcert.cli import main
 from netcert.pipeline import config_from_dict, run_pipeline
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -157,3 +158,30 @@ def test_make_expected_matches_the_pipeline(tmp_path, monkeypatch):
         assert expected["l1_by_seed"][seed] == room.l1
         assert expected["l2_by_seed"][seed] == room.l2
         assert table["failing"] == sorted([f.class_id, f.condition] for f in cert.failures)
+
+
+def test_room_synth_passes_the_benchmark_check(tmp_path, monkeypatch):
+    """perfbench/run.py's own output check accepts room synth at seed 7: the
+    certificate against expected.json and every artifact the workload lists.
+    So a format change that the benchmark would refuse fails here first."""
+    path = os.path.join(REPO_ROOT, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules as they are built
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    with open(os.path.join(REPO_ROOT, "perfbench", "spec.json")) as fh:
+        bench = json.load(fh)
+    with open(os.path.join(REPO_ROOT, "perfbench", "expected.json")) as fh:
+        expected = json.load(fh)
+    workload = bench["workloads"]["room"]
+    config = tmp_path / "room.json"
+    config.write_text(json.dumps(workload["config"]))
+    out = tmp_path / "out"
+    argv = ["synth", "--config", str(config), "--output-dir", str(out), "--seed", "7"]
+    assert main(argv) == workload["exit_code"]
+    doc = json.loads((out / "certificate.json").read_text())
+    expect = run.expectation(expected["room"], 7)
+    assert run.check_certificate(doc, expect, bench["tolerance"]) == []
+    for name in workload["artifacts"]:
+        assert (out / name).stat().st_size > 0, name

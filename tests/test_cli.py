@@ -20,11 +20,12 @@ import netcert.pipeline
 import netcert.scp
 import netcert.verify
 from netcert.blackbox import TOPOLOGY_KINDS, Topology, build_room_class
-from netcert.cli import main
+from netcert.cli import _load_config, build_parser, main
 from netcert.compose import ClassCertificate, NetworkCertificate
 from netcert.core import TransitionOracle
 from netcert.lipschitz import LipschitzConfig, estimate_for_class
 from netcert.pipeline import (
+    CERTIFICATE_VERSION,
     CertificateFormatError,
     ClassConfig,
     ClassRun,
@@ -203,6 +204,32 @@ class TestConfigValidation:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+    def test_flags_fill_sections_the_file_omits(self, tmp_path):
+        """A flag sets its key over the file; a section the file leaves out
+        takes every other value from the defaults."""
+        doc = read_json(ROOM_CONFIG)
+        del doc["topology"], doc["lipschitz"]
+        flags = ["--topology", "cascade", "--seed", "3"]
+        args = build_parser().parse_args(["synth", "--config", write_config(tmp_path, doc), *flags])
+        cfg = _load_config(args)
+        assert cfg.topology == replace(PipelineConfig([]).topology, kind="cascade")
+        assert cfg.lipschitz == replace(PipelineConfig([]).lipschitz, seed=3)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [], "configuration must be a JSON object"),
+            (lambda doc: {**doc, "topology": "ring"}, "topology must be a JSON object"),
+        ],
+        ids=["document", "section"],
+    )
+    def test_flags_over_a_part_that_is_no_object(self, tmp_path, capsys, edit, message):
+        """A flag is not set into a document or section that is no JSON
+        object; the configuration error names that part."""
+        path = write_config(tmp_path, edit(read_json(ROOM_CONFIG)))
+        assert main(["synth", "--config", path, "--topology", "cascade"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize(
         "path, value, message",
@@ -551,6 +578,17 @@ def rename_class(doc, new_id):
         failure["class_id"] = new_id
 
 
+def as_format_1(doc):
+    """The format-1 shape, which also held the surrogate size, the sample
+    counts, each class's fit configuration and export_lp."""
+    config = doc["provenance"]["config"]
+    doc.update(version=1, reference_size=config["topology"]["surrogate_size"])
+    doc["provenance"]["sample_counts"] = {c["class_id"]: c["sample_count"] for c in doc["classes"]}
+    config["export_lp"] = False
+    for entry in doc["classes"]:
+        entry["lipschitz_config"] = config["lipschitz"]
+
+
 # edit of a stored room certificate -> part of the one line that refuses it
 TAMPERED_CERTIFICATES = {
     "asymmetric-s11": (
@@ -584,13 +622,15 @@ TAMPERED_CERTIFICATES = {
         lambda doc: rename_class(doc, "attic"),
         "class 'attic' is not in the embedded configuration",
     ),
+    "format-1": (as_format_1, "unsupported certificate version 1; expected 2\n"),
 }
 
 
 class TestTamperedCertificates:
     """A certificate whose class record is inconsistent, in itself or with
-    the class rebuilt from its embedded configuration, is refused when it
-    loads: exit 2 and one line, before any compute."""
+    the class rebuilt from its embedded configuration, or whose format is
+    not this one, is refused when it loads: exit 2 and one line, before any
+    compute."""
 
     @pytest.mark.parametrize(
         "command",
@@ -697,6 +737,15 @@ class TestSynthCertifiedPath:
         cert_b = (tmp_path / "b" / "certificate.json").read_bytes()
         assert cert_a == cert_b
 
+    def test_certificate_does_not_depend_on_export_lp(self, tmp_path):
+        """Whether the LP text is written does not shape the certificate, so
+        room with and without --export-lp writes the same certificate bytes."""
+        for name, flags in (("plain", []), ("lp", ["--export-lp"])):
+            out = str(tmp_path / name)
+            assert main(["synth", "--config", ROOM_CONFIG, "--output-dir", out, *flags]) == 1
+        plain = (tmp_path / "plain" / "certificate.json").read_bytes()
+        assert (tmp_path / "lp" / "certificate.json").read_bytes() == plain
+
     def test_export_lp_flag_writes_program(self, tmp_path, drift_csv):
         out_dir = tmp_path / "out"
         cfg_path = write_config(tmp_path, drift_config_doc(drift_csv, out_dir))
@@ -723,6 +772,23 @@ class TestSynthCertifiedPath:
         assert main(["synth", "--config", cfg_path]) == 0
         capsys.readouterr()
         code = main(["verify", "--certificate", str(out_dir / "certificate.json")])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0, out
+        assert out[-1] == "[drift] margins: reproduced"
+
+    def test_verify_from_another_directory(self, tmp_path, drift_samples, capsys, monkeypatch):
+        """A relative data_csv is resolved against the working directory as
+        the configuration is read, and the certificate names the absolute
+        path, so verify re-reads the same file from any directory."""
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        save_samples_csv(sub / "drift_samples.csv", drift_samples)
+        write_config(sub, drift_config_doc("drift_samples.csv", "out"))
+        monkeypatch.chdir(sub)
+        assert main(["synth", "--config", "config.json"]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = main(["verify", "--certificate", os.path.join("sub", "out", "certificate.json")])
         out = capsys.readouterr().out.splitlines()
         assert code == 0, out
         assert out[-1] == "[drift] margins: reproduced"
@@ -974,7 +1040,7 @@ class TestSynthRoomBenchmark:
         cfg.refine = RefineConfig(enabled=True, max_retries=1)
         result = run_pipeline(cfg, write_outputs=False)
         assert result.refinement_rounds == 1
-        assert result.certificate.provenance["sample_counts"]["room"] == 14 * 14
+        assert result.certificate.class_by_id("room").sample_count == 14 * 14
 
 
 class TestCertificatePersistence:
@@ -1001,7 +1067,7 @@ class TestCertificatePersistence:
         cfg = config_from_dict(drift_config_doc(drift_csv, out_dir))
         result = run_pipeline(cfg)
         doc = read_json(result.certificate_path)
-        doc["version"] = 2
+        doc["version"] = CERTIFICATE_VERSION + 1
         bad = tmp_path / "wrong_version.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(CertificateFormatError):
@@ -1153,7 +1219,6 @@ def class_certificates(draw, index):
         theta=draw(st.floats(0.0, 1e3)),
         sample_count=draw(st.integers(1, 10**6)),
         grid_spec=draw(st.one_of(st.none(), st.tuples(COUNTS, COUNTS))),
-        lipschitz_config=draw(st.sampled_from([None, PipelineConfig([]).lipschitz])),
         l1_fallback=draw(st.booleans()),
         l2_fallback=draw(st.booleans()),
     )
@@ -1177,12 +1242,11 @@ class TestSchemaRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(
         classes=CLASS_CERTIFICATE_TUPLES,
-        reference_size=st.integers(1, 1000),
+        surrogate_size=st.integers(1, 1000),
     )
-    def test_certificate_round_trip(self, classes, reference_size):
-        cert = NetworkCertificate(
-            classes, reference_size=reference_size, provenance={"tool_version": "x"}
-        )
+    def test_certificate_round_trip(self, classes, surrogate_size):
+        config = {"topology": {"surrogate_size": surrogate_size}}
+        cert = NetworkCertificate(classes, provenance={"tool_version": "x", "config": config})
         assert certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert)))) == cert
 
     @settings(max_examples=100, deadline=None)
@@ -1195,7 +1259,7 @@ class TestSchemaRoundTrip:
         record recomputes: an unedited document reads back to itself, and
         a one-ulp bump of a margin, a flipped verdict or one edited, dropped
         or reordered failure is rejected."""
-        doc = json.loads(json.dumps(certificate_to_dict(NetworkCertificate(classes, 10))))
+        doc = json.loads(json.dumps(certificate_to_dict(NetworkCertificate(classes))))
         assert certificate_to_dict(certificate_from_dict(copy.deepcopy(doc))) == doc
         failures = doc["failures"]
         edits = ["margin", "verdict"] + ["edit-failure", "drop-failure"] * bool(failures)
@@ -1227,7 +1291,7 @@ class TestSchemaRoundTrip:
     def test_class_entries_name_only_their_keys(self):
         """The config embedded in every certificate writes a class as the
         bundled files do, so its bytes do not depend on unused fields."""
-        for doc in (read_json(ROOM_CONFIG), drift_config_doc("d.csv", "out")):
+        for doc in (read_json(ROOM_CONFIG), drift_config_doc(os.path.abspath("d.csv"), "out")):
             assert config_to_dict(config_from_dict(doc))["classes"] == doc["classes"]
 
     def test_record_annotations_resolve(self):
@@ -1302,8 +1366,9 @@ class TestOtherSubcommands:
         assert "L1 =" in out and "L2 =" in out and "stored values" in out
 
     def test_lipschitz_defaults_to_the_stored_fit(self, tmp_path, capsys):
-        """With no fit flags, certificate mode refits with the class's
-        stored lipschitz_config and prints the stored L1 and L2 bit for bit;
+        """With no fit flags, certificate mode refits with the embedded
+        configuration's lipschitz section and prints the stored L1 and L2 bit
+        for bit;
         a flag that is given replaces only its own field."""
         doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
@@ -1311,7 +1376,9 @@ class TestOtherSubcommands:
         cfg_path = write_config(tmp_path, doc)
         assert main(["synth", "--config", cfg_path, "--output-dir", str(out)]) == 1
         certificate = str(out / "certificate.json")
-        stored = load_certificate(certificate).class_by_id("room")
+        loaded = load_certificate(certificate)
+        stored = loaded.class_by_id("room")
+        embedded = config_from_dict(loaded.provenance["config"]).lipschitz
         capsys.readouterr()
         args = ["lipschitz", "--certificate", certificate, "--class-id", "room"]
         assert main(args) == 0
@@ -1323,7 +1390,7 @@ class TestOtherSubcommands:
         assert main([*args, "--seed", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         cls = build_class(load_config(cfg_path).classes[0])
-        l1, l2 = estimate_for_class(cls, stored, replace(stored.lipschitz_config, seed=3))
+        l1, l2 = estimate_for_class(cls, stored, replace(embedded, seed=3))
         assert lines[:2] == [
             f"L1 = {l1.value!r} (fallback: {l1.fallback_used})",
             f"L2 = {l2.value!r} (fallback: {l2.fallback_used})",

@@ -93,7 +93,7 @@ class TestMarginArithmetic:
     def test_class_with_nan_slope_is_never_built(self):
         m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
         cert = make_class_certificate(m)
-        assert NetworkCertificate((cert,), 10).certified
+        assert NetworkCertificate((cert,)).certified
         with pytest.raises(InvariantError, match="must be finite"):
             replace(cert, l2=float("nan"))
 
@@ -109,13 +109,13 @@ class TestCertifyPolicy:
             sigma=ROOM_SIGMA,
             phi=ROOM_PHI,
         )
-        cert = NetworkCertificate((make_class_certificate(m, "room"),), 10)
+        cert = NetworkCertificate((make_class_certificate(m, "room"),))
         assert cert.certified
         assert cert.failures == ()
 
     def test_positive_eta_fails_m1(self):
         m = ClassMargins(eta=0.1, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
-        cert = NetworkCertificate((make_class_certificate(m),), 10)
+        cert = NetworkCertificate((make_class_certificate(m),))
         assert not cert.certified
         assert ("c", "m1", pytest.approx(0.1)) in [
             (cid, cond, amt) for cid, cond, amt in cert.failures
@@ -125,7 +125,7 @@ class TestCertifyPolicy:
         good = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
         bad = ClassMargins(eta=0.5, beta=0.0, l1=0.0, l2=0.0, theta=0.0, sigma=0.0, phi=1.0)
         cert = NetworkCertificate(
-            (make_class_certificate(good, "good"), make_class_certificate(bad, "bad")), 10
+            (make_class_certificate(good, "good"), make_class_certificate(bad, "bad"))
         )
         assert not cert.certified
         failing_ids = {cid for cid, _, _ in cert.failures}
@@ -138,7 +138,7 @@ class TestCertifyPolicy:
         verdicts = []
         for t in thetas:
             m = ClassMargins(eta=-1.0, beta=0.1, l1=4.0, l2=4.0, theta=t, sigma=0.0, phi=1.0)
-            verdicts.append(NetworkCertificate((make_class_certificate(m),), 10).certified)
+            verdicts.append(NetworkCertificate((make_class_certificate(m),)).certified)
         for coarse, fine in zip(verdicts, verdicts[1:]):
             assert fine >= coarse  # True never degrades to False
 
@@ -149,7 +149,7 @@ class TestFailureReport:
 
     def _advice(self, **kw):
         m = ClassMargins(sigma=0.0, phi=1.0, **kw)
-        lines = render_report(NetworkCertificate((make_class_certificate(m),), 10)).splitlines()
+        lines = render_report(NetworkCertificate((make_class_certificate(m),))).splitlines()
         return {line.split()[2]: line for line in lines if "violated by" in line}
 
     def test_dispersion_bound_when_theta_free_part_negative(self):
@@ -198,7 +198,7 @@ def drift_certificate(drift_class, drift_samples, drift_solution):
         sample_count=drift_samples.count,
         grid_spec=drift_samples.grid_spec,
     )
-    return NetworkCertificate((cert,), 10)
+    return NetworkCertificate((cert,))
 
 
 class TestCertifiedDriftClass:
@@ -233,10 +233,10 @@ class TestCertifiedDriftClass:
 class TestCertifyValidation:
     def test_empty_input_rejected(self):
         with pytest.raises(InvariantError):
-            NetworkCertificate((), 10)
+            NetworkCertificate(())
 
     def test_missing_class_lookup_raises(self):
         m = ClassMargins(eta=-1.0, beta=0.0, l1=0.0, l2=0.0, theta=0.1, sigma=0.0, phi=1.0)
-        cert = NetworkCertificate((make_class_certificate(m, "present"),), 10)
+        cert = NetworkCertificate((make_class_certificate(m, "present"),))
         with pytest.raises(KeyError):
             cert.class_by_id("absent")
