@@ -340,6 +340,10 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     cfg = _read(PipelineConfig, {k: v for k, v in doc.items() if k != "version"}, "")
     if not cfg.classes:
         raise ConfigError("configuration defines no classes")
+    ids = [cc.id for cc in cfg.classes]
+    for i, class_id in enumerate(ids):
+        if class_id in ids[:i]:  # its output files would overwrite the first's
+            raise ConfigError(f"class id {class_id!r} is used by more than one class")
     # materialize every class now so config errors surface before compute
     for cc in cfg.classes:
         cls = build_class(cc)

@@ -204,59 +204,129 @@ _HIGHS_OPTIONS = (
     ("dual_feasibility_tolerance", 1e-10),
 )
 
+# Seconds that each HiGHS run may take.  A run that reaches it ends with the
+# model status "Time limit reached", which ``solve_lp`` raises as a failure.
+TIME_LIMIT_S = 60.0
+
 
 @dataclass(frozen=True)
 class HighsRun:
-    """What one HiGHS run hands back: the column values (None without an
-    optimum), the model status and its name, and the iteration count."""
+    """What a solve hands back: the column values (None without an optimum),
+    the model status and its name, the pivots of both phases (``nit``), the
+    row count of phase 1's program and the pivots of phase 2."""
 
     x: Optional[np.ndarray]
     status: highs.HighsModelStatus
     message: str
     nit: int
+    phase1_rows: int
+    phase2_nit: int
 
 
-def linprog(lp: LinearProgram) -> HighsRun:
-    """Solve ``lp`` in one run of scipy's bundled HiGHS, handed the model and
-    options that ``scipy.optimize.linprog(method="highs")`` hands it, so the
-    optimum has the same bits; only the column values, the model status and
-    the iteration count are read back, never the per-row solution.
+def distinct_rows(lp: LinearProgram) -> np.ndarray:
+    """Indices, in increasing order, of the rows of ``lp`` that repeat no
+    earlier row with its bound.  Each initial or unsafe row depends only on
+    its sample's state, so it recurs once per sampled input."""
+    rows = np.hstack([lp.a_ub, lp.b_ub[:, None]]) + 0.0  # -0.0 is 0.0, as in HiGHS
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
 
-    It keeps scipy's name, and ``solve_lp`` looks it up as a module global,
-    because the traced benchmark wraps ``netcert.scp.linprog`` (reading
-    ``.nit``) and tests replace it to stage a solver failure."""
-    rows, cols = lp.a_ub.shape
-    a = csc_array(lp.a_ub)  # linprog's conversion: sorted indices, zeros dropped
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = cols
-    model.num_row_ = model.a_matrix_.num_row_ = rows
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = a.indptr
-    model.a_matrix_.index_ = a.indices
-    model.a_matrix_.value_ = a.data
-    model.col_cost_ = lp.c
-    model.col_lower_ = [-highs.kHighsInf if lo is None else lo for lo, _ in lp.bounds]
-    model.col_upper_ = [highs.kHighsInf if hi is None else hi for _, hi in lp.bounds]
-    model.row_lower_ = np.full(rows, -highs.kHighsInf)
-    model.row_upper_ = lp.b_ub
+
+def _run_highs(
+    lp: LinearProgram, rows: np.ndarray, basis: Optional[highs.HighsBasis] = None
+) -> Optional[highs._Highs]:
+    """One HiGHS run on the rows ``rows`` of ``lp``, handed the matrix as
+    scipy's ``csc_array`` (sorted indices, zeros dropped) and the options
+    ``linprog`` hands it.  Given a ``basis`` of every row and column, it
+    starts from that basis with presolve off.  None when HiGHS refuses the
+    model."""
+    a = csc_array(lp.a_ub[rows])
+    inf = highs.kHighsInf
     solver = highs._Highs()
     for name, value in _HIGHS_OPTIONS:
         solver.setOptionValue(name, value)
-    # HiGHS takes a NaN coefficient without complaint, where linprog refused it
-    loaded = np.isfinite(a.data).all() and solver.passModel(model) != highs.HighsStatus.kError
-    del model, a  # HiGHS holds its own copy
-    if loaded:
-        solver.run()
-        status = solver.getModelStatus()
-    else:
-        status = highs.HighsModelStatus.kModelError
+    solver.setOptionValue("time_limit", TIME_LIMIT_S)
+    if basis is not None:
+        solver.setOptionValue("presolve", "off")
+    loaded = solver.passModel(
+        lp.c.size,
+        rows.size,
+        a.nnz,
+        int(highs.MatrixFormat.kColwise),
+        int(highs.ObjSense.kMinimize),
+        0.0,
+        lp.c,
+        np.array([-inf if lo is None else lo for lo, _ in lp.bounds], dtype=float),
+        np.array([inf if hi is None else hi for _, hi in lp.bounds], dtype=float),
+        np.full(rows.size, -inf),
+        lp.b_ub[rows],
+        a.indptr.astype(np.int32),
+        a.indices.astype(np.int32),
+        a.data,
+        np.zeros(lp.c.size, dtype=np.int32),  # every column continuous
+    )
+    del a  # HiGHS holds its own copy
+    if loaded == highs.HighsStatus.kError:
+        return None
+    if basis is not None:
+        solver.setBasis(basis)
+    solver.run()
+    return solver
+
+
+def _pivots(solver: highs._Highs) -> int:
     info = solver.getInfo()
+    return info.simplex_iteration_count or info.ipm_iteration_count
+
+
+def linprog(lp: LinearProgram) -> HighsRun:
+    """Solve ``lp`` with scipy's bundled HiGHS in two phases, each bounded by
+    ``TIME_LIMIT_S``; the optimum has the bits of one
+    ``scipy.optimize.linprog(method="highs")`` run on the whole program.
+
+    Phase 1 solves, with presolve on, the program made of ``distinct_rows``:
+    the rows that HiGHS's presolve keeps of the whole program when it drops
+    the repeated ones.  Phase 2 runs only when phase 1 dropped rows:
+    it solves the whole program with presolve off, from phase 1's basis with
+    each dropped row's slack basic.  That is the step a cold run ends with,
+    a solve of the original program from the basis postsolve hands back, so
+    phase 2 makes no pivot and returns the cold run's optimum.  A basis that
+    is not optimal would only cost pivots, never the optimum.  Phase 1's
+    column values differ from it in the last bits and are never returned.
+
+    Only the column values, the model status and the iteration counts are
+    read back, never the per-row solution.  It keeps scipy's name, and
+    ``solve_lp`` looks it up as a module global, because the traced
+    benchmark wraps ``netcert.scp.linprog`` (reading ``.nit``) and tests
+    replace it to stage a solver failure."""
+    total = lp.a_ub.shape[0]
+    kept = distinct_rows(lp)
+    # HiGHS would take a NaN coefficient, where scipy's linprog refused it
+    solver = _run_highs(lp, kept) if np.isfinite(lp.a_ub).all() else None
+    if solver is None:
+        status = highs.HighsModelStatus.kModelError
+        return HighsRun(None, status, highs._Highs().modelStatusToString(status), 0, 0, 0)
+    nit, phase2_nit = _pivots(solver), 0
+    if solver.getModelStatus() == highs.HighsModelStatus.kOptimal and kept.size < total:
+        found = solver.getBasis()
+        del solver  # free phase 1's workspace before phase 2 allocates its own
+        row_status = np.full(total, highs.HighsBasisStatus.kBasic, dtype=object)
+        row_status[kept] = found.row_status
+        basis = highs.HighsBasis()
+        basis.col_status = found.col_status
+        basis.row_status = row_status.tolist()
+        basis.valid = True
+        solver = _run_highs(lp, np.arange(total), basis)
+        phase2_nit = _pivots(solver)
+    status = solver.getModelStatus()
     optimal = status == highs.HighsModelStatus.kOptimal
     return HighsRun(
         x=np.array(solver.getSolution().col_value) if optimal else None,
         status=status,
         message=solver.modelStatusToString(status),
-        nit=info.simplex_iteration_count or info.ipm_iteration_count,
+        nit=nit + phase2_nit,
+        phase1_rows=kept.size,
+        phase2_nit=phase2_nit,
     )
 
 

@@ -205,6 +205,24 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
 
+    def test_repeated_class_id_rejected(self):
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"].append({**doc["classes"][0], "benchmark_params": {"c": 0.45}})
+        message = "class id 'room' is used by more than one class"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
+    def test_synth_refuses_a_repeated_class_id(self, tmp_path, capsys):
+        """The second class's files would overwrite the first's."""
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"].append(dict(doc["classes"][0]))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: class id 'room' is used by more than one class\n"
+        )
+        assert not out.exists()
+
     def test_flags_fill_sections_the_file_omits(self, tmp_path):
         """A flag sets its key over the file; a section the file leaves out
         takes every other value from the defaults."""
@@ -832,6 +850,16 @@ class TestSolverFailure:
         err = capsys.readouterr().err
         assert err.startswith(
             "synthesis failed: class 'room': scenario program failed: Time limit reached."
+        )
+        assert not out.exists()
+
+    def test_time_limit_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A HiGHS run that reaches ``scp.TIME_LIMIT_S`` ends synth with exit 3."""
+        monkeypatch.setattr(netcert.scp, "TIME_LIMIT_S", 0.0)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", ROOM_CONFIG, "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "synthesis failed: class 'room': scenario program failed: Time limit reached\n"
         )
         assert not out.exists()
 

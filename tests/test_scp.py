@@ -7,7 +7,9 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy import _core as highs
 
+from netcert import scp
 from netcert.core import (
     DimensionError,
     IntervalBox,
@@ -253,8 +255,14 @@ class TestSolveScp:
         with pytest.raises(ScpSolveError, match="^scenario program unbounded: Unbounded$"):
             solve_lp(lp)
 
-    def test_nan_coefficient_is_a_model_error(self):
-        """HiGHS would take a NaN coefficient and report an optimum."""
+    def test_nan_coefficient_is_a_model_error(self, monkeypatch):
+        """HiGHS would take a NaN coefficient and report an optimum, so it
+        is refused before any HiGHS run."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("HiGHS ran on a NaN coefficient")
+
+        monkeypatch.setattr(scp, "_run_highs", no_run)
         lp = LinearProgram(
             c=np.array([1.0]),
             a_ub=np.array([[np.nan]]),
@@ -265,25 +273,39 @@ class TestSolveScp:
         with pytest.raises(ScpSolveError, match="^scenario program failed: Model error$"):
             solve_lp(lp)
 
+    def test_time_limit_is_a_failure(self, monkeypatch, room_class, room_samples):
+        monkeypatch.setattr(scp, "TIME_LIMIT_S", 0.0)
+        lp = build_scp(room_class, room_samples, ScpOptions())
+        with pytest.raises(ScpSolveError, match="^scenario program failed: Time limit reached$"):
+            solve_lp(lp)
 
-def scipy_optimum(lp: LinearProgram) -> np.ndarray:
-    """The optimum of ``scipy.optimize.linprog`` with the tolerances
-    ``solve_lp`` uses."""
-    res = scipy.optimize.linprog(
+
+def scipy_result(lp: LinearProgram, time_limit: float = np.inf):
+    """``scipy.optimize.linprog`` with the tolerances ``solve_lp`` uses."""
+    return scipy.optimize.linprog(
         lp.c,
         A_ub=lp.a_ub,
         b_ub=lp.b_ub,
         bounds=lp.bounds,
         method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+            "time_limit": time_limit,
+        },
     )
+
+
+def scipy_optimum(lp: LinearProgram) -> np.ndarray:
+    res = scipy_result(lp)
     assert res.status == 0, res.message
     return res.x
 
 
 class TestDirectHighs:
     """``solve_lp`` hands HiGHS the model and options scipy's linprog hands
-    it, so the optimum keeps scipy's bits."""
+    it, so the optimum keeps scipy's bits; scipy runs without a time limit
+    here, so the limit changes no bit either."""
 
     @pytest.mark.parametrize("name", ["room", "platoon", "drift", "room-62"])
     def test_same_bits_as_scipy(self, request, name):
@@ -297,14 +319,91 @@ class TestDirectHighs:
         assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
 
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(["room", "platoon"]))
-    def test_same_bits_on_any_grid(self, room_class, platoon_class, data, name):
-        cls = room_class if name == "room" else platoon_class
+    @given(data=st.data(), name=st.sampled_from(["room", "platoon", "drift"]))
+    def test_same_bits_on_any_grid(self, room_class, platoon_class, drift_class, data, name):
+        """Some platoon grids stall the simplex; scipy, bounded by 10 s, names
+        its time limit, and so does ``solve_lp`` under a limit ten times
+        lower.  The margin keeps a draw that needs about 10 s (platoon at
+        (8, 12) x (12, 6) takes 9-10 s) from landing on both sides of one
+        limit."""
+        cls = {"room": room_class, "platoon": platoon_class, "drift": drift_class}[name]
         counts = st.integers(2, 12)
         state_counts = data.draw(st.tuples(*[counts] * cls.state_dim), label="state")
         input_counts = data.draw(st.tuples(*[counts] * cls.input_dim), label="input")
         lp = build_scp(cls, collect_pairs(cls, state_counts, input_counts), ScpOptions())
-        assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
+        res = scipy_result(lp, time_limit=10.0)
+        if res.status == 1 and res.message.startswith("Time limit reached"):
+            limit = "^scenario program failed: Time limit reached$"
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(ScpSolveError, match=limit):
+                mp.setattr(scp, "TIME_LIMIT_S", 1.0)
+                solve_lp(lp)
+        else:
+            assert res.status == 0, res.message
+            assert np.array_equal(solve_lp(lp), res.x)
+
+
+def repeated_level_rows(cls, samples) -> list[int]:
+    """Indices of the initial and unsafe rows whose state an earlier row of
+    the same group already has, found from the samples, not the matrix."""
+    repeated, offset = [], 0
+    for box in (cls.safety.initial, cls.safety.unsafe):
+        states = [tuple(x) for x in samples.x[box.contains(samples.x)]]
+        repeated += [offset + i for i, x in enumerate(states) if x in states[:i]]
+        offset += len(states)
+    return repeated
+
+
+class TestTwoPhases:
+    """Phase 1 solves the program's distinct rows, phase 2 confirms its
+    basis on the whole program."""
+
+    @pytest.mark.parametrize(
+        "name, counts", [("room", ((62,), (62,))), ("platoon", ((5, 6), (5, 6)))]
+    )
+    def test_phase_2_confirms_without_a_pivot(self, request, name, counts):
+        cls = request.getfixturevalue(f"{name}_class")
+        samples = collect_pairs(cls, *counts)
+        lp = build_scp(cls, samples, ScpOptions())
+        kept = scp.distinct_rows(lp)
+        removed = sorted(set(range(lp.a_ub.shape[0])) - set(kept.tolist()))
+        assert removed and removed == repeated_level_rows(cls, samples)
+        run = scp.linprog(lp)
+        assert run.status == highs.HighsModelStatus.kOptimal
+        assert (run.phase1_rows, run.phase2_nit) == (kept.size, 0)
+        assert run.nit > 0
+
+    def test_no_phase_2_without_repeated_rows(self, monkeypatch):
+        run_highs, bases = scp._run_highs, []
+
+        def recorded(lp, rows, basis=None):
+            bases.append(basis)
+            return run_highs(lp, rows, basis)
+
+        monkeypatch.setattr(scp, "_run_highs", recorded)
+        cls, samples = make_trivial_instance()
+        run = scp.linprog(build_scp(cls, samples, ScpOptions(coeff_bound=1.0, gap=0.0)))
+        assert run.status == highs.HighsModelStatus.kOptimal
+        assert (run.phase1_rows, bases) == (7, [None])  # phase 1 alone, on all 7 rows
+
+    def test_a_basis_that_is_not_optimal_still_ends_at_the_optimum(
+        self, room_class, room_samples
+    ):
+        """Every row slack basic and every column at a bound: phase 2 pivots
+        to an optimum with the optimal objective."""
+        lp = build_scp(room_class, room_samples, ScpOptions())
+        rows = lp.a_ub.shape[0]
+        basis = highs.HighsBasis()
+        basis.col_status = [
+            highs.HighsBasisStatus.kZero if lo is None else highs.HighsBasisStatus.kLower
+            for lo, _ in lp.bounds
+        ]
+        basis.row_status = [highs.HighsBasisStatus.kBasic] * rows
+        basis.valid = True
+        solver = scp._run_highs(lp, np.arange(rows), basis)
+        assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
+        assert solver.getInfo().simplex_iteration_count > 0
+        x = np.array(solver.getSolution().col_value)
+        assert lp.c @ x == pytest.approx(lp.c @ solve_lp(lp), abs=1e-12)
 
 
 class TestScpOptions:
