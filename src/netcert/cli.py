@@ -118,7 +118,9 @@ def cmd_synth(args) -> int:
 def _load_checked_certificate(path):
     """The stored certificate, its embedded configuration and, in order, the
     class of each class certificate rebuilt from that configuration; each
-    class certificate must fit its class's template and dimensions."""
+    class certificate must fit its class's template and dimensions, and its
+    ``grid_spec`` must be null for a data class and one count >= 1 per state
+    and input dimension for an oracle class."""
     cert = load_certificate(path)
     doc = cert.provenance.get("config")
     if doc is None:
@@ -145,6 +147,17 @@ def _load_checked_certificate(path):
                 f"class {cls.id!r}: supply blocks for (input, state) dimensions {dims}, "
                 f"class has {(cls.input_dim, cls.state_dim)}"
             )
+        spec = ccert.grid_spec
+        if cls.data_csv is None:
+            shape = (cls.state_dim, cls.input_dim)
+            rule = f"hold one count >= 1 per state and input dimension {shape}"
+            fits = spec is not None and tuple(map(len, spec)) == shape
+            fits = fits and min(spec[0] + spec[1]) >= 1
+        else:
+            rule, fits = "be null for a data class", spec is None
+        if not fits:
+            stored = "null" if spec is None else list(map(list, spec))
+            raise CertificateFormatError(f"class {cls.id!r}: grid_spec must {rule}, got {stored}")
     return cert, cfg, tuple(classes[ccert.class_id] for ccert in cert.classes)
 
 

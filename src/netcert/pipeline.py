@@ -453,7 +453,10 @@ class PipelineResult:
     certificate: NetworkCertificate
     runs: list[ClassRun]
     certificate_path: str
-    refinement_rounds: int
+
+    @property
+    def refinement_rounds(self) -> int:
+        return self.certificate.provenance["refinement_rounds"]
 
 
 def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineResult:
@@ -487,12 +490,7 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
     cert_path = ""
     if write_outputs:
         cert_path = write_run_outputs(cfg, certificate, runs)
-    return PipelineResult(
-        certificate=certificate,
-        runs=runs,
-        certificate_path=cert_path,
-        refinement_rounds=rounds,
-    )
+    return PipelineResult(certificate=certificate, runs=runs, certificate_path=cert_path)
 
 
 @dataclass

@@ -66,6 +66,13 @@ def _grid_axes(box: IntervalBox, counts: Sequence[int]) -> list[np.ndarray]:
     return axes
 
 
+def dense_counts(box: IntervalBox, counts: Sequence[int]) -> tuple[int, ...]:
+    """``counts`` with 1 in each zero-width dimension of ``box``, where more
+    points would repeat its one value: the counts of the dense grids that a
+    check or a dispersion probe evaluates.  A sample grid keeps its counts."""
+    return tuple(int(c) if w > 0 else 1 for c, w in zip(counts, box.widths))
+
+
 def _cell_widths(box: IntervalBox, counts: Sequence[int]) -> np.ndarray:
     """Per-dimension grid spacing; a single-point dimension contributes its
     full width (the farthest domain point from the midpoint sample sits at
@@ -248,8 +255,8 @@ def load_samples_csv(
     """Read externally collected pairs; dispersion is estimated with
     ``dispersion_general`` since nothing guarantees the data form a grid.
     Every row must hold one finite number per header column.  A zero-width
-    dimension of ``joint_box`` gets one probe, which adds nothing to the
-    probe grid's half-diagonal."""
+    dimension of ``joint_box`` gets one probe (``dense_counts``), which adds
+    nothing to the probe grid's half-diagonal."""
     expected = sample_csv_header(state_dim, input_dim)
     try:
         with open(path, newline="") as fh:
@@ -278,6 +285,6 @@ def load_samples_csv(
     d = data[:, state_dim : state_dim + input_dim]
     fx = data[:, state_dim + input_dim :]
     per_dim = max(2, int(np.ceil(data.shape[0] ** (1.0 / joint_box.dim))) * 4)
-    probe_counts = [per_dim if w > 0 else 1 for w in joint_box.widths]
+    probe_counts = dense_counts(joint_box, (per_dim,) * joint_box.dim)
     theta = dispersion_general(joint_box, np.hstack([x, d]), probe_counts)
     return SampleSet(x=x, d=d, fx=fx, dispersion=theta, grid_spec=None)

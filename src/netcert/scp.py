@@ -177,14 +177,22 @@ class VariableLayout:
 
 @dataclass
 class LinearProgram:
-    """min c'v  subject to  a_ub @ v <= b_ub  and per-variable bounds."""
+    """min c'v  subject to  a_ub @ v <= b_ub  and  bounds[:, 0] <= v <= bounds[:, 1]
+    (-inf or +inf where a column is free), its rows named by (group, count)
+    pairs in row order.  ``kept`` holds, in increasing order, the rows that
+    phase 1 of the solve takes: every row, unless the builder states less."""
 
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    bounds: list[tuple[Optional[float], Optional[float]]]
-    row_groups: list[str] = field(default_factory=list)
+    bounds: np.ndarray
+    row_groups: list[tuple[str, int]] = field(default_factory=list)
+    kept: Optional[np.ndarray] = None
     layout: Optional[VariableLayout] = None
+
+    def __post_init__(self):
+        if self.kept is None:
+            self.kept = np.arange(self.a_ub.shape[0])
 
 
 class ScpSolveError(RuntimeError):
@@ -212,24 +220,14 @@ TIME_LIMIT_S = 60.0
 @dataclass(frozen=True)
 class HighsRun:
     """What a solve hands back: the column values (None without an optimum),
-    the model status and its name, the pivots of both phases (``nit``), the
-    row count of phase 1's program and the pivots of phase 2."""
+    the model status and its name, the pivots of both phases (``nit``) and
+    the pivots of phase 2."""
 
     x: Optional[np.ndarray]
     status: highs.HighsModelStatus
     message: str
     nit: int
-    phase1_rows: int
     phase2_nit: int
-
-
-def distinct_rows(lp: LinearProgram) -> np.ndarray:
-    """Indices, in increasing order, of the rows of ``lp`` that repeat no
-    earlier row with its bound.  Each initial or unsafe row depends only on
-    its sample's state, so it recurs once per sampled input."""
-    rows = np.hstack([lp.a_ub, lp.b_ub[:, None]]) + 0.0  # -0.0 is 0.0, as in HiGHS
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def _run_highs(
@@ -241,7 +239,6 @@ def _run_highs(
     starts from that basis with presolve off.  None when HiGHS refuses the
     model."""
     a = csc_array(lp.a_ub[rows])
-    inf = highs.kHighsInf
     solver = highs._Highs()
     for name, value in _HIGHS_OPTIONS:
         solver.setOptionValue(name, value)
@@ -256,9 +253,8 @@ def _run_highs(
         int(highs.ObjSense.kMinimize),
         0.0,
         lp.c,
-        np.array([-inf if lo is None else lo for lo, _ in lp.bounds], dtype=float),
-        np.array([inf if hi is None else hi for _, hi in lp.bounds], dtype=float),
-        np.full(rows.size, -inf),
+        *np.ascontiguousarray(lp.bounds.T),  # the columns' lower, then upper bounds
+        np.full(rows.size, -highs.kHighsInf),
         lp.b_ub[rows],
         a.indptr.astype(np.int32),
         a.indices.astype(np.int32),
@@ -284,9 +280,9 @@ def linprog(lp: LinearProgram) -> HighsRun:
     ``TIME_LIMIT_S``; the optimum has the bits of one
     ``scipy.optimize.linprog(method="highs")`` run on the whole program.
 
-    Phase 1 solves, with presolve on, the program made of ``distinct_rows``:
-    the rows that HiGHS's presolve keeps of the whole program when it drops
-    the repeated ones.  Phase 2 runs only when phase 1 dropped rows:
+    Phase 1 solves, with presolve on, the program made of ``lp.kept``: the
+    rows that HiGHS's presolve keeps of the whole program when it drops the
+    repeated level rows.  Phase 2 runs only when phase 1 dropped rows:
     it solves the whole program with presolve off, from phase 1's basis with
     each dropped row's slack basic.  That is the step a cold run ends with,
     a solve of the original program from the basis postsolve hands back, so
@@ -300,21 +296,21 @@ def linprog(lp: LinearProgram) -> HighsRun:
     benchmark wraps ``netcert.scp.linprog`` (reading ``.nit``) and tests
     replace it to stage a solver failure."""
     total = lp.a_ub.shape[0]
-    kept = distinct_rows(lp)
     # HiGHS would take a NaN coefficient, where scipy's linprog refused it
-    solver = _run_highs(lp, kept) if np.isfinite(lp.a_ub).all() else None
+    solver = _run_highs(lp, lp.kept) if np.isfinite(lp.a_ub).all() else None
     if solver is None:
         status = highs.HighsModelStatus.kModelError
-        return HighsRun(None, status, highs._Highs().modelStatusToString(status), 0, 0, 0)
+        return HighsRun(None, status, highs._Highs().modelStatusToString(status), 0, 0)
     nit, phase2_nit = _pivots(solver), 0
-    if solver.getModelStatus() == highs.HighsModelStatus.kOptimal and kept.size < total:
+    if solver.getModelStatus() == highs.HighsModelStatus.kOptimal and lp.kept.size < total:
         found = solver.getBasis()
         del solver  # free phase 1's workspace before phase 2 allocates its own
-        row_status = np.full(total, highs.HighsBasisStatus.kBasic, dtype=object)
-        row_status[kept] = found.row_status
+        row_status = [highs.HighsBasisStatus.kBasic] * total
+        for row, status in zip(lp.kept.tolist(), found.row_status):
+            row_status[row] = status
         basis = highs.HighsBasis()
         basis.col_status = found.col_status
-        basis.row_status = row_status.tolist()
+        basis.row_status = row_status
         basis.valid = True
         solver = _run_highs(lp, np.arange(total), basis)
         phase2_nit = _pivots(solver)
@@ -325,7 +321,6 @@ def linprog(lp: LinearProgram) -> HighsRun:
         status=status,
         message=solver.modelStatusToString(status),
         nit=nit + phase2_nit,
-        phase1_rows=kept.size,
         phase2_nit=phase2_nit,
     )
 
@@ -377,15 +372,15 @@ def build_scp(
             "use a denser state grid"
         )
 
-    counts = (int(in_initial.sum()), int(in_unsafe.sum()), samples.count, samples.count, 1)
-    groups = [g for g, k in zip(ROW_GROUPS, counts) for _ in range(k)]
-    a_ub = np.zeros((len(groups), layout.size))
-    b_ub = np.zeros(len(groups))
+    initial_x, unsafe_x = phi_x[in_initial], phi_x[in_unsafe]
+    counts = (len(initial_x), len(unsafe_x), samples.count, samples.count, 1)
+    a_ub = np.zeros((sum(counts), layout.size))
+    b_ub = np.zeros(a_ub.shape[0])
     initial, unsafe, decrease, supply, gap = np.split(a_ub, np.cumsum(counts)[:-1])
-    initial[:, layout.theta] = phi_x[in_initial]
+    initial[:, layout.theta] = initial_x
     initial[:, layout.sigma] = -1.0
     initial[:, layout.eta] = -1.0
-    unsafe[:, layout.theta] = -phi_x[in_unsafe]
+    unsafe[:, layout.theta] = -unsafe_x
     unsafe[:, layout.phi] = 1.0
     unsafe[:, layout.eta] = -1.0
     supply[:] = layout.supply_rows(samples.d, samples.x)
@@ -397,19 +392,23 @@ def build_scp(
     gap[:, layout.phi] = -1.0
     b_ub[-1] = -options.gap
 
-    b = options.coeff_bound
-    bounds: list[tuple[Optional[float], Optional[float]]] = [(-b, b)] * (layout.size - 2)
-    bounds += [(None, None), (None, None)]  # eta, beta are determined by the rows
+    # a level row depends only on its state, so it recurs once per sampled input;
+    # phase 1 keeps its first occurrence and every decrease, supply and gap row
+    first = [np.sort(np.unique(v, axis=0, return_index=True)[1]) for v in (initial_x, unsafe_x)]
+    kept = np.concatenate([first[0], counts[0] + first[1], np.arange(sum(counts[:2]), b_ub.size)])
+
+    bounds = np.full((layout.size, 2), (-options.coeff_bound, options.coeff_bound))
+    bounds[[layout.eta, layout.beta]] = (-np.inf, np.inf)  # determined by the rows
     c = np.zeros(layout.size)
-    c[layout.eta] = 1.0
-    c[layout.beta] = 1.0
+    c[[layout.eta, layout.beta]] = 1.0
 
     return LinearProgram(
         c=c,
         a_ub=a_ub,
         b_ub=b_ub,
         bounds=bounds,
-        row_groups=groups,
+        row_groups=list(zip(ROW_GROUPS, counts)),
+        kept=kept,
         layout=layout,
     )
 
@@ -477,16 +476,14 @@ def export_lp_text(lp: LinearProgram, path) -> None:
     lines = ["Minimize", " obj:" + "".join(
         term(c, names[j]) for j, c in enumerate(lp.c) if c != 0.0
     ), "Subject To"]
-    for i in range(lp.a_ub.shape[0]):
-        body = "".join(
-            term(v, names[j]) for j, v in enumerate(lp.a_ub[i]) if v != 0.0
-        )
-        lines.append(f" {lp.row_groups[i]}_{i}:{body} <= {lp.b_ub[i]:.17g}")
+    groups = (group for group, count in lp.row_groups for _ in range(count))
+    for i, group in enumerate(groups):
+        body = "".join(term(v, names[j]) for j, v in enumerate(lp.a_ub[i]) if v != 0.0)
+        lines.append(f" {group}_{i}:{body} <= {lp.b_ub[i]:.17g}")
     lines.append("Bounds")
     for name, (lo, hi) in zip(names, lp.bounds):
-        lo_s = "-inf" if lo is None else f"{lo:.17g}"
-        hi_s = "+inf" if hi is None else f"{hi:.17g}"
-        lines.append(f" {lo_s} <= {name} <= {hi_s}")
+        hi_s = "+inf" if hi == np.inf else f"{hi:.17g}"  # the format signs infinity
+        lines.append(f" {lo:.17g} <= {name} <= {hi_s}")
     lines.append("End")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -29,7 +29,7 @@ from .core import (
     rowwise_bilinear,
     supply_sum,
 )
-from .sampling import DataFaultError, csv_line, grid_samples, write_csv_rows
+from .sampling import DataFaultError, csv_line, dense_counts, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
 # Dense joint grids are evaluated in blocks of this many points.  A multiple
@@ -134,8 +134,8 @@ def check_level_sets(
     cls: SubsystemClass, solution: ScpSolution, counts: Sequence[int]
 ) -> LevelSetReport:
     """Evaluate the certificate on dense grids of both safety boxes."""
-    init_pts = grid_samples(cls.safety.initial, counts)
-    unsafe_pts = grid_samples(cls.safety.unsafe, counts)
+    init_pts = grid_samples(cls.safety.initial, dense_counts(cls.safety.initial, counts))
+    unsafe_pts = grid_samples(cls.safety.unsafe, dense_counts(cls.safety.unsafe, counts))
     init_vals = eval_template(cls.template, solution.coeffs, init_pts)
     unsafe_vals = eval_template(cls.template, solution.coeffs, unsafe_pts)
     imax = int(np.argmax(init_vals))
@@ -214,8 +214,8 @@ def decrease_heatmap(
     if cls.oracle is None:
         raise InvariantError(f"class {cls.id!r} has no oracle; heatmap unavailable")
     n = cls.state_dim
-    xs = grid_samples(cls.state_box, counts[:n])
-    ds = grid_samples(cls.input_box, counts[n:])
+    xs = grid_samples(cls.state_box, dense_counts(cls.state_box, counts[:n]))
+    ds = grid_samples(cls.input_box, dense_counts(cls.input_box, counts[n:]))
     coeffs = solution.coeffs
     basis_x = cls.template.basis_values(xs)
     padding = np.zeros((-xs.shape[0] % 4, basis_x.shape[1]))
@@ -309,7 +309,7 @@ def surface_data(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(points, certificate values) over the state box, for plotting the
     certificate surface against its level contours."""
-    pts = grid_samples(cls.state_box, counts)
+    pts = grid_samples(cls.state_box, dense_counts(cls.state_box, counts))
     return pts, eval_template(cls.template, solution.coeffs, pts)
 
 

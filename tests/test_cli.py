@@ -641,6 +641,19 @@ TAMPERED_CERTIFICATES = {
         "class 'attic' is not in the embedded configuration",
     ),
     "format-1": (as_format_1, "unsupported certificate version 1; expected 2\n"),
+    "grid-spec-null": (
+        lambda doc: doc["classes"][0].update(grid_spec=None),
+        "class 'room': grid_spec must hold one count >= 1 per state and input "
+        "dimension (1, 1), got null\n",
+    ),
+    "grid-spec-no-input": (
+        lambda doc: doc["classes"][0].update(grid_spec=[[31], []]),
+        "dimension (1, 1), got [[31], []]\n",
+    ),
+    "grid-spec-zero": (
+        lambda doc: doc["classes"][0].update(grid_spec=[[0], [31]]),
+        "dimension (1, 1), got [[0], [31]]\n",
+    ),
 }
 
 
@@ -668,6 +681,21 @@ class TestTamperedCertificates:
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
         assert message in captured.err
         assert captured.out == ""
+
+    def test_data_class_grid_spec_must_be_null(self, tmp_path, capsys, drift_csv):
+        """A data class's samples are its CSV's rows, never a grid."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, drift_config_doc(drift_csv, out))
+        assert main(["synth", "--config", config]) == 0
+        doc = read_json(out / "certificate.json")
+        doc["classes"][0]["grid_spec"] = [[21], [11]]
+        path = write_config(tmp_path, doc, "certificate.json")
+        capsys.readouterr()
+        assert main(["verify", "--certificate", path]) == 2
+        assert capsys.readouterr().err == (
+            "cannot verify: class 'drift': grid_spec must be null for a data class, "
+            "got [[21], [11]]\n"
+        )
 
 
 def exit_code(argv):
@@ -834,6 +862,21 @@ class TestZeroWidthDataBox:
         assert proc.returncode in (0, 1), proc.stderr
         assert proc.stdout.startswith("verdict: ")
         assert (out / "certificate.json").exists()
+
+
+    def test_zero_width_initial_box(self, tmp_path, capsys, drift_csv):
+        """The dense level-set grid takes one point in a zero-width dimension
+        of the initial box, as the dispersion probes do, so synth and verify
+        check the class and print its levels line."""
+        out = tmp_path / "out"
+        doc = drift_config_doc(drift_csv, out)
+        doc["classes"][0]["initial_box"] = [[0.0], [0.0]]
+        doc["lipschitz"]["gamma"] = 0.5
+        assert main(["synth", "--config", write_config(tmp_path, doc)]) in (0, 1)
+        assert "[drift] levels: initial max " in (out / "report.txt").read_text()
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(out / "certificate.json")]) in (0, 1)
+        assert "[drift] levels: initial max " in capsys.readouterr().out
 
 
 class TestSolverFailure:

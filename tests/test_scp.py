@@ -46,12 +46,12 @@ def brute_force_lp_minimum(lp: LinearProgram, tol: float = 1e-9):
     rows = [np.asarray(r, float) for r in lp.a_ub]
     rhs = list(lp.b_ub)
     for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None:
+        if np.isfinite(lo):
             e = np.zeros(n)
             e[j] = -1.0
             rows.append(e)
             rhs.append(-lo)
-        if hi is not None:
+        if np.isfinite(hi):
             e = np.zeros(n)
             e[j] = 1.0
             rows.append(e)
@@ -84,8 +84,8 @@ def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
         c=c,
         a_ub=a,
         b_ub=b,
-        bounds=[(-2.0, 2.0)] * n,
-        row_groups=[f"r{i}" for i in range(m)],
+        bounds=np.full((n, 2), (-2.0, 2.0)),
+        row_groups=[("random", m)],
     )
 
 
@@ -118,11 +118,9 @@ class TestBuildScp:
         n0 = int(np.sum(room_class.safety.initial.contains(room_samples.x)))
         na = int(np.sum(room_class.safety.unsafe.contains(room_samples.x)))
         assert lp.a_ub.shape[0] == n0 + na + 2 * n + 1
-        assert lp.row_groups.count("initial") == n0
-        assert lp.row_groups.count("unsafe") == na
-        assert lp.row_groups.count("decrease") == n
-        assert lp.row_groups.count("supply") == n
-        assert lp.row_groups.count("gap") == 1
+        assert lp.row_groups == [
+            ("initial", n0), ("unsafe", na), ("decrease", n), ("supply", n), ("gap", 1)
+        ]
 
     def test_variable_count_scalar_class(self, room_class, room_samples):
         lp = build_scp(room_class, room_samples, ScpOptions())
@@ -167,13 +165,10 @@ class TestBuildScp:
         v = rng.normal(size=layout.size)
         sol = layout.unpack(v)
         row_vals = lp.a_ub @ v - lp.b_ub
-        idx = {g: [] for g in set(lp.row_groups)}
-        for i, g in enumerate(lp.row_groups):
-            idx[g].append(i)
-        init_rows = iter(idx["initial"])
-        unsafe_rows = iter(idx["unsafe"])
-        dec_rows = iter(idx["decrease"])
-        sup_rows = iter(idx["supply"])
+        starts = np.cumsum([0] + [count for _, count in lp.row_groups])
+        idx = {g: iter(range(a, a + k)) for (g, k), a in zip(lp.row_groups, starts)}
+        init_rows, unsafe_rows = idx["initial"], idx["unsafe"]
+        dec_rows, sup_rows = idx["decrease"], idx["supply"]
         for i in range(samples.count):
             x, d, fx = samples.x[i : i + 1], samples.d[i : i + 1], samples.fx[i : i + 1]
             bx = eval_template(cls.template, sol.coeffs, x)[0]
@@ -237,8 +232,8 @@ class TestSolveScp:
             c=np.array([1.0]),
             a_ub=np.array([[1.0], [-1.0]]),
             b_ub=np.array([-1.0, -1.0]),
-            bounds=[(-5.0, 5.0)],
-            row_groups=["upper", "lower"],
+            bounds=np.array([[-5.0, 5.0]]),
+            row_groups=[("upper", 1), ("lower", 1)],
         )
         with pytest.raises(ScpSolveError, match="^scenario program infeasible: "):
             solve_lp(lp)
@@ -249,8 +244,8 @@ class TestSolveScp:
             c=np.array([-1.0, 1.0]),
             a_ub=np.array([[0.0, 1.0]]),
             b_ub=np.array([1.0]),
-            bounds=[(None, None), (0.0, 2.0)],
-            row_groups=["upper"],
+            bounds=np.array([[-np.inf, np.inf], [0.0, 2.0]]),
+            row_groups=[("upper", 1)],
         )
         with pytest.raises(ScpSolveError, match="^scenario program unbounded: Unbounded$"):
             solve_lp(lp)
@@ -267,8 +262,8 @@ class TestSolveScp:
             c=np.array([1.0]),
             a_ub=np.array([[np.nan]]),
             b_ub=np.array([1.0]),
-            bounds=[(-5.0, 5.0)],
-            row_groups=["upper"],
+            bounds=np.array([[-5.0, 5.0]]),
+            row_groups=[("upper", 1)],
         )
         with pytest.raises(ScpSolveError, match="^scenario program failed: Model error$"):
             solve_lp(lp)
@@ -302,10 +297,19 @@ def scipy_optimum(lp: LinearProgram) -> np.ndarray:
     return res.x
 
 
+def distinct_rows(lp: LinearProgram) -> np.ndarray:
+    """Indices, in increasing order, of the rows of ``lp`` that repeat no
+    earlier row with its bound, found by comparing whole rows of the matrix."""
+    rows = np.hstack([lp.a_ub, lp.b_ub[:, None]]) + 0.0  # -0.0 is 0.0, as in HiGHS
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
 class TestDirectHighs:
     """``solve_lp`` hands HiGHS the model and options scipy's linprog hands
     it, so the optimum keeps scipy's bits; scipy runs without a time limit
-    here, so the limit changes no bit either."""
+    here, so the limit changes no bit either.  On these grids the rows that
+    ``build_scp`` keeps for phase 1 are the program's distinct rows."""
 
     @pytest.mark.parametrize("name", ["room", "platoon", "drift", "room-62"])
     def test_same_bits_as_scipy(self, request, name):
@@ -316,6 +320,7 @@ class TestDirectHighs:
             cls = request.getfixturevalue(f"{name}_class")
             samples = request.getfixturevalue(f"{name}_samples")
         lp = build_scp(cls, samples, ScpOptions())
+        assert np.array_equal(lp.kept, distinct_rows(lp))
         assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
 
     @settings(max_examples=25, deadline=None)
@@ -331,6 +336,7 @@ class TestDirectHighs:
         state_counts = data.draw(st.tuples(*[counts] * cls.state_dim), label="state")
         input_counts = data.draw(st.tuples(*[counts] * cls.input_dim), label="input")
         lp = build_scp(cls, collect_pairs(cls, state_counts, input_counts), ScpOptions())
+        assert np.array_equal(lp.kept, distinct_rows(lp))
         res = scipy_result(lp, time_limit=10.0)
         if res.status == 1 and res.message.startswith("Time limit reached"):
             limit = "^scenario program failed: Time limit reached$"
@@ -353,37 +359,67 @@ def repeated_level_rows(cls, samples) -> list[int]:
     return repeated
 
 
+def recorded_runs(monkeypatch) -> list[tuple[int, bool]]:
+    """The row count of each HiGHS run from here on, and whether it was
+    handed a basis."""
+    run_highs, runs = scp._run_highs, []
+
+    def recorded(lp, rows, basis=None):
+        runs.append((rows.size, basis is not None))
+        return run_highs(lp, rows, basis)
+
+    monkeypatch.setattr(scp, "_run_highs", recorded)
+    return runs
+
+
+def with_repeated_transitions(samples: SampleSet, repeats: int, seed: int) -> SampleSet:
+    """``samples`` with ``repeats`` of its transitions recorded twice, all in
+    shuffled order, as a data CSV may hold them."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.arange(samples.count), rng.choice(samples.count, repeats)])
+    rows = rng.permutation(rows)
+    return SampleSet(samples.x[rows], samples.d[rows], samples.fx[rows], samples.dispersion)
+
+
 class TestTwoPhases:
-    """Phase 1 solves the program's distinct rows, phase 2 confirms its
+    """Phase 1 solves the rows ``build_scp`` keeps, phase 2 confirms its
     basis on the whole program."""
 
     @pytest.mark.parametrize(
         "name, counts", [("room", ((62,), (62,))), ("platoon", ((5, 6), (5, 6)))]
     )
-    def test_phase_2_confirms_without_a_pivot(self, request, name, counts):
+    def test_phase_2_confirms_without_a_pivot(self, monkeypatch, request, name, counts):
         cls = request.getfixturevalue(f"{name}_class")
         samples = collect_pairs(cls, *counts)
         lp = build_scp(cls, samples, ScpOptions())
-        kept = scp.distinct_rows(lp)
-        removed = sorted(set(range(lp.a_ub.shape[0])) - set(kept.tolist()))
+        assert np.array_equal(lp.kept, distinct_rows(lp))
+        removed = sorted(set(range(lp.a_ub.shape[0])) - set(lp.kept.tolist()))
         assert removed and removed == repeated_level_rows(cls, samples)
+        runs = recorded_runs(monkeypatch)
         run = scp.linprog(lp)
         assert run.status == highs.HighsModelStatus.kOptimal
-        assert (run.phase1_rows, run.phase2_nit) == (kept.size, 0)
-        assert run.nit > 0
+        assert runs == [(lp.kept.size, False), (lp.a_ub.shape[0], True)]
+        assert run.phase2_nit == 0 and run.nit > 0
 
     def test_no_phase_2_without_repeated_rows(self, monkeypatch):
-        run_highs, bases = scp._run_highs, []
-
-        def recorded(lp, rows, basis=None):
-            bases.append(basis)
-            return run_highs(lp, rows, basis)
-
-        monkeypatch.setattr(scp, "_run_highs", recorded)
+        runs = recorded_runs(monkeypatch)
         cls, samples = make_trivial_instance()
         run = scp.linprog(build_scp(cls, samples, ScpOptions(coeff_bound=1.0, gap=0.0)))
         assert run.status == highs.HighsModelStatus.kOptimal
-        assert (run.phase1_rows, bases) == (7, [None])  # phase 1 alone, on all 7 rows
+        assert runs == [(7, False)]  # phase 1 alone, on all 7 rows
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["drift", "room", "platoon"])
+    def test_repeated_transitions_keep_scipys_bits(self, request, name, seed):
+        """A transition recorded twice repeats its decrease and supply rows.
+        ``build_scp`` keeps them for phase 1, whose presolve drops them, and
+        the optimum keeps the bits of scipy's run on the whole program."""
+        cls = request.getfixturevalue(f"{name}_class")
+        samples = with_repeated_transitions(request.getfixturevalue(f"{name}_samples"), 20, seed)
+        lp = build_scp(cls, samples, ScpOptions())
+        distinct = distinct_rows(lp)
+        assert lp.kept.size - distinct.size >= 40 and set(distinct) <= set(lp.kept)
+        assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
 
     def test_a_basis_that_is_not_optimal_still_ends_at_the_optimum(
         self, room_class, room_samples
@@ -394,7 +430,7 @@ class TestTwoPhases:
         rows = lp.a_ub.shape[0]
         basis = highs.HighsBasis()
         basis.col_status = [
-            highs.HighsBasisStatus.kZero if lo is None else highs.HighsBasisStatus.kLower
+            highs.HighsBasisStatus.kZero if np.isinf(lo) else highs.HighsBasisStatus.kLower
             for lo, _ in lp.bounds
         ]
         basis.row_status = [highs.HighsBasisStatus.kBasic] * rows
