@@ -247,7 +247,10 @@ def cmd_simulate(args) -> int:
         unsafe_total += portrait.unsafe_entries
         print(portrait_line(cls.id, cfg.topology.kind, portrait))
         if args.output is not None:
-            write_trajectories_csv(args.output, cls, portrait)
+            try:
+                write_trajectories_csv(args.output, cls, portrait)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --output {args.output}: {exc}") from exc
             print(f"[{cls.id}] trajectories written to {args.output}")
     return EXIT_CERTIFIED if unsafe_total == 0 else EXIT_NOT_CERTIFIED
 

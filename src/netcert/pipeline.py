@@ -593,33 +593,37 @@ def write_run_outputs(
     """Persist the certificate, the sample sets, and the verification CSVs.
     Returns the certificate path.  The files are written into a staging directory
     beside ``output_dir`` and moved in once every class's diagnostics have
-    returned, so a failed run leaves the output directory as it was."""
+    returned, so a failed run leaves the output directory as it was.  A
+    directory that cannot be written is a ``ConfigError`` naming it."""
     out = cfg.output_dir
-    parent = os.path.dirname(os.path.abspath(out))
-    os.makedirs(parent, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".netcert-stage-", dir=parent) as stage:
-        store_certificate(certificate, os.path.join(stage, "certificate.json"))
-        report_lines = [render_report(certificate)]
-        for run in runs:
-            cid = run.cls.id
-            save_samples_csv(os.path.join(stage, f"{cid}_samples.csv"), run.samples)
-            if cfg.export_lp:
-                export_lp_text(run.program, os.path.join(stage, f"{cid}_program.lp"))
-            diagnostics = diagnose_class(
-                run.cls,
-                run.solution,
-                cfg.topology,
-                _verify_counts(run, cfg.verify_multiplier),
-                cfg.portrait_counts or (5,) * run.cls.state_dim,
-                cfg.portrait_steps,
-                out=stage,
-            )
-            report_lines += diagnostics.lines()
-        with open(os.path.join(stage, "report.txt"), "w") as fh:
-            fh.write("\n".join(report_lines) + "\n")
-        os.makedirs(out, exist_ok=True)
-        for name in sorted(os.listdir(stage)):
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    try:
+        parent = os.path.dirname(os.path.abspath(out))
+        os.makedirs(parent, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".netcert-stage-", dir=parent) as stage:
+            store_certificate(certificate, os.path.join(stage, "certificate.json"))
+            report_lines = [render_report(certificate)]
+            for run in runs:
+                cid = run.cls.id
+                save_samples_csv(os.path.join(stage, f"{cid}_samples.csv"), run.samples)
+                if cfg.export_lp:
+                    export_lp_text(run.program, os.path.join(stage, f"{cid}_program.lp"))
+                diagnostics = diagnose_class(
+                    run.cls,
+                    run.solution,
+                    cfg.topology,
+                    _verify_counts(run, cfg.verify_multiplier),
+                    cfg.portrait_counts or (5,) * run.cls.state_dim,
+                    cfg.portrait_steps,
+                    out=stage,
+                )
+                report_lines += diagnostics.lines()
+            with open(os.path.join(stage, "report.txt"), "w") as fh:
+                fh.write("\n".join(report_lines) + "\n")
+            os.makedirs(out, exist_ok=True)
+            for name in sorted(os.listdir(stage)):
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out}: {exc}") from exc
     return os.path.join(out, "certificate.json")
 
 

@@ -179,8 +179,9 @@ class VariableLayout:
 class LinearProgram:
     """min c'v  subject to  a_ub @ v <= b_ub  and  bounds[:, 0] <= v <= bounds[:, 1]
     (-inf or +inf where a column is free), its rows named by (group, count)
-    pairs in row order.  ``kept`` holds, in increasing order, the rows that
-    phase 1 of the solve takes: every row, unless the builder states less."""
+    pairs in row order.  ``kept`` holds, in increasing order, the rows of the
+    HiGHS model that ``linprog`` solves: every row, unless the builder states
+    less."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -220,8 +221,8 @@ TIME_LIMIT_S = 60.0
 @dataclass(frozen=True)
 class HighsRun:
     """What a solve hands back: the column values (None without an optimum),
-    the model status and its name, the pivots of both phases (``nit``) and
-    the pivots of phase 2."""
+    the model status and a message naming it, the pivots of both runs
+    (``nit``) and the pivots of the second run."""
 
     x: Optional[np.ndarray]
     status: highs.HighsModelStatus
@@ -230,96 +231,83 @@ class HighsRun:
     phase2_nit: int
 
 
-def _run_highs(
-    lp: LinearProgram, rows: np.ndarray, basis: Optional[highs.HighsBasis] = None
-) -> Optional[highs._Highs]:
-    """One HiGHS run on the rows ``rows`` of ``lp``, handed the matrix as
-    scipy's ``csc_array`` (sorted indices, zeros dropped) and the options
-    ``linprog`` hands it.  Given a ``basis`` of every row and column, it
-    starts from that basis with presolve off.  None when HiGHS refuses the
-    model."""
-    a = csc_array(lp.a_ub[rows])
-    solver = highs._Highs()
-    for name, value in _HIGHS_OPTIONS:
-        solver.setOptionValue(name, value)
-    solver.setOptionValue("time_limit", TIME_LIMIT_S)
-    if basis is not None:
-        solver.setOptionValue("presolve", "off")
-    loaded = solver.passModel(
+def _pass_kept_rows(solver: highs._Highs, lp: LinearProgram) -> highs.HighsStatus:
+    """Load the rows ``lp.kept`` of ``lp`` into ``solver``, the matrix as
+    scipy's ``csc_array`` (sorted indices, zeros dropped) hands it."""
+    a = csc_array(lp.a_ub[lp.kept])
+    return solver.passModel(
         lp.c.size,
-        rows.size,
+        lp.kept.size,
         a.nnz,
         int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize),
         0.0,
         lp.c,
         *np.ascontiguousarray(lp.bounds.T),  # the columns' lower, then upper bounds
-        np.full(rows.size, -highs.kHighsInf),
-        lp.b_ub[rows],
+        np.full(lp.kept.size, -highs.kHighsInf),
+        lp.b_ub[lp.kept],
         a.indptr.astype(np.int32),
         a.indices.astype(np.int32),
         a.data,
         np.zeros(lp.c.size, dtype=np.int32),  # every column continuous
     )
-    del a  # HiGHS holds its own copy
-    if loaded == highs.HighsStatus.kError:
-        return None
-    if basis is not None:
-        solver.setBasis(basis)
-    solver.run()
-    return solver
 
 
 def _pivots(solver: highs._Highs) -> int:
+    """The pivots of the last run; HiGHS counts -1 after an error."""
     info = solver.getInfo()
-    return info.simplex_iteration_count or info.ipm_iteration_count
+    return max(info.simplex_iteration_count, info.ipm_iteration_count, 0)
 
 
 def linprog(lp: LinearProgram) -> HighsRun:
-    """Solve ``lp`` with scipy's bundled HiGHS in two phases, each bounded by
-    ``TIME_LIMIT_S``; the optimum has the bits of one
+    """Solve ``lp`` with scipy's bundled HiGHS on one model of the rows
+    ``lp.kept``, with the options scipy's linprog hands HiGHS and each run
+    bounded by ``TIME_LIMIT_S``; the optimum has the bits of one
     ``scipy.optimize.linprog(method="highs")`` run on the whole program.
 
-    Phase 1 solves, with presolve on, the program made of ``lp.kept``: the
+    The first run solves the model with presolve on.  ``lp.kept`` holds the
     rows that HiGHS's presolve keeps of the whole program when it drops the
-    repeated level rows.  Phase 2 runs only when phase 1 dropped rows:
-    it solves the whole program with presolve off, from phase 1's basis with
-    each dropped row's slack basic.  That is the step a cold run ends with,
-    a solve of the original program from the basis postsolve hands back, so
-    phase 2 makes no pivot and returns the cold run's optimum.  A basis that
-    is not optimal would only cost pivots, never the optimum.  Phase 1's
-    column values differ from it in the last bits and are never returned.
+    repeated level rows, so when ``build_scp`` dropped rows a second run
+    follows: presolve off, from the model's own basis, handed back so that
+    HiGHS solves again instead of reporting its last result.  A cold run on
+    the whole program ends the same way, with a solve of the original
+    program from the basis postsolve hands back, in which each dropped row's
+    slack is basic.  So the second run makes no pivot and returns the cold
+    run's optimum; a basis that is not optimal would only cost pivots, never
+    the optimum.  The first run's column values differ from it in the last
+    bits and are never returned.  A program with no dropped row gets no
+    second run, which would change the cold run's bits on some grids.
 
     Only the column values, the model status and the iteration counts are
     read back, never the per-row solution.  It keeps scipy's name, and
     ``solve_lp`` looks it up as a module global, because the traced
     benchmark wraps ``netcert.scp.linprog`` (reading ``.nit``) and tests
     replace it to stage a solver failure."""
-    total = lp.a_ub.shape[0]
+    solver = highs._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        solver.setOptionValue(name, value)
+    solver.setOptionValue("time_limit", TIME_LIMIT_S)
     # HiGHS would take a NaN coefficient, where scipy's linprog refused it
-    solver = _run_highs(lp, lp.kept) if np.isfinite(lp.a_ub).all() else None
-    if solver is None:
+    if not np.isfinite(lp.a_ub).all() or _pass_kept_rows(solver, lp) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
-        return HighsRun(None, status, highs._Highs().modelStatusToString(status), 0, 0)
+        return HighsRun(None, status, solver.modelStatusToString(status), 0, 0)
+    ran = solver.run()
     nit, phase2_nit = _pivots(solver), 0
-    if solver.getModelStatus() == highs.HighsModelStatus.kOptimal and lp.kept.size < total:
-        found = solver.getBasis()
-        del solver  # free phase 1's workspace before phase 2 allocates its own
-        row_status = [highs.HighsBasisStatus.kBasic] * total
-        for row, status in zip(lp.kept.tolist(), found.row_status):
-            row_status[row] = status
-        basis = highs.HighsBasis()
-        basis.col_status = found.col_status
-        basis.row_status = row_status
-        basis.valid = True
-        solver = _run_highs(lp, np.arange(total), basis)
-        phase2_nit = _pivots(solver)
     status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kOptimal and lp.kept.size < lp.a_ub.shape[0]:
+        solver.setOptionValue("presolve", "off")
+        solver.setBasis(solver.getBasis())
+        ran = solver.run()
+        phase2_nit = _pivots(solver)
+        status = solver.getModelStatus()
+    message = solver.modelStatusToString(status)
+    if ran == highs.HighsStatus.kError:
+        message = f"HiGHS error (model status {message})"
     optimal = status == highs.HighsModelStatus.kOptimal
     return HighsRun(
         x=np.array(solver.getSolution().col_value) if optimal else None,
         status=status,
-        message=solver.modelStatusToString(status),
+        message=message,
         nit=nit + phase2_nit,
         phase2_nit=phase2_nit,
     )
@@ -393,7 +381,7 @@ def build_scp(
     b_ub[-1] = -options.gap
 
     # a level row depends only on its state, so it recurs once per sampled input;
-    # phase 1 keeps its first occurrence and every decrease, supply and gap row
+    # the solve keeps its first occurrence and every decrease, supply and gap row
     first = [np.sort(np.unique(v, axis=0, return_index=True)[1]) for v in (initial_x, unsafe_x)]
     kept = np.concatenate([first[0], counts[0] + first[1], np.arange(sum(counts[:2]), b_ub.size)])
 

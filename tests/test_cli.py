@@ -1513,6 +1513,30 @@ class TestOtherSubcommands:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_simulate_output_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "traj.csv"
+        args = ["--trajectories", "2", "--steps", "5", "--output", str(out)]
+        assert main(["simulate", "--config", ROOM_CONFIG, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write --output {out}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("target", ["out", "file/out"], ids=["a-file", "under-a-file"])
+    def test_synth_output_dir_that_cannot_be_made(self, tmp_path, capsys, target):
+        """An output directory that is a regular file, or lies under one:
+        one configuration error naming it, and no staging directory left."""
+        (tmp_path / target.split("/")[0]).write_text("")
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        out = tmp_path / target
+        code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: cannot write output directory {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == sorted(["config.json", target.split("/")[0]])
+
 
 class NoSymbols:
     """A loader whose libraries export nothing."""

@@ -252,12 +252,9 @@ class TestSolveScp:
 
     def test_nan_coefficient_is_a_model_error(self, monkeypatch):
         """HiGHS would take a NaN coefficient and report an optimum, so it
-        is refused before any HiGHS run."""
+        is refused before any model is loaded."""
 
-        def no_run(*args, **kwargs):
-            raise AssertionError("HiGHS ran on a NaN coefficient")
-
-        monkeypatch.setattr(scp, "_run_highs", no_run)
+        models = recorded_models(monkeypatch)
         lp = LinearProgram(
             c=np.array([1.0]),
             a_ub=np.array([[np.nan]]),
@@ -267,6 +264,7 @@ class TestSolveScp:
         )
         with pytest.raises(ScpSolveError, match="^scenario program failed: Model error$"):
             solve_lp(lp)
+        assert all(model.rows is None for model in models)
 
     def test_time_limit_is_a_failure(self, monkeypatch, room_class, room_samples):
         monkeypatch.setattr(scp, "TIME_LIMIT_S", 0.0)
@@ -326,26 +324,46 @@ class TestDirectHighs:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), name=st.sampled_from(["room", "platoon", "drift"]))
     def test_same_bits_on_any_grid(self, room_class, platoon_class, drift_class, data, name):
-        """Some platoon grids stall the simplex; scipy, bounded by 10 s, names
-        its time limit, and so does ``solve_lp`` under a limit ten times
-        lower.  The margin keeps a draw that needs about 10 s (platoon at
-        (8, 12) x (12, 6) takes 9-10 s) from landing on both sides of one
-        limit."""
         cls = {"room": room_class, "platoon": platoon_class, "drift": drift_class}[name]
         counts = st.integers(2, 12)
         state_counts = data.draw(st.tuples(*[counts] * cls.state_dim), label="state")
         input_counts = data.draw(st.tuples(*[counts] * cls.input_dim), label="input")
-        lp = build_scp(cls, collect_pairs(cls, state_counts, input_counts), ScpOptions())
-        assert np.array_equal(lp.kept, distinct_rows(lp))
-        res = scipy_result(lp, time_limit=10.0)
-        if res.status == 1 and res.message.startswith("Time limit reached"):
-            limit = "^scenario program failed: Time limit reached$"
-            with pytest.MonkeyPatch.context() as mp, pytest.raises(ScpSolveError, match=limit):
-                mp.setattr(scp, "TIME_LIMIT_S", 1.0)
-                solve_lp(lp)
-        else:
-            assert res.status == 0, res.message
-            assert np.array_equal(solve_lp(lp), res.x)
+        assert_same_outcome_as_scipy(cls, state_counts, input_counts)
+
+    def test_same_highs_error_as_scipy(self, platoon_class):
+        """HiGHS ends this platoon grid in an error, with the model status
+        "Not Set", for scipy and for ``solve_lp`` alike."""
+        assert_same_outcome_as_scipy(platoon_class, (8, 7), (9, 8))
+
+    def test_a_highs_error_is_named_and_counts_no_negative_pivots(self, platoon_class):
+        """HiGHS counts -1 iterations after its error; the run reports none."""
+        lp = build_scp(platoon_class, collect_pairs(platoon_class, (8, 7), (9, 8)), ScpOptions())
+        run = scp.linprog(lp)
+        assert run.status == highs.HighsModelStatus.kNotset and run.x is None
+        assert run.message == "HiGHS error (model status Not Set)"
+        assert run.nit == 0 and run.phase2_nit == 0
+
+
+def assert_same_outcome_as_scipy(cls, state_counts, input_counts):
+    """``solve_lp`` returns scipy's optimum bit for bit, or, where scipy ends
+    without one, raises ``ScpSolveError`` naming the same HiGHS status.  Some
+    platoon grids stall the simplex; scipy, bounded by 10 s, names its time
+    limit, and so does ``solve_lp`` under a limit ten times lower.  The margin
+    keeps a draw that needs about 10 s (platoon at (8, 12) x (12, 6) takes
+    9-10 s) from landing on both sides of one limit."""
+    lp = build_scp(cls, collect_pairs(cls, state_counts, input_counts), ScpOptions())
+    assert np.array_equal(lp.kept, distinct_rows(lp))
+    res = scipy_result(lp, time_limit=10.0)
+    if res.status == 0:
+        assert np.array_equal(solve_lp(lp), res.x)
+        return
+    status = highs.HighsModelStatus(int(re.search(r"\(HiGHS Status (\d+): ", res.message)[1]))
+    name = re.escape(highs._Highs().modelStatusToString(status))
+    message = f"^scenario program failed: (HiGHS error \\(model status {name}\\)|{name})$"
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ScpSolveError, match=message):
+        if status == highs.HighsModelStatus.kTimeLimit:
+            mp.setattr(scp, "TIME_LIMIT_S", 1.0)
+        solve_lp(lp)
 
 
 def repeated_level_rows(cls, samples) -> list[int]:
@@ -359,17 +377,39 @@ def repeated_level_rows(cls, samples) -> list[int]:
     return repeated
 
 
-def recorded_runs(monkeypatch) -> list[tuple[int, bool]]:
-    """The row count of each HiGHS run from here on, and whether it was
-    handed a basis."""
-    run_highs, runs = scp._run_highs, []
+class RecordedHighs(highs._Highs):
+    """A HiGHS instance that records the row count of the model it is handed
+    (None until one is loaded) and, per run, the presolve option and the
+    pivots.  ``basis``, when given, replaces every basis handed to it."""
 
-    def recorded(lp, rows, basis=None):
-        runs.append((rows.size, basis is not None))
-        return run_highs(lp, rows, basis)
+    def __init__(self, basis=None):
+        super().__init__()
+        self.basis, self.rows, self.runs = basis, None, []
 
-    monkeypatch.setattr(scp, "_run_highs", recorded)
-    return runs
+    def passModel(self, *args):
+        self.rows = args[1]
+        return super().passModel(*args)
+
+    def setBasis(self, basis):
+        return super().setBasis(basis if self.basis is None else self.basis)
+
+    def run(self):
+        presolve = self.getOptionValue("presolve")[1]
+        ran = super().run()
+        self.runs.append((presolve, self.getInfo().simplex_iteration_count))
+        return ran
+
+
+def recorded_models(monkeypatch, basis=None) -> list[RecordedHighs]:
+    """Each HiGHS instance made from here on, scipy's own included."""
+    models = []
+
+    def made():
+        models.append(RecordedHighs(basis))
+        return models[-1]
+
+    monkeypatch.setattr(highs, "_Highs", made)
+    return models
 
 
 def with_repeated_transitions(samples: SampleSet, repeats: int, seed: int) -> SampleSet:
@@ -382,8 +422,9 @@ def with_repeated_transitions(samples: SampleSet, repeats: int, seed: int) -> Sa
 
 
 class TestTwoPhases:
-    """Phase 1 solves the rows ``build_scp`` keeps, phase 2 confirms its
-    basis on the whole program."""
+    """One HiGHS model holds the rows ``build_scp`` keeps: the first run
+    solves it with presolve on, the second confirms its basis with presolve
+    off."""
 
     @pytest.mark.parametrize(
         "name, counts", [("room", ((62,), (62,))), ("platoon", ((5, 6), (5, 6)))]
@@ -395,24 +436,28 @@ class TestTwoPhases:
         assert np.array_equal(lp.kept, distinct_rows(lp))
         removed = sorted(set(range(lp.a_ub.shape[0])) - set(lp.kept.tolist()))
         assert removed and removed == repeated_level_rows(cls, samples)
-        runs = recorded_runs(monkeypatch)
+        models = recorded_models(monkeypatch)
         run = scp.linprog(lp)
         assert run.status == highs.HighsModelStatus.kOptimal
-        assert runs == [(lp.kept.size, False), (lp.a_ub.shape[0], True)]
-        assert run.phase2_nit == 0 and run.nit > 0
+        [model] = models
+        assert model.rows == lp.kept.size
+        [(first, first_nit), second] = model.runs
+        assert first == "on" and first_nit > 0 and second == ("off", 0)
+        assert run.phase2_nit == 0 and run.nit == first_nit
 
     def test_no_phase_2_without_repeated_rows(self, monkeypatch):
-        runs = recorded_runs(monkeypatch)
+        models = recorded_models(monkeypatch)
         cls, samples = make_trivial_instance()
         run = scp.linprog(build_scp(cls, samples, ScpOptions(coeff_bound=1.0, gap=0.0)))
         assert run.status == highs.HighsModelStatus.kOptimal
-        assert runs == [(7, False)]  # phase 1 alone, on all 7 rows
+        [model] = models
+        assert model.rows == 7 and [presolve for presolve, _ in model.runs] == ["on"]
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", ["drift", "room", "platoon"])
     def test_repeated_transitions_keep_scipys_bits(self, request, name, seed):
         """A transition recorded twice repeats its decrease and supply rows.
-        ``build_scp`` keeps them for phase 1, whose presolve drops them, and
+        ``build_scp`` keeps them in the model, whose presolve drops them, and
         the optimum keeps the bits of scipy's run on the whole program."""
         cls = request.getfixturevalue(f"{name}_class")
         samples = with_repeated_transitions(request.getfixturevalue(f"{name}_samples"), 20, seed)
@@ -422,24 +467,26 @@ class TestTwoPhases:
         assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
 
     def test_a_basis_that_is_not_optimal_still_ends_at_the_optimum(
-        self, room_class, room_samples
+        self, monkeypatch, room_class, room_samples
     ):
-        """Every row slack basic and every column at a bound: phase 2 pivots
-        to an optimum with the optimal objective."""
+        """Every row slack basic and every column at a bound: the second run
+        pivots to an optimum with the optimal objective."""
         lp = build_scp(room_class, room_samples, ScpOptions())
-        rows = lp.a_ub.shape[0]
+        assert lp.kept.size < lp.a_ub.shape[0]
         basis = highs.HighsBasis()
         basis.col_status = [
             highs.HighsBasisStatus.kZero if np.isinf(lo) else highs.HighsBasisStatus.kLower
             for lo, _ in lp.bounds
         ]
-        basis.row_status = [highs.HighsBasisStatus.kBasic] * rows
+        basis.row_status = [highs.HighsBasisStatus.kBasic] * lp.kept.size
         basis.valid = True
-        solver = scp._run_highs(lp, np.arange(rows), basis)
-        assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
-        assert solver.getInfo().simplex_iteration_count > 0
-        x = np.array(solver.getSolution().col_value)
-        assert lp.c @ x == pytest.approx(lp.c @ solve_lp(lp), abs=1e-12)
+        optimum = lp.c @ scipy_optimum(lp)
+        models = recorded_models(monkeypatch, basis)
+        run = scp.linprog(lp)
+        [model] = models
+        assert model.rows == lp.kept.size and model.runs[1][0] == "off"
+        assert run.status == highs.HighsModelStatus.kOptimal and run.phase2_nit > 0
+        assert lp.c @ run.x == pytest.approx(optimum, abs=1e-12)
 
 
 class TestScpOptions:
