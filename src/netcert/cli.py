@@ -11,9 +11,11 @@ Configuration comes only from the file and explicit flags; environment
 variables are never consulted, so runs are reproducible by construction.
 The bundled BLAS runs on one thread, the setting the dense heatmap's thread
 pool is sized for.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
-before numpy and scipy load, so their OpenBLAS copies start no worker
-threads; ``main`` still calls ``verify.one_blas_thread`` for a process that
-loaded numpy before this module.
+before numpy loads, and of scipy loads only the HiGHS extension, which links
+no BLAS; scipy's optimizer stack and its OpenBLAS copy load at the first
+slope fit, after the scenario solve, under the same variable.  So neither
+copy starts worker threads.  ``main`` still calls ``verify.one_blas_thread``
+for a process that loaded numpy or scipy before this module.
 """
 from __future__ import annotations
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .core import (
     IntervalBox,
@@ -129,6 +127,8 @@ def _weibull_max_logpdf(
     ``pow``, which round differently), and ``xlogy`` is kept rather than
     ``np.log``, whose vectorised kernel may round differently.
     """
+    from scipy.special import xlogy
+
     y = np.asarray((x - loc) / scale, dtype=float)
     if not (shape > 0 and scale > 0 and np.all(y <= 0)):
         return None
@@ -145,6 +145,17 @@ def _reverse_weibull_nll(params: np.ndarray, maxima: np.ndarray) -> float:
     if ll is None or not np.all(np.isfinite(ll)):
         return 1e30
     return -float(np.sum(ll))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported when the first fit calls it,
+    after the scenario solve has freed HiGHS's workspace: with scipy's
+    optimizer stack loaded at import, both would be resident at the peak.  A module global
+    that ``_fit_reverse_weibull`` looks up, so that the traced benchmark can
+    wrap ``netcert.lipschitz.minimize``."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, float]]:

@@ -8,6 +8,7 @@ are serialized in shortest round-trip form.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
 import numbers
@@ -460,8 +461,19 @@ class PipelineResult:
 
 
 def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineResult:
-    """Collect, solve, estimate, and compose; refine failing classes by
-    doubling their grid counts up to the configured retry limit."""
+    """Collect, solve, estimate, and compose, then write the outputs.  Their
+    staging directory is made before any sample is drawn, so an output
+    directory that cannot be made fails the run before it computes."""
+    if not write_outputs:
+        return PipelineResult(*_certify_network(cfg), certificate_path="")
+    with _output_stage(cfg.output_dir) as stage:
+        certificate, runs = _certify_network(cfg)
+        return PipelineResult(certificate, runs, write_run_outputs(cfg, certificate, runs, stage))
+
+
+def _certify_network(cfg: PipelineConfig) -> tuple[NetworkCertificate, list[ClassRun]]:
+    """Certify each class, refining failing classes by doubling their grid
+    counts up to the configured retry limit, and compose the certificate."""
     runs = [
         _run_class(build_class(cc), (cc.counts_state, cc.counts_input), cfg) for cc in cfg.classes
     ]
@@ -487,10 +499,7 @@ def run_pipeline(cfg: PipelineConfig, write_outputs: bool = True) -> PipelineRes
             "refinement_rounds": rounds,
         },
     )
-    cert_path = ""
-    if write_outputs:
-        cert_path = write_run_outputs(cfg, certificate, runs)
-    return PipelineResult(certificate=certificate, runs=runs, certificate_path=cert_path)
+    return certificate, runs
 
 
 @dataclass
@@ -587,43 +596,62 @@ def diagnose_class(
     return ClassDiagnostics(cid, topology.kind, levels, heatmap, portrait, skipped)
 
 
+def _unwritable(out: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write output directory {out}: {exc}")
+
+
+def _output_stage(out: str) -> tempfile.TemporaryDirectory:
+    """An empty staging directory in the nearest existing directory above
+    ``out``, on the file system that ``out`` will be made on; ``out`` and its
+    missing parents are made only when the files move in.  An ``out`` that
+    exists but is no directory, or lies under a regular file, is a
+    ``ConfigError`` naming it."""
+    try:
+        if os.path.lexists(out) and not os.path.isdir(out):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+        parent = os.path.dirname(os.path.abspath(out))
+        while not os.path.lexists(parent):
+            parent = os.path.dirname(parent)
+        return tempfile.TemporaryDirectory(prefix=".netcert-stage-", dir=parent)
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+
+
 def write_run_outputs(
-    cfg: PipelineConfig, certificate: NetworkCertificate, runs: list[ClassRun]
+    cfg: PipelineConfig, certificate: NetworkCertificate, runs: list[ClassRun], stage: str
 ) -> str:
     """Persist the certificate, the sample sets, and the verification CSVs.
-    Returns the certificate path.  The files are written into a staging directory
-    beside ``output_dir`` and moved in once every class's diagnostics have
-    returned, so a failed run leaves the output directory as it was.  A
-    directory that cannot be written is a ``ConfigError`` naming it."""
+    Returns the certificate path.  The files are written into ``stage``, a
+    directory from ``_output_stage``, and moved into ``output_dir`` once every
+    class's diagnostics have returned, so a failed run leaves the output
+    directory as it was, and makes none that was missing.  A directory that cannot be written is a
+    ``ConfigError`` naming it."""
     out = cfg.output_dir
     try:
-        parent = os.path.dirname(os.path.abspath(out))
-        os.makedirs(parent, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=".netcert-stage-", dir=parent) as stage:
-            store_certificate(certificate, os.path.join(stage, "certificate.json"))
-            report_lines = [render_report(certificate)]
-            for run in runs:
-                cid = run.cls.id
-                save_samples_csv(os.path.join(stage, f"{cid}_samples.csv"), run.samples)
-                if cfg.export_lp:
-                    export_lp_text(run.program, os.path.join(stage, f"{cid}_program.lp"))
-                diagnostics = diagnose_class(
-                    run.cls,
-                    run.solution,
-                    cfg.topology,
-                    _verify_counts(run, cfg.verify_multiplier),
-                    cfg.portrait_counts or (5,) * run.cls.state_dim,
-                    cfg.portrait_steps,
-                    out=stage,
-                )
-                report_lines += diagnostics.lines()
-            with open(os.path.join(stage, "report.txt"), "w") as fh:
-                fh.write("\n".join(report_lines) + "\n")
-            os.makedirs(out, exist_ok=True)
-            for name in sorted(os.listdir(stage)):
-                os.replace(os.path.join(stage, name), os.path.join(out, name))
+        store_certificate(certificate, os.path.join(stage, "certificate.json"))
+        report_lines = [render_report(certificate)]
+        for run in runs:
+            cid = run.cls.id
+            save_samples_csv(os.path.join(stage, f"{cid}_samples.csv"), run.samples)
+            if cfg.export_lp:
+                export_lp_text(run.program, os.path.join(stage, f"{cid}_program.lp"))
+            diagnostics = diagnose_class(
+                run.cls,
+                run.solution,
+                cfg.topology,
+                _verify_counts(run, cfg.verify_multiplier),
+                cfg.portrait_counts or (5,) * run.cls.state_dim,
+                cfg.portrait_steps,
+                out=stage,
+            )
+            report_lines += diagnostics.lines()
+        with open(os.path.join(stage, "report.txt"), "w") as fh:
+            fh.write("\n".join(report_lines) + "\n")
+        os.makedirs(out, exist_ok=True)
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
     except OSError as exc:
-        raise ConfigError(f"cannot write output directory {out}: {exc}") from exc
+        raise _unwritable(out, exc) from exc
     return os.path.join(out, "certificate.json")
 
 

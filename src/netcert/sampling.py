@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import DimensionError, IntervalBox, InvariantError, SubsystemClass
 
@@ -109,6 +108,8 @@ def dispersion_general(
     axes = _grid_axes(box, probe_counts)
     shape = tuple(a.size for a in axes)
     total = int(np.prod(shape))
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(samples)
     worst = -np.inf
     for start in range(0, total, _PROBE_BLOCK):

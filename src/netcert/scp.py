@@ -8,13 +8,15 @@ strictly negative objective direction could be scaled without limit.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array
 
 from .core import (
     InvariantError,
@@ -27,6 +29,45 @@ from .core import (
 from .sampling import CoverageError, SampleSet
 
 ROW_GROUPS = ("initial", "unsafe", "decrease", "supply", "gap")
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs_file() -> Optional[str]:
+    """The file of scipy's bundled HiGHS extension, found without running
+    any scipy code, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_highs():
+    """scipy's bundled HiGHS extension, loaded from its file so that
+    ``scipy.optimize.__init__``, which pulls in scipy's whole optimizer stack,
+    never runs for it.  The module is registered under its own name, so a
+    later ``import scipy.optimize`` takes this object: a pybind11 module
+    cannot load twice.  Without the file, the plain import."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    path = _highs_file()
+    if path is None:
+        from scipy.optimize._highspy import _core
+
+        return _core
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader)
+    )
+    sys.modules[_HIGHS_MODULE] = module
+    loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 
 @dataclass(frozen=True)
@@ -231,14 +272,25 @@ class HighsRun:
     phase2_nit: int
 
 
+def _csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compressed-column arrays (indptr, indices, data) of ``a`` that
+    scipy's ``csc_array(a)`` holds: each column's row indices in increasing
+    order, zeros (-0.0 among them) dropped.  numpy builds them, so
+    ``scipy.sparse`` is never imported."""
+    columns = a.T
+    col, row = np.nonzero(columns)  # column by column, rows increasing
+    indptr = np.searchsorted(col, np.arange(a.shape[1] + 1))
+    return indptr.astype(np.int32), row.astype(np.int32), columns[col, row]
+
+
 def _pass_kept_rows(solver: highs._Highs, lp: LinearProgram) -> highs.HighsStatus:
-    """Load the rows ``lp.kept`` of ``lp`` into ``solver``, the matrix as
-    scipy's ``csc_array`` (sorted indices, zeros dropped) hands it."""
-    a = csc_array(lp.a_ub[lp.kept])
+    """Load the rows ``lp.kept`` of ``lp`` into ``solver``, the matrix in
+    the arrays scipy's ``linprog`` would hand HiGHS."""
+    indptr, indices, data = _csc(lp.a_ub[lp.kept])
     return solver.passModel(
         lp.c.size,
         lp.kept.size,
-        a.nnz,
+        data.size,
         int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize),
         0.0,
@@ -246,9 +298,9 @@ def _pass_kept_rows(solver: highs._Highs, lp: LinearProgram) -> highs.HighsStatu
         *np.ascontiguousarray(lp.bounds.T),  # the columns' lower, then upper bounds
         np.full(lp.kept.size, -highs.kHighsInf),
         lp.b_ub[lp.kept],
-        a.indptr.astype(np.int32),
-        a.indices.astype(np.int32),
-        a.data,
+        indptr,
+        indices,
+        data,
         np.zeros(lp.c.size, dtype=np.int32),  # every column continuous
     )
 

@@ -49,6 +49,32 @@ sys.exit(code)
 """
 
 
+# Imports netcert.cli, then runs `synth` with netcert.scp.linprog wrapped,
+# and prints the scipy modules loaded by the import, whether scipy.optimize
+# was loaded at each solve, and the thread count of scipy's OpenBLAS after
+# the run (None if it never loaded).
+IMPORTS = """
+import ctypes, json, sys
+import netcert.cli, netcert.scp
+
+SCIPY = ["scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special", "scipy.linalg"]
+after_import = [name for name in SCIPY if name in sys.modules]
+solves = []
+linprog = netcert.scp.linprog
+
+def recorded(lp):
+    solves.append("scipy.optimize" in sys.modules)
+    return linprog(lp)
+
+netcert.scp.linprog = recorded
+code = netcert.cli.main(['synth', '--config', sys.argv[1], '--output-dir', sys.argv[2]])
+fblas = sys.modules.get("scipy.linalg._fblas")
+threads = fblas and ctypes.CDLL(fblas.__file__).scipy_openblas_get_num_threads()
+print(json.dumps([after_import, solves, threads]))
+sys.exit(code)
+"""
+
+
 def tiny_room_config(tmp_path):
     with open(os.path.join(REPO_ROOT, "configs", "room.json")) as fh:
         doc = json.load(fh)
@@ -113,12 +139,29 @@ def test_synth_never_imports_scipy_stats(tmp_path):
     assert not after_synth, "netcert synth loaded scipy.stats"
 
 
+def test_the_solve_runs_without_scipy_optimize(tmp_path):
+    """Importing netcert.cli loads numpy and the HiGHS extension, and no
+    other scipy package; scipy's optimizer stack, and the OpenBLAS copy it
+    brings, load at the first slope fit, after the solve has freed HiGHS's
+    workspace, and that OpenBLAS still runs one thread."""
+    config = tiny_room_config(tmp_path)
+    proc = run_python(
+        ["-c", IMPORTS, str(config), str(tmp_path / "out")], OPENBLAS_NUM_THREADS="4"
+    )
+    assert proc.returncode == 1, proc.stderr
+    after_import, solves, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert solves == [False]
+    assert threads == 1
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_cli_process_starts_no_blas_thread(tmp_path):
-    """Importing netcert.cli loads numpy's and scipy's OpenBLAS on one
-    thread, so neither starts worker threads that would only wait; the
-    process has one thread after the import and after `synth`, whatever
-    OPENBLAS_NUM_THREADS it inherits, and the certificate keeps its bytes.
+    """numpy's OpenBLAS, loaded by importing netcert.cli, and scipy's,
+    loaded at the first slope fit, run one thread, so neither starts worker
+    threads that would only wait; the process has one thread after the
+    import and after `synth`, whatever OPENBLAS_NUM_THREADS it inherits,
+    and the certificate keeps its bytes.
     The variable is removed, not inherited from this process, which has it
     from its own import of netcert.cli."""
     config = tiny_room_config(tmp_path)

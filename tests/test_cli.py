@@ -43,7 +43,7 @@ from netcert.pipeline import (
     run_pipeline,
     store_certificate,
 )
-from netcert.sampling import save_samples_csv
+from netcert.sampling import DataFaultError, save_samples_csv
 from netcert.scp import ScpOptions
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1523,19 +1523,44 @@ class TestOtherSubcommands:
         assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("target", ["out", "file/out"], ids=["a-file", "under-a-file"])
-    def test_synth_output_dir_that_cannot_be_made(self, tmp_path, capsys, target):
+    def test_synth_output_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, target):
         """An output directory that is a regular file, or lies under one:
-        one configuration error naming it, and no staging directory left."""
+        one configuration error naming it before any sample is drawn, and no
+        staging directory left."""
         (tmp_path / target.split("/")[0]).write_text("")
-        doc = read_json(ROOM_CONFIG)
-        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        sampled = []
+        monkeypatch.setattr(netcert.pipeline, "class_samples", lambda *a: sampled.append(a))
         out = tmp_path / target
-        code = main(["synth", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        code = main(["synth", "--config", ROOM_CONFIG, "--output-dir", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"configuration error: cannot write output directory {out}: ")
         assert err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) == sorted(["config.json", target.split("/")[0]])
+        assert sampled == []
+        assert os.listdir(tmp_path) == [target.split("/")[0]]
+
+    def test_synth_that_fails_makes_no_missing_parent(self, tmp_path, capsys, monkeypatch):
+        """The staging directory is made in the nearest existing directory
+        above the output directory, so a run that fails leaves no directory
+        behind; one that succeeds makes the missing ones."""
+
+        def faulty(cls, counts):
+            raise DataFaultError("no data")
+
+        out = tmp_path / "new" / "deeper" / "out"
+        monkeypatch.setattr(netcert.pipeline, "class_samples", faulty)
+        assert main(["synth", "--config", ROOM_CONFIG, "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "synthesis failed: no data\n"
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        doc = read_json(ROOM_CONFIG)
+        doc["classes"][0].update(counts_state=[5], counts_input=[5])
+        doc.update(verify_multiplier=1, portrait_counts=[2], portrait_steps=5)
+        doc["refine"]["enabled"] = False
+        config = write_config(tmp_path, doc)
+        assert main(["synth", "--config", config, "--output-dir", str(out)]) == 1
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "new"]
+        assert (out / "certificate.json").exists()
 
 
 class NoSymbols:

@@ -1,4 +1,7 @@
+import importlib.machinery
 import itertools
+import json
+import os
 import re
 from dataclasses import FrozenInstanceError
 
@@ -7,7 +10,9 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array
 
 from netcert import scp
 from netcert.core import (
@@ -35,6 +40,7 @@ from netcert.scp import (
     solve_lp,
     solve_scp,
 )
+from tests.test_benchmark_hooks import run_python
 
 
 
@@ -487,6 +493,72 @@ class TestTwoPhases:
         assert model.rows == lp.kept.size and model.runs[1][0] == "off"
         assert run.status == highs.HighsModelStatus.kOptimal and run.phase2_nit > 0
         assert lp.c @ run.x == pytest.approx(optimum, abs=1e-12)
+
+
+# zeros of both signs, subnormals and entries near zero, which a sparse
+# format must keep or drop exactly as scipy does
+MATRIX_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-9, -1e-9]),
+    st.floats(-1e-9, 1e-9),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+# A tiny program, min x subject to x >= 0.5 and -1 <= x <= 1, solved in a
+# fresh interpreter: once through netcert.scp, once through scipy.optimize.
+TINY_SOLVES = """
+import json, sys
+import numpy as np
+from netcert import scp
+lp = scp.LinearProgram(np.ones(1), -np.ones((1, 1)), np.full(1, -0.5), np.array([[-1.0, 1.0]]))
+scp_x = scp.solve_lp(lp).tolist()
+optimize_before = "scipy.optimize" in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _core
+res = scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-0.5], bounds=[(-1, 1)], method="highs")
+print(json.dumps([optimize_before, _core is scp.highs, scp_x, res.x.tolist()]))
+"""
+
+
+class TestHighsInput:
+    """``scp`` loads scipy's HiGHS extension from its file, so that
+    ``scipy.optimize`` is not imported for it, and builds the model's
+    compressed columns in numpy; HiGHS gets the module and the arrays that
+    scipy's linprog would hand it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=MATRIX_ENTRIES))
+    def test_same_columns_as_csc_array(self, a):
+        expected = csc_array(a)
+        indptr, indices, data = scp._csc(a)
+        assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+        assert np.array_equal(indptr, expected.indptr) and np.array_equal(indices, expected.indices)
+        assert data.tobytes() == expected.data.tobytes()
+
+    def test_the_extension_file_is_found(self):
+        """A silent fallback to the plain import would load scipy.optimize
+        before every solve."""
+        path = scp._highs_file()
+        assert path is not None and os.path.samefile(path, scp.highs.__file__)
+
+    def test_scipy_optimize_takes_the_same_module(self):
+        """``recorded_models`` patches the module that this file imports
+        through scipy.optimize; scp must solve with that same object."""
+        assert highs is scp.highs
+        proc = run_python(["-c", TINY_SOLVES])
+        assert proc.returncode == 0, proc.stderr
+        optimize_before, same, scp_x, scipy_x = json.loads(proc.stdout)
+        assert not optimize_before and same
+        assert scp_x == scipy_x == [0.5]
+
+    def test_without_the_extension_file_the_plain_import(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        assert scp._highs_file() is None
+        hidden = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
+        proc = run_python(["-c", hidden + TINY_SOLVES])
+        assert proc.returncode == 0, proc.stderr
+        optimize_before, same, scp_x, scipy_x = json.loads(proc.stdout)
+        assert optimize_before and same
+        assert scp_x == scipy_x == [0.5]
 
 
 class TestScpOptions:
