@@ -10,8 +10,9 @@ record the configuration alongside the estimate to keep that auditable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .core import (
     eval_template,
 )
 from .sampling import DataFaultError, SampleSet
-from .scp import ScpSolution
+from .scp import ScpSolution, load_scipy_extension
 
 # target(points) -> values for a batch of points, one row per point
 BatchTarget = Callable[[np.ndarray], np.ndarray]
@@ -124,16 +125,20 @@ def _weibull_max_logpdf(
     -> ``weibull_max_gen._logpdf``), because the fit amplifies last-bit
     changes: the parameters are broadcast to contiguous full-length arrays
     (a scalar exponent takes NumPy's ``square``/``sqrt`` fast paths in
-    ``pow``, which round differently), and ``xlogy`` is kept rather than
-    ``np.log``, whose vectorised kernel may round differently.
+    ``pow``, which round differently).  ``scipy.special.xlogy(c - 1, -y)``
+    is written out with ``math.log``, which calls the C library's ``log``
+    as ``xlogy`` does; ``np.log``'s vectorised kernel rounds some values
+    differently.
     """
-    from scipy.special import xlogy
-
     y = np.asarray((x - loc) / scale, dtype=float)
     if not (shape > 0 and scale > 0 and np.all(y <= 0)):
         return None
     c = np.full(y.size, shape)
-    return np.log(c) + xlogy(c - 1, -y) - pow(-y, c) - np.log(np.full(y.size, scale))
+    if shape == 1:
+        xlogy = np.zeros(y.size)
+    else:
+        xlogy = (c - 1) * np.array([math.log(v) if v else -math.inf for v in (-y).tolist()])
+    return np.log(c) + xlogy - pow(-y, c) - np.log(np.full(y.size, scale))
 
 
 def _reverse_weibull_nll(params: np.ndarray, maxima: np.ndarray) -> float:
@@ -147,15 +152,95 @@ def _reverse_weibull_nll(params: np.ndarray, maxima: np.ndarray) -> float:
     return -float(np.sum(ll))
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported when the first fit calls it,
-    after the scenario solve has freed HiGHS's workspace: with scipy's
-    optimizer stack loaded at import, both would be resident at the peak.  A module global
-    that ``_fit_reverse_weibull`` looks up, so that the traced benchmark can
-    wrap ``netcert.lipschitz.minimize``."""
-    from scipy.optimize import minimize
+class MinimizeResult(NamedTuple):
+    """What the fit reads of an L-BFGS-B run, named as on scipy's
+    ``OptimizeResult``: the last point and its value, the objective
+    evaluations (gradient steps included) and the iterations, and whether
+    the run converged.  A named tuple: as a dataclass, the class alone
+    took about 0.6 ms of every run's import."""
 
-    return minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+def minimize(fun, x0, args, bounds) -> MinimizeResult:
+    """``scipy.optimize.minimize(fun, x0, args, method="L-BFGS-B",
+    bounds=bounds)``, bit for bit, on scipy's compiled L-BFGS-B (``setulb``),
+    which is loaded from its file at the first fit, so that
+    ``scipy.optimize``, with ``scipy.sparse``, ``scipy.linalg`` and
+    ``scipy.special``, is never imported.  The loop is that of scipy
+    1.17.1's ``_minimize_lbfgsb`` with its default options; the gradient is
+    its ``approx_derivative`` forward difference ('2-point', absolute step
+    1e-8), turned inward at the bounds, and a request at the last evaluated
+    point reuses its value and gradient, as ``ScalarFunction`` does, so
+    ``nfev`` counts as scipy's.  Every bound must be finite with lower <
+    upper: scipy drops a variable whose bounds are equal, which this does
+    not.  A module global that ``_fit_reverse_weibull`` looks up, so that
+    the traced benchmark can wrap ``netcert.lipschitz.minimize``."""
+    setulb = load_scipy_extension("scipy.optimize._lbfgsb").setulb
+    lower, upper = (np.array(side, dtype=float) for side in zip(*bounds))
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)) and np.all(lower < upper)):
+        raise ValueError(f"L-BFGS-B needs finite bounds with lower < upper, got {bounds!r}")
+    n = lower.size
+    nfev = 0
+    last = None  # (x, f, g) at the last evaluated point
+
+    def value(x: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return float(fun(x.copy(), *args))
+
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal last
+        if last is not None and np.array_equal(x, last[0]):
+            return last[1], last[2]
+        f0 = value(x)
+        h = np.full(n, 1e-8)
+        sign = np.where(x >= 0, 1.0, -1.0)
+        relative = np.finfo(float).eps ** 0.5 * sign * np.maximum(1.0, np.abs(x))
+        h = np.where((x + h) - x == 0, relative, h)
+        below, above = x - lower, upper - x
+        fitting = np.abs(h) <= np.maximum(below, above)
+        h = np.where(((x + h < lower) | (x + h > upper)) & fitting, -h, h)
+        h = np.where(fitting, h, np.where(above >= below, above, -below))
+        g = np.empty(n)
+        for i in range(n):
+            step = x.copy()
+            step[i] = x[i] + h[i]
+            g[i] = (value(step) - f0) / ((x[i] + h[i]) - x[i])
+        last = (x.copy(), f0, g)  # setulb writes into x, and into a copy of g
+        return f0, g
+
+    m, maxiter, maxfun = 10, 15000, 15000
+    factr, pgtol, maxls = 2.220446049250313e-09 / np.finfo(float).eps, 1e-5, 20
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f, g = 0.0, np.zeros(n)
+    nbd = np.full(n, 2, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    nit = 0
+    while True:
+        g = g.astype(np.float64)  # setulb writes into x and g
+        setulb(
+            m, x, lower, upper, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+            maxls, ln_task,
+        )
+        if task[0] == 3:  # FG: f and g at the current x
+            f, g = value_and_gradient(x)
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    return MinimizeResult(x=x, fun=f, nfev=nfev, nit=nit, success=bool(task[0] == 4))
 
 
 def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, float]]:
@@ -174,7 +259,6 @@ def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, flo
                 _reverse_weibull_nll,
                 x0=np.array([top + spacing, scale0, shape0]),
                 args=(maxima,),
-                method="L-BFGS-B",
                 bounds=[
                     (top + 1e-12 + 1e-9 * max(1.0, abs(top)), top + 10.0 * max(span, scale0)),
                     (1e-12, 100.0 * max(span, scale0)),

@@ -30,44 +30,33 @@ from .sampling import CoverageError, SampleSet
 
 ROW_GROUPS = ("initial", "unsafe", "decrease", "supply", "gap")
 
-_HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-
-def _highs_file() -> Optional[str]:
-    """The file of scipy's bundled HiGHS extension, found without running
-    any scipy code, or None."""
+def load_scipy_extension(name: str):
+    """scipy's compiled module ``name`` (dotted, under ``scipy``), loaded
+    from its file, which is found without running any scipy code, so that
+    the ``__init__`` of the packages above it never runs: for
+    ``scipy.optimize`` that would pull in scipy's whole optimizer stack.
+    The module is registered under its own name, so a later import of it,
+    or of a package that imports it, takes this object: a pybind11 module
+    cannot load twice.  Without the file, the plain import."""
+    if name in sys.modules:
+        return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
     for root in spec.submodule_search_locations if spec else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            path = os.path.join(root, *name.split(".")[1:]) + suffix
             if os.path.isfile(path):
-                return path
-    return None
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(name)
 
 
-def _load_highs():
-    """scipy's bundled HiGHS extension, loaded from its file so that
-    ``scipy.optimize.__init__``, which pulls in scipy's whole optimizer stack,
-    never runs for it.  The module is registered under its own name, so a
-    later ``import scipy.optimize`` takes this object: a pybind11 module
-    cannot load twice.  Without the file, the plain import."""
-    if _HIGHS_MODULE in sys.modules:
-        return sys.modules[_HIGHS_MODULE]
-    path = _highs_file()
-    if path is None:
-        from scipy.optimize._highspy import _core
-
-        return _core
-    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, path)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader)
-    )
-    sys.modules[_HIGHS_MODULE] = module
-    loader.exec_module(module)
-    return module
-
-
-highs = _load_highs()
+highs = load_scipy_extension("scipy.optimize._highspy._core")
 
 
 @dataclass(frozen=True)

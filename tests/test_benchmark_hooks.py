@@ -50,15 +50,20 @@ sys.exit(code)
 
 
 # Imports netcert.cli, then runs `synth` with netcert.scp.linprog wrapped,
-# and prints the scipy modules loaded by the import, whether scipy.optimize
-# was loaded at each solve, and the thread count of scipy's OpenBLAS after
-# the run (None if it never loaded).
+# and prints the scipy packages loaded by the import, whether scipy.optimize
+# was loaded at each solve, the scipy packages loaded after the run, and the
+# thread count of the OpenBLAS that scipy's L-BFGS-B extension links (None
+# if it never loaded).
 IMPORTS = """
 import ctypes, json, sys
 import netcert.cli, netcert.scp
 
 SCIPY = ["scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special", "scipy.linalg"]
-after_import = [name for name in SCIPY if name in sys.modules]
+
+def loaded():
+    return [name for name in SCIPY if name in sys.modules]
+
+after_import = loaded()
 solves = []
 linprog = netcert.scp.linprog
 
@@ -68,9 +73,9 @@ def recorded(lp):
 
 netcert.scp.linprog = recorded
 code = netcert.cli.main(['synth', '--config', sys.argv[1], '--output-dir', sys.argv[2]])
-fblas = sys.modules.get("scipy.linalg._fblas")
-threads = fblas and ctypes.CDLL(fblas.__file__).scipy_openblas_get_num_threads()
-print(json.dumps([after_import, solves, threads]))
+lbfgsb = sys.modules.get("scipy.optimize._lbfgsb")
+threads = lbfgsb and ctypes.CDLL(lbfgsb.__file__).scipy_openblas_get_num_threads()
+print(json.dumps([after_import, solves, loaded(), threads]))
 sys.exit(code)
 """
 
@@ -141,18 +146,21 @@ def test_synth_never_imports_scipy_stats(tmp_path):
 
 def test_the_solve_runs_without_scipy_optimize(tmp_path):
     """Importing netcert.cli loads numpy and the HiGHS extension, and no
-    other scipy package; scipy's optimizer stack, and the OpenBLAS copy it
-    brings, load at the first slope fit, after the solve has freed HiGHS's
-    workspace, and that OpenBLAS still runs one thread."""
-    config = tiny_room_config(tmp_path)
-    proc = run_python(
-        ["-c", IMPORTS, str(config), str(tmp_path / "out")], OPENBLAS_NUM_THREADS="4"
-    )
-    assert proc.returncode == 1, proc.stderr
-    after_import, solves, threads = json.loads(proc.stdout.splitlines()[-1])
-    assert after_import == []
-    assert solves == [False]
-    assert threads == 1
+    other scipy package; the slope fits load scipy's L-BFGS-B extension
+    and the OpenBLAS copy it links, which runs one thread, and no scipy
+    package either.  So every solve, in a configuration of two classes
+    too, runs without scipy.optimize."""
+    one = tiny_room_config(tmp_path)
+    doc = json.loads(one.read_text())
+    doc["classes"].append({**doc["classes"][0], "id": "room-b", "benchmark_params": {"c": 0.45}})
+    two = tmp_path / "room-tiny-two.json"
+    two.write_text(json.dumps(doc))
+    for config, solves in ((one, [False]), (two, [False, False])):
+        proc = run_python(
+            ["-c", IMPORTS, str(config), str(tmp_path / config.stem)], OPENBLAS_NUM_THREADS="4"
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], solves, [], 1]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")

@@ -1,7 +1,5 @@
-import importlib.machinery
 import itertools
 import json
-import os
 import re
 from dataclasses import FrozenInstanceError
 
@@ -518,12 +516,28 @@ res = scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-0.5], bounds=[(-1, 1)]
 print(json.dumps([optimize_before, _core is scp.highs, scp_x, res.x.tolist()]))
 """
 
+# Imports netcert.scp and loads scipy's L-BFGS-B extension in a fresh
+# interpreter, then prints whether both extensions are loaded and which
+# other scipy modules are, besides the extensions' own submodules.
+EXTENSIONS_ONLY = """
+import json, sys
+from netcert import scp
+EXTENSIONS = ("scipy.optimize._highspy._core", "scipy.optimize._lbfgsb")
+scp.load_scipy_extension(EXTENSIONS[1])
+others = [
+    name for name in sys.modules if name.split(".")[0] == "scipy"
+    and not any(name == e or name.startswith(e + ".") for e in EXTENSIONS)
+]
+print(json.dumps([[e in sys.modules for e in EXTENSIONS], others]))
+"""
+
 
 class TestHighsInput:
-    """``scp`` loads scipy's HiGHS extension from its file, so that
-    ``scipy.optimize`` is not imported for it, and builds the model's
-    compressed columns in numpy; HiGHS gets the module and the arrays that
-    scipy's linprog would hand it."""
+    """``scp.load_scipy_extension`` loads scipy's HiGHS extension (and, for
+    the slope fit, its L-BFGS-B extension) from its file, so that
+    ``scipy.optimize`` is not imported for it, and ``scp`` builds the
+    model's compressed columns in numpy; HiGHS gets the module and the
+    arrays that scipy's linprog would hand it."""
 
     @settings(max_examples=200, deadline=None)
     @given(a=arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=MATRIX_ENTRIES))
@@ -535,10 +549,13 @@ class TestHighsInput:
         assert data.tobytes() == expected.data.tobytes()
 
     def test_the_extension_file_is_found(self):
-        """A silent fallback to the plain import would load scipy.optimize
-        before every solve."""
-        path = scp._highs_file()
-        assert path is not None and os.path.samefile(path, scp.highs.__file__)
+        """The installed scipy has the files of both extensions that netcert
+        uses: a silent fallback to the plain import would load
+        scipy.optimize, about 0.4 s, in every run."""
+        proc = run_python(["-c", EXTENSIONS_ONLY])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[True, True], []]
+        assert scp.load_scipy_extension("scipy.optimize._highspy._core") is scp.highs
 
     def test_scipy_optimize_takes_the_same_module(self):
         """``recorded_models`` patches the module that this file imports
@@ -550,9 +567,7 @@ class TestHighsInput:
         assert not optimize_before and same
         assert scp_x == scipy_x == [0.5]
 
-    def test_without_the_extension_file_the_plain_import(self, monkeypatch):
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-        assert scp._highs_file() is None
+    def test_without_the_extension_file_the_plain_import(self):
         hidden = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
         proc = run_python(["-c", hidden + TINY_SOLVES])
         assert proc.returncode == 0, proc.stderr
