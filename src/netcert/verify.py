@@ -59,6 +59,7 @@ _POINTS_PER_WORKER = 2**16
 BLAS_THREAD_SETTERS = {
     "numpy._core._multiarray_umath": "scipy_openblas_set_num_threads64_",
     "scipy.linalg._fblas": "scipy_openblas_set_num_threads",
+    "scipy.optimize._lbfgsb": "scipy_openblas_set_num_threads",
 }
 
 
@@ -72,10 +73,12 @@ def one_blas_thread() -> None:
     loaded, or that lacks the setter, keeps its threads.  This changes the
     whole process, so it is left to the caller (``cli.main`` calls it).
     Importing ``netcert.cli`` loads numpy's copy on one thread, and scipy's
-    copy, which loads with scipy's optimizer stack at the first slope fit,
-    starts under the same setting; this call covers a process that loaded
-    numpy or scipy first, such as the test suite or ``perfbench/traced.py``,
-    whose copies started their worker threads then.
+    copy, which scipy's L-BFGS-B extension links and which loads with it at
+    the first slope fit, starts under the same setting; this call covers a
+    process that loaded numpy or scipy first, such as the test suite or
+    ``perfbench/traced.py``, whose copies started their worker threads then.
+    scipy's copy is found through ``scipy.linalg`` or, where only the fit
+    loaded it, through the L-BFGS-B extension.
     """
     for module, setter in BLAS_THREAD_SETTERS.items():
         ext = sys.modules.get(module)

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 import sys
 import threading
@@ -31,7 +32,20 @@ from netcert.verify import (
     write_surface_csv,
     write_trajectories_csv,
 )
+from tests.test_benchmark_hooks import run_python
 from tests.test_blackbox import first_steps
+
+# Loads scipy's L-BFGS-B extension in a fresh interpreter, then prints the
+# thread count of the OpenBLAS it links before and after one_blas_thread,
+# and whether scipy.linalg was loaded.
+LBFGSB_BLAS = """
+import ctypes, json, sys
+from netcert import scp, verify
+lib = ctypes.CDLL(scp.load_scipy_extension("scipy.optimize._lbfgsb").__file__)
+before = lib.scipy_openblas_get_num_threads()
+verify.one_blas_thread()
+print(json.dumps([before, lib.scipy_openblas_get_num_threads(), "scipy.linalg" in sys.modules]))
+"""
 
 
 def make_solution(coeffs, sigma, phi, supply=None, eta=0.0, beta=0.0):
@@ -450,6 +464,14 @@ class TestHeatmapPool:
         assert get_threads() == 1
         again = heatmap_outputs(platoon_class, platoon_solution, counts, tmp_path / "2.csv")
         assert again == single
+
+
+    def test_one_blas_thread_finds_scipys_copy_through_lbfgsb(self):
+        """scipy's OpenBLAS can come in with the L-BFGS-B extension alone,
+        without ``scipy.linalg``; ``one_blas_thread`` puts it on one thread."""
+        proc = run_python(["-c", LBFGSB_BLAS], OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [2, 1, False]
 
 
 class TestSurfaceData:
