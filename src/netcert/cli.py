@@ -14,8 +14,9 @@ pool is sized for.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
 before numpy loads, and of scipy loads only the HiGHS extension, which links
 no BLAS; scipy's L-BFGS-B extension and the OpenBLAS copy it links load at
 the first slope fit, after the scenario solve, under the same variable.  So
-neither copy starts worker threads.  ``main`` still calls ``verify.one_blas_thread``
-for a process that loaded numpy or scipy before this module.
+neither copy starts worker threads.  ``main`` still calls
+``verify.one_blas_thread`` for a process that loaded numpy or scipy before
+this module.
 """
 from __future__ import annotations
 
