@@ -254,19 +254,17 @@ def eval_template(
     The basis is built and multiplied by ``coeffs`` one sub-block of
     ``_BASIS_BLOCK`` (8,192) rows at a time, so each sub-block's basis (960
     KiB for 15 terms) is still in the cache for its gemv and the (N, terms)
-    matrix never exists.  The values equal ``basis_values(points) @ coeffs``
-    in one call bit for bit on one BLAS thread.  OpenBLAS's gemv rounds
-    every row in a full 4-row group the same way, whatever the call, and the
-    last N % 4 rows of a call in its tail rounding.  Every sub-block starts
-    at a multiple of 4, so its full groups are the one call's, and the last
-    sub-block holds the one call's tail.  A last sub-block of fewer than 4
-    rows joins the one before it: NumPy computes a 1-row product as a dot
-    product, which does not round like the tail of a longer gemv.
+    matrix never exists.  On one BLAS thread each row's value depends on
+    that row alone, so the values of a row subset are that subset of the
+    values.  OpenBLAS's gemv rounds every row of a full 4-row group the same
+    way, whatever the call, and the last m % 4 rows of an m-row call
+    differently, so a sub-block's last m % 4 rows are multiplied as one
+    4-row group padded with zero rows.
 
     A caller that evaluates many batches can pass its own workspaces:
     ``out``, a contiguous float array of N values, receives the values and
     is returned, and ``basis_out`` holds each sub-block's basis (C-contiguous
-    floats, at least min(N, ``_BASIS_BLOCK`` + 3) rows by term_count).  The
+    floats, at least min(N, ``_BASIS_BLOCK``) rows by term_count).  The
     values are the same with or without them.
     """
     if np.shape(coeffs) != (template.term_count,):
@@ -280,12 +278,16 @@ def eval_template(
         out = np.empty(n)
     elif out.shape != (n,) or out.dtype != float or not out.flags.c_contiguous:
         raise DimensionError(f"value buffer of shape {out.shape} cannot hold {n} float values")
-    starts = list(range(0, n, _BASIS_BLOCK)) or [0]
-    if len(starts) > 1 and n - starts[-1] < 4:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [n]):
-        basis = template.basis_values(pts[start:stop], out=basis_out)
-        np.matmul(basis, coeffs, out=out[start:stop])
+    for start in range(0, n, _BASIS_BLOCK):
+        basis = template.basis_values(pts[start : start + _BASIS_BLOCK], out=basis_out)
+        m = basis.shape[0]
+        vals = out[start : start + m]
+        full = m - m % 4
+        np.matmul(basis[:full], coeffs, out=vals[:full])
+        if m % 4:
+            group = np.zeros((4, template.term_count))
+            group[: m % 4] = basis[full:]
+            vals[full:] = (group @ coeffs)[: m % 4]
     return out
 
 

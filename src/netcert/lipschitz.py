@@ -246,11 +246,19 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
 def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, float]]:
     """Maximum-likelihood (location, scale, shape) with the location bounded
     below by the sample maximum, so the fitted endpoint dominates the data.
-    Returns None when the optimization fails."""
+    Returns None when the optimization fails, or when the maxima spread so
+    little that the location's lower bound passes its upper bound."""
     top = float(np.max(maxima))
     span = float(np.max(maxima) - np.min(maxima))
     spacing = span / maxima.size
     scale0 = max(float(np.std(maxima)), 1e-12)
+    bounds = [
+        (top + 1e-12 + 1e-9 * max(1.0, abs(top)), top + 10.0 * max(span, scale0)),
+        (1e-12, 100.0 * max(span, scale0)),
+        (0.05, 50.0),
+    ]
+    if not all(low < high for low, high in bounds):
+        return None
 
     best = None
     with np.errstate(all="ignore"):  # the penalty wall makes numdiff noisy
@@ -259,11 +267,7 @@ def _fit_reverse_weibull(maxima: np.ndarray) -> Optional[tuple[float, float, flo
                 _reverse_weibull_nll,
                 x0=np.array([top + spacing, scale0, shape0]),
                 args=(maxima,),
-                bounds=[
-                    (top + 1e-12 + 1e-9 * max(1.0, abs(top)), top + 10.0 * max(span, scale0)),
-                    (1e-12, 100.0 * max(span, scale0)),
-                    (0.05, 50.0),
-                ],
+                bounds=bounds,
             )
             if res.success and np.isfinite(res.fun):
                 if best is None or res.fun < best.fun:

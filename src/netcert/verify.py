@@ -32,13 +32,7 @@ from .core import (
 from .sampling import DataFaultError, csv_line, dense_counts, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
-# Dense joint grids are evaluated in blocks of this many points.  A multiple
-# of 4: OpenBLAS's gemv rounds the last m % 4 rows of an m-row call in its
-# tail kernel and every other row in its full-group kernel, so blocks that
-# start at multiples of 4 leave the tail rounding to the last rows of the
-# grid, where one call over the whole grid has it.  Each block's f(x, d) is
-# evaluated by the same rule in ``core._BASIS_BLOCK``-row sub-blocks, four to
-# a full block, each starting at a multiple of 4.
+# Dense joint grids are evaluated in blocks of this many points.
 _CHUNK = 2**15
 # Heatmap threads at most: two is the largest count measured for time and
 # peak RSS (on a 2-CPU host).
@@ -184,15 +178,10 @@ def decrease_heatmap(
     as one slice of the input grid repeated to cover any block's offset;
     that grid is shared by every block and read-only, so an oracle that
     writes into its ``d`` raises ``ValueError``.  Only the cross term d^T
-    s12 x is computed per pair.  On one BLAS thread every value is
-    bit-identical to the evaluators on the materialised joint grid, block
-    by block.  B(x) is one gemv over the state grid padded to a multiple of
-    4 rows, so every state point takes OpenBLAS's full-group rounding,
-    which is what every row of an m-row block gets but its last m % 4.
-    Those tail rows are taken from a gemv over the block's last 4 + m % 4
-    rows (all m rows when m < 4), where they are the tail again; a 1-row
-    product would not do, as NumPy computes it as a dot product.
-    ``rowwise_bilinear`` gives each row the value it has in any batch.
+    s12 x is computed per pair.  ``eval_template`` and ``rowwise_bilinear``
+    give each row the value it has in any batch, so on one BLAS thread
+    every value is bit-identical to the evaluators on the materialised
+    joint grid, block by block.
 
     Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
     the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points
@@ -221,9 +210,7 @@ def decrease_heatmap(
     xs = grid_samples(cls.state_box, dense_counts(cls.state_box, counts[:n]))
     ds = grid_samples(cls.input_box, dense_counts(cls.input_box, counts[n:]))
     coeffs = solution.coeffs
-    basis_x = cls.template.basis_values(xs)
-    padding = np.zeros((-xs.shape[0] % 4, basis_x.shape[1]))
-    b_grid = np.vstack([basis_x, padding]) @ coeffs
+    b_grid = eval_template(cls.template, coeffs, xs)
     rate = solution.supply
     quad_d = rowwise_bilinear(ds, rate.s11, ds)
     quad_x = rowwise_bilinear(xs, rate.s22, xs)
@@ -237,7 +224,7 @@ def decrease_heatmap(
     workers = _heatmap_workers(total)
     # one (sub-block basis, values) workspace per block in flight
     slots = [
-        (np.empty((min(chunk, _BASIS_BLOCK + 3), cls.template.term_count)), np.empty(chunk))
+        (np.empty((min(chunk, _BASIS_BLOCK), cls.template.term_count)), np.empty(chunk))
         for _ in range(workers)
     ]
 
@@ -254,10 +241,6 @@ def decrease_heatmap(
         x = xs[states].repeat(runs, axis=0)
         d = d_grid[offset : offset + m]
         bx = b_grid[states].repeat(runs)
-        tail = m % 4
-        if tail:
-            xi = np.arange(stop - min(m, 4 + tail), stop) // n_d
-            bx[-tail:] = (basis_x[xi] @ coeffs)[-tail:]
         basis, vals = slots[block % workers]
         # a non-finite value is reported below; errstate is per thread
         with np.errstate(all="ignore"):

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 from unittest import mock
@@ -124,6 +123,17 @@ class TestEstimateLipschitz:
         for coarse, fine in zip(values, values[1:]):
             assert fine >= coarse - 0.1
         assert values[-1] == pytest.approx(2.0, rel=0.05)
+
+    def test_maxima_too_close_for_the_location_bounds_fall_back(self):
+        """Maxima near 1e6 that spread by 5e-6 put the location's floor, 1e-3
+        above the maximum, over its ceiling, 5e-5 above it: no fit is tried,
+        and the estimate is the plain maximum."""
+        maxima = 1e6 + np.linspace(0.0, 5e-6, 30)
+        assert _fit_reverse_weibull(maxima) is None
+        est = lipschitz._estimate_from_maxima(maxima)
+        assert est.fallback_used
+        assert est.fit is None
+        assert est.value == float(np.max(maxima))
 
     def test_config_validation(self):
         with pytest.raises(InvariantError):
@@ -325,37 +335,28 @@ MINIMIZE = lipschitz.minimize
 
 def outcome(result):
     """What the fit reads of a run, with x as its bytes."""
-    if result is ValueError:
-        return ValueError
     return result.x.tobytes(), result.fun, result.nfev, result.nit, result.success
 
 
 def fit_runs(maxima: np.ndarray) -> list:
-    """``[kwargs, result]`` of each ``minimize`` call the fit makes on
-    ``maxima``, with ValueError as the result of a call that raised it."""
+    """``(kwargs, result)`` of each ``minimize`` call the fit makes on
+    ``maxima``."""
     runs = []
 
     def recorded(fun, **kwargs):
         assert fun is _reverse_weibull_nll
-        runs.append([kwargs, ValueError])
-        runs[-1][1] = MINIMIZE(fun, **kwargs)
+        runs.append((kwargs, MINIMIZE(fun, **kwargs)))
         return runs[-1][1]
 
-    with mock.patch.object(lipschitz, "minimize", recorded), contextlib.suppress(ValueError):
+    with mock.patch.object(lipschitz, "minimize", recorded):
         _fit_reverse_weibull(maxima)
-    assert runs
     return runs
 
 
 def assert_runs_match_scipy(runs):
     for kwargs, result in runs:
-        try:
-            with np.errstate(all="ignore"):
-                expected = scipy.optimize.minimize(
-                    _reverse_weibull_nll, method="L-BFGS-B", **kwargs
-                )
-        except ValueError:
-            expected = ValueError
+        with np.errstate(all="ignore"):
+            expected = scipy.optimize.minimize(_reverse_weibull_nll, method="L-BFGS-B", **kwargs)
         assert outcome(result) == outcome(expected), kwargs
 
 
@@ -400,7 +401,22 @@ class TestLbfgsbDriver:
     @settings(max_examples=100, deadline=None)
     @given(maxima=FIT_MAXIMA)
     def test_same_runs_as_scipy(self, maxima):
-        assert_runs_match_scipy(fit_runs(maxima))
+        runs = fit_runs(maxima)
+        if not runs:  # the location's bounds cross, so no fit is tried
+            assert _fit_reverse_weibull(maxima) is None
+        assert_runs_match_scipy(runs)
+
+    def test_crossed_bounds_raise_as_in_scipy(self):
+        """The location's bounds for maxima 1e6 + linspace(0, 5e-6, 30)."""
+        kwargs = {
+            "x0": np.array([1e6, 1e-6, 1.5]),
+            "args": (1e6 + np.linspace(0.0, 5e-6, 30),),
+            "bounds": [(1e6 + 1e-3, 1e6 + 5e-5), (1e-12, 5e-4), (0.05, 50.0)],
+        }
+        with pytest.raises(ValueError):
+            scipy.optimize.minimize(_reverse_weibull_nll, method="L-BFGS-B", **kwargs)
+        with pytest.raises(ValueError, match="lower < upper"):
+            lipschitz.minimize(_reverse_weibull_nll, **kwargs)
 
     @pytest.mark.parametrize("case", ["room", "platoon"])
     def test_same_runs_as_scipy_on_the_benchmarks(self, case, request):

@@ -1,7 +1,7 @@
 import itertools
 import json
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -724,6 +724,33 @@ class TestSlacksFromTheEvaluators:
         cfg = PipelineConfig(classes=[], scp=options)
         with pytest.raises(PipelineError, match="exceed tolerance in group 'supply'"):
             certify_class(room_class, room_samples, lp.layout.unpack(v), cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["room", "platoon"]))
+    def test_slacks_do_not_depend_on_the_row_order(
+        self, room_class, platoon_class, room_solution, platoon_solution, data, name
+    ):
+        """eta and beta are maxima of per-sample values, so any permutation
+        of the sample rows gives them bit for bit."""
+        cls, solution = {
+            "room": (room_class, room_solution),
+            "platoon": (platoon_class, platoon_solution),
+        }[name]
+        # the grid from the seed too: hypothesis favours counts whose
+        # product is a multiple of 4, and so rarely moves a row in or out of
+        # a short last group
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        samples = collect_pairs(
+            cls, rng.integers(2, 6, cls.state_dim), rng.integers(1, 4, cls.input_dim)
+        )
+        coeffs = tuple(rng.uniform(-200.0, 200.0, cls.template.term_count).tolist())
+        solution = replace(solution, coeffs=coeffs)
+        report = check_solution(solution, cls, samples)
+        for _ in range(10):
+            order = rng.permutation(samples.count)
+            shuffled = replace(samples, x=samples.x[order], d=samples.d[order], fx=samples.fx[order])
+            again = check_solution(solution, cls, shuffled)
+            assert (again.eta, again.beta) == (report.eta, report.beta)
 
 
 class TestLpExport:

@@ -177,7 +177,7 @@ def joint_grid_heatmap(cls, solution, counts, chunk, csv_path):
     return pts, vals
 
 
-# blocks of 1-3 rows are all tail, of 5-7, 9 and 97 rows end in one, of 4 and 8 in none
+# blocks of every size mod 4, shorter than 4 rows included
 CHUNKS = [*range(1, 10), 97]
 # state grids of every size mod 4: room 13, 14, 15; platoon 12, 9, 10, 15
 JOINT_GRIDS = [
@@ -197,11 +197,12 @@ JOINT_GRID_IDS = [
 class TestProductGridHeatmap:
     """The heatmap cuts the X x D product grid into blocks from runs of
     state rows and slices of the input grid; it must reproduce the
-    materialised joint grid bit for bit.  B(x) comes from one
-    gemv over the state grid padded to a multiple of 4 rows, and the last
-    m % 4 rows of an m-row block from a gemv over the block's last rows, so
-    the grids cover state grids of every size mod 4 and blocks of every
-    size mod 4, shorter than 4 rows included."""
+    materialised joint grid bit for bit.  The reference feeds the joint
+    grid to the evaluators in the heatmap's blocks, not in one call: the
+    evaluators give each row the value it has in any batch, but the
+    built-in platoon oracle does not.  Its ``x @ a.T`` on a 1-row call
+    takes NumPy's vector-matrix path, which rounds some rows differently
+    from a longer call."""
 
     @pytest.mark.parametrize("chunk", CHUNKS, ids=[f"chunk{c}" for c in CHUNKS])
     @pytest.mark.parametrize("name, counts", JOINT_GRIDS, ids=JOINT_GRID_IDS)
