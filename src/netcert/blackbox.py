@@ -208,6 +208,11 @@ class SurrogateRuns:
         """Networks that ever touch the unsafe box."""
         return int(np.count_nonzero(self.unsafe.any(axis=1)))
 
+    @property
+    def box_exits(self) -> int:
+        """Networks that ever leave the state box."""
+        return int(np.count_nonzero(self.outside.any(axis=1)))
+
 
 def simulate_network(
     cls: SubsystemClass,

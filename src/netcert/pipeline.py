@@ -554,7 +554,17 @@ class ClassDiagnostics:
 def portrait_line(class_id: str, topology_kind: str, portrait: SurrogateRuns) -> str:
     return (
         f"[{class_id}] phase portrait ({topology_kind}): {portrait.unsafe_entries} unsafe "
-        f"entries out of {portrait.states.shape[0]} trajectories"
+        f"entries and {portrait.box_exits} box exits out of {portrait.states.shape[0]} "
+        f"trajectories, {int(portrait.clamp_events.sum())} clamp events"
+    )
+
+
+def program_line(class_id: str, program: LinearProgram) -> str:
+    """The shape of the class's scenario program: the rows built, the rows of
+    the HiGHS model that solved it, and the columns."""
+    return (
+        f"[{class_id}] LP: {program.a_ub.shape[0]} rows built, {program.kept.size} in "
+        f"the HiGHS model, {program.c.size} columns"
     )
 
 
@@ -644,7 +654,7 @@ def write_run_outputs(
                 cfg.portrait_steps,
                 out=stage,
             )
-            report_lines += diagnostics.lines()
+            report_lines += [program_line(cid, run.program), *diagnostics.lines()]
         with open(os.path.join(stage, "report.txt"), "w") as fh:
             fh.write("\n".join(report_lines) + "\n")
         os.makedirs(out, exist_ok=True)

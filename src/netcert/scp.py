@@ -210,8 +210,8 @@ class LinearProgram:
     """min c'v  subject to  a_ub @ v <= b_ub  and  bounds[:, 0] <= v <= bounds[:, 1]
     (-inf or +inf where a column is free), its rows named by (group, count)
     pairs in row order.  ``kept`` holds, in increasing order, the rows of the
-    HiGHS model that ``linprog`` solves: every row, unless the builder states
-    less."""
+    HiGHS model that ``linprog`` solves without presolve: every row, unless
+    the builder states less."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -233,9 +233,11 @@ class ScpSolveError(RuntimeError):
 
 
 # The options scipy's linprog(method="highs") passes to HiGHS, with both
-# tolerances tighter than the downstream residual tolerance of 1e-8.
+# tolerances tighter than the downstream residual tolerance of 1e-8, but
+# presolve off: it reduces none of the kept rows of a room or platoon grid,
+# so there it only costs time (see ``linprog``).
 _HIGHS_OPTIONS = (
-    ("presolve", "on"),
+    ("presolve", "off"),
     ("simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
     ("output_flag", False),
     ("log_to_console", False),
@@ -302,22 +304,29 @@ def _pivots(solver: highs._Highs) -> int:
 
 def linprog(lp: LinearProgram) -> HighsRun:
     """Solve ``lp`` with scipy's bundled HiGHS on one model of the rows
-    ``lp.kept``, with the options scipy's linprog hands HiGHS and each run
-    bounded by ``TIME_LIMIT_S``; the optimum has the bits of one
-    ``scipy.optimize.linprog(method="highs")`` run on the whole program.
+    ``lp.kept``, with the options scipy's linprog hands HiGHS but presolve
+    off, and each run bounded by ``TIME_LIMIT_S``.
 
-    The first run solves the model with presolve on.  ``lp.kept`` holds the
-    rows that HiGHS's presolve keeps of the whole program when it drops the
-    repeated level rows, so when ``build_scp`` dropped rows a second run
-    follows: presolve off, from the model's own basis, handed back so that
+    HiGHS solves a model that its presolve cannot reduce through the same
+    call it makes with presolve off, and presolve reduces none of the kept
+    rows of a room or platoon grid.  There the optimum has the bits of one
+    ``scipy.optimize.linprog(method="highs")`` run on the whole program.
+    Where presolve would reduce the model (it drops singleton rows and
+    columns of some grids), scipy's optimum may sit at another vertex of the
+    same optimal face: the objective and the certificate coefficients keep
+    its bits, the level values or a supply entry may move.
+
+    The first run solves the model.  When ``build_scp`` dropped rows, a
+    second run follows from the model's own basis, handed back so that
     HiGHS solves again instead of reporting its last result.  A cold run on
-    the whole program ends the same way, with a solve of the original
-    program from the basis postsolve hands back, in which each dropped row's
-    slack is basic.  So the second run makes no pivot and returns the cold
-    run's optimum; a basis that is not optimal would only cost pivots, never
-    the optimum.  The first run's column values differ from it in the last
-    bits and are never returned.  A program with no dropped row gets no
-    second run, which would change the cold run's bits on some grids.
+    the whole program ends the same way: its presolve drops the repeated
+    level rows, and it solves the original program from the basis postsolve
+    hands back, in which each dropped row's slack is basic.  So the second
+    run makes no pivot and returns the cold run's optimum; a basis that is
+    not optimal would only cost pivots, never the optimum.  The first run's
+    column values differ from it in the last bits and are never returned.
+    A program with no dropped row gets no second run, which would change the
+    cold run's bits on some grids.
 
     Only the column values, the model status and the iteration counts are
     read back, never the per-row solution.  It keeps scipy's name, and
@@ -336,7 +345,6 @@ def linprog(lp: LinearProgram) -> HighsRun:
     nit, phase2_nit = _pivots(solver), 0
     status = solver.getModelStatus()
     if status == highs.HighsModelStatus.kOptimal and lp.kept.size < lp.a_ub.shape[0]:
-        solver.setOptionValue("presolve", "off")
         solver.setBasis(solver.getBasis())
         ran = solver.run()
         phase2_nit = _pivots(solver)

@@ -31,7 +31,7 @@ def validate_benchmark(cls, steps=100, grid_per_dim=5, surrogate_size=10):
         starts = np.repeat(points[:, None, :], surrogate_size, axis=1)
         runs = simulate_network(cls, topo, starts, steps)
         faults["unsafe_entries"] += runs.unsafe_entries
-        faults["box_exits"] += int(np.count_nonzero(runs.outside.any(axis=1)))
+        faults["box_exits"] += runs.box_exits
         faults["clamp_events"] += int(runs.clamp_events.sum())
     return faults
 

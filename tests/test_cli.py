@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import netcert.pipeline
 import netcert.scp
 import netcert.verify
-from netcert.blackbox import TOPOLOGY_KINDS, Topology, build_room_class
+from netcert.blackbox import TOPOLOGY_KINDS, Topology, build_room_class, simulate_network
 from netcert.cli import _load_config, build_parser, main
 from netcert.compose import ClassCertificate, NetworkCertificate
 from netcert.core import TransitionOracle
@@ -39,6 +39,7 @@ from netcert.pipeline import (
     config_to_dict,
     load_certificate,
     load_config,
+    portrait_line,
     render_report,
     run_pipeline,
     store_certificate,
@@ -931,6 +932,9 @@ class TestSynthRoomBenchmark:
         assert not cert.certified
         conditions = {cond for _, cond, _ in cert.failures}
         assert "m2" in conditions
+        # of the 2,605 rows built, HiGHS gets the 1,945 that repeat no level row
+        report = (tmp_path / "room" / "report.txt").read_text().splitlines()
+        assert "[room] LP: 2605 rows built, 1945 in the HiGHS model, 10 columns" in report
 
     def test_every_csv_has_csv_writer_bytes(self, tmp_path):
         """Each CSV that synth writes is what ``csv.writer`` writes for the
@@ -972,7 +976,8 @@ class TestSynthRoomBenchmark:
         heatmap = [line for line in lines if line.startswith("[room] decrease heatmap: max ")]
         portrait = [
             re.fullmatch(
-                r"\[room\] phase portrait \(ring\): (\d+) unsafe entries out of 2 trajectories",
+                r"\[room\] phase portrait \(ring\): (\d+) unsafe entries and (\d+) box "
+                r"exits out of 2 trajectories, (\d+) clamp events",
                 line,
             )
             for line in lines
@@ -986,7 +991,9 @@ class TestSynthRoomBenchmark:
         """On the grids synth used (5 x 5 samples times 4, 2 portrait
         trajectories of 5 steps), verify prints each class's diagnostic
         lines exactly as report.txt holds them, then the margins line of a
-        certificate it re-derives field for field."""
+        certificate it re-derives field for field.  report.txt heads them
+        with the shape of the program synth solved, which verify does not
+        build."""
         doc = read_json(ROOM_CONFIG)
         doc["classes"][0].update(counts_state=[5], counts_input=[5])
         doc.update(verify_multiplier=4, portrait_counts=[2], portrait_steps=5)
@@ -1000,7 +1007,8 @@ class TestSynthRoomBenchmark:
         summary = render_report(load_certificate(certificate)).splitlines()
         report = (out / "report.txt").read_text().splitlines()
         assert report[: len(summary)] == summary
-        diagnostics = report[len(summary) :]
+        program, *diagnostics = report[len(summary) :]
+        assert program == "[room] LP: 71 rows built, 55 in the HiGHS model, 10 columns"
         assert [line.split(":")[0] for line in diagnostics] == [
             "[room] decrease heatmap",
             "[room] phase portrait (ring)",
@@ -1112,6 +1120,20 @@ class TestSynthRoomBenchmark:
         result = run_pipeline(cfg, write_outputs=False)
         assert result.refinement_rounds == 1
         assert result.certificate.class_by_id("room").sample_count == 14 * 14
+
+
+class TestPortraitLine:
+    def test_portrait_line_counts_box_exits_and_clamps(self, room_class):
+        """Of three cascades of four rooms, the one started at 12.5 is in the
+        unsafe box and the one started at 14.0 outside the state box, where
+        each of its four inputs is clamped in each of the three steps."""
+        topo = Topology(kind="cascade", surrogate_size=4)
+        starts = np.array([10.5, 12.5, 14.0]).reshape(3, 1, 1).repeat(4, axis=1)
+        runs = simulate_network(room_class, topo, starts, 3)
+        assert portrait_line("room", "cascade", runs) == (
+            "[room] phase portrait (cascade): 1 unsafe entries and 1 box exits "
+            "out of 3 trajectories, 12 clamp events"
+        )
 
 
 class TestCertificatePersistence:

@@ -307,11 +307,31 @@ def distinct_rows(lp: LinearProgram) -> np.ndarray:
     return np.sort(np.unique(keys, return_index=True)[1])
 
 
+def draw_grid(data, cls) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """State and input counts of 2-12 points per dimension of ``cls``."""
+    counts = st.integers(2, 12)
+    state_counts = data.draw(st.tuples(*[counts] * cls.state_dim), label="state")
+    input_counts = data.draw(st.tuples(*[counts] * cls.input_dim), label="input")
+    return state_counts, input_counts
+
+
+def presolve_status(lp: LinearProgram) -> highs.HighsPresolveStatus:
+    """What HiGHS's presolve makes of the model that ``scp.linprog`` loads."""
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    scp._pass_kept_rows(solver, lp)
+    solver.presolve()
+    return solver.getModelPresolveStatus()
+
+
 class TestDirectHighs:
     """``solve_lp`` hands HiGHS the model and options scipy's linprog hands
-    it, so the optimum keeps scipy's bits; scipy runs without a time limit
-    here, so the limit changes no bit either.  On these grids the rows that
-    ``build_scp`` keeps for phase 1 are the program's distinct rows."""
+    it, but with presolve off.  Presolve reduces none of the kept rows of a
+    room or platoon grid, and HiGHS solves a model it leaves unreduced as it
+    does with presolve off, so there the optimum keeps scipy's bits; scipy
+    runs without a time limit here, so the limit changes no bit either.  On
+    these grids the rows that ``build_scp`` keeps are the program's distinct
+    rows."""
 
     @pytest.mark.parametrize("name", ["room", "platoon", "drift", "room-62"])
     def test_same_bits_as_scipy(self, request, name):
@@ -326,13 +346,43 @@ class TestDirectHighs:
         assert np.array_equal(solve_lp(lp), scipy_optimum(lp))
 
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(["room", "platoon", "drift"]))
-    def test_same_bits_on_any_grid(self, room_class, platoon_class, drift_class, data, name):
-        cls = {"room": room_class, "platoon": platoon_class, "drift": drift_class}[name]
-        counts = st.integers(2, 12)
-        state_counts = data.draw(st.tuples(*[counts] * cls.state_dim), label="state")
-        input_counts = data.draw(st.tuples(*[counts] * cls.input_dim), label="input")
-        assert_same_outcome_as_scipy(cls, state_counts, input_counts)
+    @given(data=st.data(), name=st.sampled_from(["room", "platoon"]))
+    def test_same_bits_on_any_grid(self, room_class, platoon_class, data, name):
+        cls = {"room": room_class, "platoon": platoon_class}[name]
+        assert_same_outcome_as_scipy(cls, *draw_grid(data, cls))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_drift_keeps_the_certificate_bits(self, drift_class, data):
+        """Presolve reduces drift grids: it drops singleton rows and columns,
+        and scipy's optimum may sit at another vertex of the same optimal
+        face.  On 78 of the 121 grids of 2-12 x 2-12 points it does: sigma
+        and phi move along their free line on 77, s22_00 on one.  The
+        objective, the certificate coefficients and the slacks that
+        ``check_solution`` gives keep scipy's bits on all of them, and every
+        column does where presolve reduces nothing."""
+        samples = collect_pairs(drift_class, *draw_grid(data, drift_class))
+        lp = build_scp(drift_class, samples, ScpOptions())
+        optima = solve_lp(lp), scipy_optimum(lp)
+        if presolve_status(lp) == highs.HighsPresolveStatus.kNotReduced:
+            assert np.array_equal(*optima)
+        assert lp.c @ optima[0] == lp.c @ optima[1]
+        assert np.array_equal(*(x[lp.layout.theta] for x in optima))
+        ours, scipys = (check_solution(lp.layout.unpack(x), drift_class, samples) for x in optima)
+        assert ours.passed and scipys.passed
+        assert (ours.eta, ours.beta) == (scipys.eta, scipys.beta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["room", "platoon"]))
+    def test_presolve_reduces_no_kept_row(self, room_class, platoon_class, data, name):
+        """The invariant behind the bits of the grids above."""
+        cls = {"room": room_class, "platoon": platoon_class}[name]
+        lp = build_scp(cls, collect_pairs(cls, *draw_grid(data, cls)), ScpOptions())
+        assert presolve_status(lp) == highs.HighsPresolveStatus.kNotReduced
+
+    def test_presolve_reduces_no_kept_row_of_room_62(self, room_class):
+        lp = build_scp(room_class, collect_pairs(room_class, (62,), (62,)), ScpOptions())
+        assert presolve_status(lp) == highs.HighsPresolveStatus.kNotReduced
 
     def test_same_highs_error_as_scipy(self, platoon_class):
         """HiGHS ends this platoon grid in an error, with the model status
@@ -427,8 +477,7 @@ def with_repeated_transitions(samples: SampleSet, repeats: int, seed: int) -> Sa
 
 class TestTwoPhases:
     """One HiGHS model holds the rows ``build_scp`` keeps: the first run
-    solves it with presolve on, the second confirms its basis with presolve
-    off."""
+    solves it, the second confirms its basis, both with presolve off."""
 
     @pytest.mark.parametrize(
         "name, counts", [("room", ((62,), (62,))), ("platoon", ((5, 6), (5, 6)))]
@@ -446,7 +495,7 @@ class TestTwoPhases:
         [model] = models
         assert model.rows == lp.kept.size
         [(first, first_nit), second] = model.runs
-        assert first == "on" and first_nit > 0 and second == ("off", 0)
+        assert first == "off" and first_nit > 0 and second == ("off", 0)
         assert run.phase2_nit == 0 and run.nit == first_nit
 
     def test_no_phase_2_without_repeated_rows(self, monkeypatch):
@@ -455,14 +504,15 @@ class TestTwoPhases:
         run = scp.linprog(build_scp(cls, samples, ScpOptions(coeff_bound=1.0, gap=0.0)))
         assert run.status == highs.HighsModelStatus.kOptimal
         [model] = models
-        assert model.rows == 7 and [presolve for presolve, _ in model.runs] == ["on"]
+        assert model.rows == 7 and [presolve for presolve, _ in model.runs] == ["off"]
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", ["drift", "room", "platoon"])
     def test_repeated_transitions_keep_scipys_bits(self, request, name, seed):
         """A transition recorded twice repeats its decrease and supply rows.
-        ``build_scp`` keeps them in the model, whose presolve drops them, and
-        the optimum keeps the bits of scipy's run on the whole program."""
+        ``build_scp`` keeps them in the model, where scipy's presolve drops
+        them, and the optimum keeps the bits of scipy's run on the whole
+        program."""
         cls = request.getfixturevalue(f"{name}_class")
         samples = with_repeated_transitions(request.getfixturevalue(f"{name}_samples"), 20, seed)
         lp = build_scp(cls, samples, ScpOptions())
