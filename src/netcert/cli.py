@@ -9,12 +9,13 @@
 Exit status of ``synth`` is 0 exactly when the verdict is certified.
 Configuration comes only from the file and explicit flags; environment
 variables are never consulted, so runs are reproducible by construction.
-The bundled BLAS runs on one thread, the setting the dense heatmap's thread
-pool is sized for.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
-before numpy loads, and of scipy loads only the HiGHS extension, which links
-no BLAS; scipy's L-BFGS-B extension and the OpenBLAS copy it links load at
-the first slope fit, after the scenario solve, under the same variable.  So
-neither copy starts worker threads.  ``main`` still calls
+The bundled BLAS runs on one thread, the setting the dense heatmap's
+workers are sized for.  Importing this module sets ``OPENBLAS_NUM_THREADS``
+to 1 before numpy loads, and of scipy loads only the HiGHS extension, which
+links no BLAS; scipy's L-BFGS-B extension and the OpenBLAS copy it links
+load at the first slope fit, after the scenario solve, under the same
+variable.  So neither copy starts worker threads, and the process has one
+thread when the heatmap forks its worker.  ``main`` still calls
 ``verify.one_blas_thread`` for a process that loaded numpy or scipy before
 this module.
 """

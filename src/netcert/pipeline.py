@@ -518,11 +518,14 @@ class ClassDiagnostics:
 
     @property
     def passed(self) -> bool:
-        """Levels pass, heatmap max <= 0, no trajectory enters the unsafe box."""
+        """Levels pass, heatmap max <= 0, and no trajectory enters the unsafe
+        box, leaves the state box or has a node input clamped into the input
+        box: a surrogate that left the setting the certificate covers fails."""
+        runs = self.portrait
         return (
             self.levels.passed
             and (self.heatmap is None or self.heatmap.passed)
-            and (self.portrait is None or self.portrait.unsafe_entries == 0)
+            and (runs is None or not (runs.unsafe_entries or runs.box_exits or runs.clamp_events.any()))
         )
 
     def lines(self) -> list[str]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import shutil
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,19 +35,19 @@ from .scp import ScpSolution
 
 # Dense joint grids are evaluated in blocks of this many points.
 _CHUNK = 2**15
-# Heatmap threads at most: two is the largest count measured for time and
-# peak RSS (on a 2-CPU host).
+# Heatmap workers at most, the calling process included: two is the largest
+# count measured for time and peak RSS (on a 2-CPU host).
 _MAX_WORKERS = 2
-# One heatmap thread per this many points, rounded up.  Measured on a 2-CPU
-# host with BLAS on one thread, alternating one- and two-thread runs in
-# process.  At an earlier cost per block, platoon grids of three or four
-# blocks ran 3-19% faster on two threads.  On grids of two blocks, series of
-# 40 pairs have never given two threads the 36 wins that would move the
-# boundary: at the cost of blocks cut from state runs into per-thread
-# workspaces, two threads won 25 and 29 of 40 at 50,625 points (10.7 -> 10.6
-# ms and 10.1 -> 9.3 ms medians) and 28 and 20 of 40 at 65,536 (12.2 -> 11.5
-# ms, 11.3 -> 11.3 ms); earlier series gave them 6 of 25 to 35 of 40.
+# One heatmap worker per this many points, rounded up.  Measured on a 2-CPU
+# host with BLAS on one thread, when the workers were threads, alternating
+# one- and two-thread runs in process.  At an earlier cost per block,
+# platoon grids of three or four blocks ran 3-19% faster on two threads.  On
+# grids of two blocks, series of 40 pairs never gave two threads the 36 wins
+# that would move the boundary (20 to 29 of 40 at 50,625 and 65,536 points).
 _POINTS_PER_WORKER = 2**16
+# SIGKILL's number on every platform with fork; the signal module is not
+# otherwise loaded, and importing it would add to every run's start-up
+_SIGKILL = 9
 
 # extension module -> the thread setter of the OpenBLAS copy it links:
 # numpy's 64-bit-index copy and scipy's own
@@ -61,8 +62,8 @@ def one_blas_thread() -> None:
     """Run every loaded bundled OpenBLAS on one thread.
 
     A second BLAS thread burns CPU without saving wall time on these
-    matrix shapes, and the heatmap's threads would each start BLAS threads
-    of their own.  The symbol is resolved through the extension's own
+    matrix shapes, and it would compete with the heatmap's second worker
+    for the CPUs.  The symbol is resolved through the extension's own
     dependencies, so no library path is searched.  A copy that is not
     loaded, or that lacks the setter, keeps its threads.  This changes the
     whole process, so it is left to the caller (``cli.main`` calls it).
@@ -95,7 +96,10 @@ def _cpu_budget() -> int:
 
 
 def _heatmap_workers(points: int) -> int:
-    """Threads for a heatmap of ``points`` grid points (at least one)."""
+    """Workers for a heatmap of ``points`` grid points (at least one); one
+    where processes cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(_cpu_budget(), _MAX_WORKERS, -(-points // _POINTS_PER_WORKER))
 
 
@@ -183,22 +187,24 @@ def decrease_heatmap(
     every value is bit-identical to the evaluators on the materialised
     joint grid, block by block.
 
-    Blocks are evaluated on up to ``_MAX_WORKERS`` threads: no more than
-    the CPUs this process may use, one per ``_POINTS_PER_WORKER`` points
-    rounded up.  The pool is sized for BLAS on one thread, which
-    ``one_blas_thread`` sets and ``cli.main`` calls.  A library caller
-    should call it first: with BLAS on more threads, a gemv split between
-    threads can round some rows differently, and the heatmap threads may
-    oversubscribe the CPUs.  Blocks are submitted in grid order with at
-    most one block per thread in flight, so memory stays O(threads x chunk)
-    however large the grid grows.  Each thread's worth of blocks has a
-    workspace of its own, made once per heatmap: block k writes its
-    sub-blocks' basis of f(x, d) (``eval_template``'s ``basis_out``) and its
-    values into workspace k mod threads.  Block k + threads is submitted
-    only after block k has been consumed, so no two blocks in flight share
-    one.  The calling thread takes the finished blocks in grid order for
-    the maximum, the fault check and the CSV rows, so the result does not
-    depend on the thread count.
+    The blocks are cut into contiguous ranges, one per worker: up to
+    ``_MAX_WORKERS``, no more than the CPUs this process may use, one per
+    ``_POINTS_PER_WORKER`` points rounded up, and one where the platform
+    cannot fork.  The calling process scans the first range itself, and
+    each other range is scanned by a child process forked for it (see
+    ``_forked_scan``), so the workers share no interpreter lock.  Each
+    process scans its range in grid order with one workspace, made once:
+    the basis of f(x, d) of a sub-block (``eval_template``'s
+    ``basis_out``) and a block's values.  Memory stays O(workers x chunk)
+    however large the grid grows.  The ranges are merged in grid order, so
+    the first fault and the first maximum in grid order win and the result
+    does not depend on the worker count.  The workers are sized for BLAS
+    on one thread, which ``one_blas_thread`` sets and ``cli.main`` calls.
+    A library caller should call it first: with BLAS on more threads, a
+    gemv split between threads can round some rows differently, and the
+    workers may oversubscribe the CPUs.  A worker calls the oracle in a
+    process of its own, so what the oracle changes there does not reach
+    the caller.
 
     Pass ``csv_path`` to also persist the full table (x..., d..., value).
     A non-finite oracle output or decrease value raises ``DataFaultError``
@@ -221,74 +227,142 @@ def decrease_heatmap(
     cycle = np.arange(n_d - 1 + chunk) % n_d
     d_grid, quad_d_grid = ds[cycle], quad_d[cycle]
     d_grid.flags.writeable = False
-    workers = _heatmap_workers(total)
-    # one (sub-block basis, values) workspace per block in flight
-    slots = [
-        (np.empty((min(chunk, _BASIS_BLOCK), cls.template.term_count)), np.empty(chunk))
-        for _ in range(workers)
-    ]
+    blocks = -(-total // _CHUNK)
+    workers = min(_heatmap_workers(total), blocks)
+    # this process's workspace: a sub-block's basis and a block's values
+    basis = np.empty((min(chunk, _BASIS_BLOCK), cls.template.term_count))
+    values = np.empty(chunk)
 
-    def evaluate(block: int):
-        start = block * _CHUNK
-        stop = min(start + _CHUNK, total)
-        m, offset = stop - start, start % n_d
-        # the block spans a run of state rows, the first and last maybe in part
-        first, last = start // n_d, (stop - 1) // n_d
-        runs = np.full(last - first + 1, n_d)
-        runs[0] -= offset
-        runs[-1] -= (last + 1) * n_d - stop
-        states = slice(first, last + 1)
-        x = xs[states].repeat(runs, axis=0)
-        d = d_grid[offset : offset + m]
-        bx = b_grid[states].repeat(runs)
-        basis, vals = slots[block % workers]
-        # a non-finite value is reported below; errstate is per thread
-        with np.errstate(all="ignore"):
-            supply = supply_sum(
-                quad_d_grid[offset : offset + m],
-                rowwise_bilinear(d, rate.s12, x),
-                quad_x[states].repeat(runs),
-            )
-            fx = cls.oracle.batch(x, d)
-            vals = eval_template(cls.template, coeffs, fx, out=vals[:m], basis_out=basis)
-            vals -= bx
-            vals -= supply
-        if np.isfinite(vals).all() and np.isfinite(fx).all():
-            return x, d, vals, None
-        return x, d, vals, int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
+    def scan(first_block: int, stop_block: int, fh, parent: Optional[int] = None):
+        """(max, argmax) over blocks [first_block, stop_block), their CSV
+        rows written to ``fh``.  A child scanning for ``parent`` exits
+        between blocks once that process is gone."""
+        best_val, best_pt = -np.inf, None
+        for block in range(first_block, stop_block):
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            start = block * _CHUNK
+            stop = min(start + _CHUNK, total)
+            m, offset = stop - start, start % n_d
+            # the block spans a run of state rows, the first and last maybe in part
+            first, last = start // n_d, (stop - 1) // n_d
+            runs = np.full(last - first + 1, n_d)
+            runs[0] -= offset
+            runs[-1] -= (last + 1) * n_d - stop
+            states = slice(first, last + 1)
+            x = xs[states].repeat(runs, axis=0)
+            d = d_grid[offset : offset + m]
+            # a non-finite value is reported below
+            with np.errstate(all="ignore"):
+                supply = supply_sum(
+                    quad_d_grid[offset : offset + m],
+                    rowwise_bilinear(d, rate.s12, x),
+                    quad_x[states].repeat(runs),
+                )
+                fx = cls.oracle.batch(x, d)
+                vals = eval_template(cls.template, coeffs, fx, out=values[:m], basis_out=basis)
+                vals -= b_grid[states].repeat(runs)
+                vals -= supply
+            if not (np.isfinite(vals).all() and np.isfinite(fx).all()):
+                i = int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
+                raise DataFaultError(
+                    f"non-finite oracle output or decrease value at x={x[i].tolist()}, "
+                    f"d={d[i].tolist()}"
+                )
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val, best_pt = float(vals[i]), np.concatenate([x[i], d[i]])
+            if fh is not None:
+                write_csv_rows(fh, x, d, vals)
+        return best_val, best_pt
 
-    best_val = -np.inf
-    best_pt = None
-    fh = None
-
-    def consume(x, d, vals, fault):
-        nonlocal best_val, best_pt
-        if fault is not None:
-            raise DataFaultError(
-                f"non-finite oracle output or decrease value at x={x[fault].tolist()}, "
-                f"d={d[fault].tolist()}"
-            )
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_pt = np.concatenate([x[i], d[i]])
-        if fh is not None:
-            write_csv_rows(fh, x, d, vals)
-
+    bounds = [blocks * k // workers for k in range(workers + 1)]
     with ExitStack() as stack:
+        fh = None
         if csv_path is not None:
             fh = stack.enter_context(open(csv_path, "w", newline=""))
             header = [f"x{k}" for k in range(n)] + [f"d{k}" for k in range(cls.input_dim)]
             fh.write(csv_line(header + ["value"]))
-        pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-        pending = deque()
-        for block in range(-(-total // _CHUNK)):
-            if len(pending) == workers:
-                consume(*pending.popleft().result())
-            pending.append(pool.submit(evaluate, block))
-        while pending:
-            consume(*pending.popleft().result())
+        children = [
+            stack.enter_context(_forked_scan(scan, lo, hi, fh))
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        ranges = [scan(bounds[0], bounds[1], fh)] + [result() for result in children]
+    # max keeps the first of equal maxima, the first in grid order
+    best_val, best_pt = max(ranges, key=lambda best: best[0])
     return HeatmapSummary(max_value=best_val, argmax=best_pt, point_count=total)
+
+
+@contextmanager
+def _forked_scan(scan, first_block: int, stop_block: int, csv):
+    """Run ``scan`` over blocks [first_block, stop_block) in a forked child
+    process.  Yields a call that waits for the child and returns its (max,
+    argmax), after appending its CSV rows to ``csv`` (when not None), or
+    raises the exception the child raised.
+
+    The child sends its outcome pickled through a pipe and writes its CSV
+    rows to an unnamed temporary file.  It exits between blocks once the
+    calling process is gone, and it leaves by ``os._exit``, so it runs no
+    cleanup or ``atexit`` handler of the caller, such as the removal of a
+    staging directory, and flushes no file the caller has open, standard
+    output included.  On every exit the caller kills a child that has not
+    reported and reaps it.
+    """
+    with ExitStack() as stack:
+        rows = None
+        if csv is not None:
+            rows = stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
+        read, write = os.pipe()
+        pipe = stack.enter_context(open(read, "rb"))
+        sink = stack.enter_context(open(write, "wb"))
+
+        def result():
+            nonlocal live
+            payload = pipe.read()
+            os.waitpid(pid, 0)
+            live = False
+            if not payload:
+                raise RuntimeError(f"heatmap worker {pid} ended without a result")
+            outcome = pickle.loads(payload)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            if rows is not None:
+                rows.seek(0)
+                shutil.copyfileobj(rows, csv)
+            return outcome
+
+        parent, live = os.getpid(), True
+        pid = os.fork()
+        if pid == 0:
+            try:
+                try:
+                    outcome = scan(first_block, stop_block, rows, parent)
+                    if rows is not None:
+                        rows.flush()
+                except BaseException as exc:
+                    outcome = exc
+                sink.write(_portable(outcome))
+                sink.flush()
+            finally:
+                os._exit(0)
+        try:
+            sink.close()
+            yield result
+        finally:
+            if live:
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _portable(outcome) -> bytes:
+    """``outcome`` pickled; an exception that does not come back from its
+    pickle is sent as a ``RuntimeError`` naming it."""
+    try:
+        payload = pickle.dumps(outcome)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps(RuntimeError(f"heatmap worker raised {outcome!r}"))
 
 
 def surface_data(

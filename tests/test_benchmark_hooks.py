@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import netcert.verify as verify_mod
 from netcert.cli import main
 from netcert.pipeline import config_from_dict, run_pipeline
 
@@ -32,7 +33,8 @@ EXPECTED_SPANS = (
 
 # Imports netcert.cli, runs `synth` in the same interpreter and prints,
 # after each step, whether scipy.stats was loaded and how many threads the
-# process has (None without /proc/self/task).
+# process has (None without /proc/self/task); then the thread count at each
+# os.fork, and whether a child of the process is left after `synth`.
 FOOTPRINT = """
 import json, os, sys
 
@@ -40,13 +42,43 @@ def footprint():
     tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None
     return ['scipy.stats' in sys.modules, tasks]
 
+forks = []
+fork = os.fork
+
+def recorded_fork():
+    forks.append(footprint()[1])
+    return fork()
+
+os.fork = recorded_fork
 import netcert.cli
 steps = [footprint()]
 code = netcert.cli.main(['synth', '--config', sys.argv[1], '--output-dir', sys.argv[2]])
 steps.append(footprint())
-print(json.dumps(steps))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child_left = True
+except ChildProcessError:
+    child_left = False
+print(json.dumps([steps, forks, child_left]))
 sys.exit(code)
 """
+
+# Prints the modules that importing netcert.cli loads after numpy.
+IMPORTED_AFTER_NUMPY = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import netcert.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# The standard-library modules that importing netcert.cli loads after numpy.
+# The forked heatmap worker needs pickle, tempfile and shutil, which come
+# with numpy.
+STDLIB_AFTER_NUMPY = {
+    "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner",
+}
 
 
 # Imports netcert.cli, then runs `synth` with netcert.scp.linprog wrapped,
@@ -139,7 +171,7 @@ def test_synth_never_imports_scipy_stats(tmp_path):
     config = tiny_room_config(tmp_path)
     proc = run_python(["-c", FOOTPRINT, str(config), str(tmp_path / "out")])
     assert proc.returncode == 1, proc.stderr
-    (after_import, _), (after_synth, _) = json.loads(proc.stdout.splitlines()[-1])
+    [(after_import, _), (after_synth, _)], _, _ = json.loads(proc.stdout.splitlines()[-1])
     assert not after_import, "import netcert.cli loaded scipy.stats"
     assert not after_synth, "netcert synth loaded scipy.stats"
 
@@ -180,10 +212,41 @@ def test_cli_process_starts_no_blas_thread(tmp_path):
             ["-c", FOOTPRINT, str(config), str(out)], OPENBLAS_NUM_THREADS=inherited
         )
         assert proc.returncode == 1, proc.stderr
-        steps = json.loads(proc.stdout.splitlines()[-1])
+        steps, _, _ = json.loads(proc.stdout.splitlines()[-1])
         assert [tasks for _, tasks in steps] == [1, 1], (inherited, steps)
         certificates.append((out / "certificate.json").read_bytes())
     assert certificates[0] == certificates[1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.skipif(verify_mod._cpu_budget() < 2, reason="the heatmap takes one worker")
+def test_synth_forks_its_heatmap_worker_from_one_thread(tmp_path):
+    """A heatmap of 67,600 points takes two workers, so `synth` forks one
+    child for it.  The process has one thread when it forks, which makes
+    the fork safe, and no child is left after `synth`.  The child leaves
+    without running the staging directory's cleanup, so the heatmap CSV
+    arrives whole.  The modules the child needs come in with numpy, so
+    importing netcert.cli loads no module beyond the pinned ones."""
+    doc = json.loads(tiny_room_config(tmp_path).read_text())
+    doc["classes"][0].update(counts_state=[26], counts_input=[26])
+    doc["verify_multiplier"] = 10
+    config = tmp_path / "room-two-workers.json"
+    config.write_text(json.dumps(doc))
+    assert verify_mod._heatmap_workers(260 * 260) == 2
+    proc = run_python(["-c", FOOTPRINT, str(config), str(tmp_path / "out")])
+    assert proc.returncode == 1, proc.stderr
+    steps, forks, child_left = json.loads(proc.stdout.splitlines()[-1])
+    assert [tasks for _, tasks in steps] == [1, 1]
+    assert forks == [1]
+    assert not child_left
+    with open(tmp_path / "out" / "room_heatmap.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 260 * 260
+    proc = run_python(["-c", IMPORTED_AFTER_NUMPY])
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    stdlib = {name for name in added if name.split(".")[0] not in ("netcert", "numpy", "scipy")}
+    assert stdlib <= STDLIB_AFTER_NUMPY, sorted(stdlib - STDLIB_AFTER_NUMPY)
+    assert not {"pickle", "tempfile", "shutil"} & added
 
 
 def test_make_expected_matches_the_pipeline(tmp_path, monkeypatch):

@@ -28,6 +28,7 @@ from netcert.pipeline import (
     CERTIFICATE_VERSION,
     CertificateFormatError,
     ClassConfig,
+    ClassDiagnostics,
     ClassRun,
     ConfigError,
     PipelineConfig,
@@ -45,6 +46,7 @@ from netcert.pipeline import (
     store_certificate,
 )
 from netcert.sampling import DataFaultError, save_samples_csv
+from netcert.verify import LevelSetReport
 from netcert.scp import ScpOptions
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1134,6 +1136,25 @@ class TestPortraitLine:
             "[room] phase portrait (cascade): 1 unsafe entries and 1 box exits "
             "out of 3 trajectories, 12 clamp events"
         )
+
+    def test_box_exits_and_clamps_fail_the_diagnostics(self, room_class):
+        """The cascade started at 14.0 enters no unsafe box but leaves the
+        state box with 12 clamp events: the surrogate left the setting the
+        certificate covers, so the diagnostics fail on either count alone."""
+        topo = Topology(kind="cascade", surrogate_size=4)
+        runs = simulate_network(room_class, topo, np.full((1, 4, 1), 14.0), 3)
+        assert (runs.unsafe_entries, runs.box_exits, int(runs.clamp_events.sum())) == (0, 1, 12)
+        point = np.array([11.0])
+        levels = LevelSetReport(0.0, point, 2.0, point, sigma=1.0, phi=2.0)
+        assert levels.passed
+
+        def passed(portrait):
+            return ClassDiagnostics("room", "cascade", levels, portrait=portrait).passed
+
+        no_exit = replace(runs, outside=np.zeros_like(runs.outside))
+        no_clamp = replace(runs, clamp_events=np.zeros_like(runs.clamp_events))
+        assert [passed(runs), passed(no_exit), passed(no_clamp)] == [False, False, False]
+        assert passed(replace(no_exit, clamp_events=no_clamp.clamp_events))
 
 
 class TestCertificatePersistence:

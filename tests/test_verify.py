@@ -1,8 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -32,7 +33,7 @@ from netcert.verify import (
     write_surface_csv,
     write_trajectories_csv,
 )
-from tests.test_benchmark_hooks import run_python
+from tests.test_benchmark_hooks import REPO_ROOT, run_python
 from tests.test_blackbox import first_steps
 
 # Loads scipy's L-BFGS-B extension in a fresh interpreter, then prints the
@@ -238,19 +239,27 @@ class TestProductGridHeatmap:
         with pytest.raises(DataFaultError, match=re.escape("x=[10.0], d=[10.0]")):
             decrease_heatmap(cls, room_solution, (21, 21))
 
-    def test_oracle_cannot_write_the_input_grid(self, room_class, room_solution, monkeypatch):
+    def test_oracle_cannot_write_the_input_grid(
+        self, room_class, room_solution, monkeypatch, heatmap_workers
+    ):
         """Every block's inputs are a view of one input grid, so an oracle
-        that writes into its ``d`` raises instead of changing later blocks."""
+        that writes into its ``d`` raises instead of changing later blocks.
+        On two workers only the forked child writes, and its ``ValueError``
+        reaches the caller with its type and message."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        caller = os.getpid()
+        for workers in (1, 2):
+            heatmap_workers(workers)
 
-        def writing(x, d):
-            fx = room_class.oracle.batch(x, d)
-            d[:] = 0.0
-            return fx
+            def writing(x, d):
+                fx = room_class.oracle.batch(x, d)
+                if workers == 1 or os.getpid() != caller:
+                    d[:] = 0.0
+                return fx
 
-        cls = replace(room_class, oracle=TransitionOracle(writing))
-        with pytest.raises(ValueError, match="read-only"):
-            decrease_heatmap(cls, room_solution, (21, 21))
+            cls = replace(room_class, oracle=TransitionOracle(writing))
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                decrease_heatmap(cls, room_solution, ROOM_21)
 
     @pytest.mark.parametrize(
         "name, counts", [("room", (40, 30)), ("platoon", (5, 6, 4, 3))], ids=["room", "platoon"]
@@ -318,137 +327,255 @@ def heatmap_outputs(cls, solution, counts, csv_path):
 
 
 @pytest.fixture()
-def heatmap_threads(monkeypatch):
-    """Sets the number of heatmap threads, whatever the grid size and CPUs."""
+def heatmap_workers(monkeypatch):
+    """Sets the number of heatmap workers, whatever the grid size and CPUs."""
 
-    def set_threads(count):
+    def set_workers(count):
         monkeypatch.setattr(verify_mod, "_heatmap_workers", lambda points: count)
 
-    return set_threads
+    return set_workers
 
 
 # grids of two shipped-size blocks
 POOL_GRIDS = [("room", (200, 200)), ("platoon", (16, 15, 14, 10))]
 
+# The room grid of 21 x 21 points in blocks of 97 rows: 5 blocks, so with two
+# workers the caller scans blocks 0-1 (flat points 0-193) and a forked child
+# blocks 2-4 (194-440).  Flat point i is x = xs[i // 21], d = xs[i % 21].
+ROOM_21 = (21, 21)
+
+
+def room_21_point(room_class, i):
+    """(x, d) of flat point ``i``; the room's input box is its state box."""
+    xs = grid_samples(room_class.state_box, (21,))[:, 0]
+    return float(xs[i // 21]), float(xs[i % 21])
+
+
+def poisoned_at(room_class, *points):
+    """The room class with its oracle's output NaN at the flat points given."""
+    targets = [room_21_point(room_class, i) for i in points]
+
+    def poisoned(x, d):
+        fx = room_class.oracle.batch(x, d)
+        for px, pd in targets:
+            fx[(x[:, 0] == px) & (d[:, 0] == pd)] = np.nan
+        return fx
+
+    return replace(room_class, oracle=TransitionOracle(poisoned))
+
+
+def fault_message(room_class, i):
+    px, pd = room_21_point(room_class, i)
+    return re.escape(f"x=[{px}], d=[{pd}]")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Runs a heatmap on two workers in blocks of 97 rows, with an oracle that
+# sleeps 20 ms per block, and prints the pid of the child it forks.
+SLOW_HEATMAP = """
+import dataclasses, os, time
+import numpy as np
+import netcert.verify as verify
+from netcert.blackbox import TransitionOracle, build_room_class
+from netcert.scp import ScpSolution
+
+room = build_room_class()
+
+def slow(x, d):
+    time.sleep(0.02)
+    return room.oracle.batch(x, d)
+
+cls = dataclasses.replace(room, oracle=TransitionOracle(slow))
+zero = ((0.0,),)
+solution = ScpSolution(np.zeros(cls.template.term_count), 0.0, 1.0, zero, zero, zero, 0.0, 0.0)
+verify._CHUNK = 97
+verify._heatmap_workers = lambda points: 2
+fork = os.fork
+
+def announced():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced
+verify.decrease_heatmap(cls, solution, (200, 200))
+"""
+
+
+def process_gone(pid):
+    """The process has exited: it no longer exists, or it is a zombie that
+    its new parent has not reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
 
 class TestHeatmapPool:
-    """Blocks run on a thread pool; the calling thread reduces them in grid
-    order, so nothing may depend on the number of threads."""
+    """Contiguous ranges of blocks run in the calling process and in forked
+    children; the caller merges them in grid order, so nothing may depend
+    on the number of workers."""
 
     @pytest.mark.parametrize("chunk", [97, verify_mod._CHUNK], ids=["chunk97", "shipped"])
     @pytest.mark.parametrize("name, counts", POOL_GRIDS, ids=["room", "platoon"])
     def test_worker_count_invariance(
-        self, request, tmp_path, monkeypatch, heatmap_threads, name, counts, chunk
+        self, request, tmp_path, monkeypatch, heatmap_workers, name, counts, chunk
     ):
         cls = request.getfixturevalue(f"{name}_class")
         solution = request.getfixturevalue(f"{name}_solution")
         monkeypatch.setattr(verify_mod, "_CHUNK", chunk)
         runs = []
         for workers in (1, 2, 4):
-            heatmap_threads(workers)
+            heatmap_workers(workers)
             runs.append(heatmap_outputs(cls, solution, counts, tmp_path / f"w{workers}.csv"))
         assert runs[0] == runs[1] == runs[2]
 
     def test_first_fault_in_grid_order(
-        self, room_class, room_solution, monkeypatch, heatmap_threads
+        self, room_class, room_solution, monkeypatch, heatmap_workers
     ):
-        """Blocks 0 and 1 both hold a NaN and block 1 finishes first; the
-        error still names the point of block 0."""
+        """The caller's range holds a NaN in its second block and the
+        child's range in its first, which the child reaches first; the error
+        names the caller's point, the first in grid order."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
-        heatmap_threads(2)
-        xs = grid_samples(room_class.state_box, (21,))
-        # flat index i is (x = xs[i // 21], d = xs[i % 21]): 30 in block 0, 120 in block 1
-        early, late = (xs[1, 0], xs[9, 0]), (xs[5, 0], xs[15, 0])
-        late_done = threading.Event()
+        heatmap_workers(2)
+        cls = poisoned_at(room_class, 150, 200)
+        with pytest.raises(DataFaultError, match=fault_message(room_class, 150)):
+            decrease_heatmap(cls, room_solution, ROOM_21)
 
-        def poisoned(x, d):
-            fx = room_class.oracle.batch(x, d)
-            hits = [(x[:, 0] == px) & (d[:, 0] == pd) for px, pd in (early, late)]
-            fx[hits[0] | hits[1]] = np.nan
-            if hits[1].any():
-                late_done.set()
-            if hits[0].any():
-                assert late_done.wait(timeout=10), "block 1 never ran beside block 0"
-                time.sleep(0.05)
-            return fx
-
-        cls = replace(room_class, oracle=TransitionOracle(poisoned))
-        with pytest.raises(DataFaultError, match=re.escape(f"x=[{early[0]}], d=[{early[1]}]")):
-            decrease_heatmap(cls, room_solution, (21, 21))
-
-    def test_no_thread_outlives_a_fault(
-        self, room_class, room_solution, monkeypatch, heatmap_threads
+    def test_fault_in_the_child_range_is_named(
+        self, room_class, room_solution, monkeypatch, heatmap_workers
     ):
+        """A fault found only by the forked child reaches the caller with
+        its type and the point it names."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
-        heatmap_threads(4)
-        baseline = threading.active_count()
-        cls = replace(room_class, oracle=TransitionOracle(lambda x, d: np.full(x.shape, np.nan)))
-        with pytest.raises(DataFaultError):
-            decrease_heatmap(cls, room_solution, (21, 21))
-        assert threading.active_count() == baseline
+        heatmap_workers(2)
+        cls = poisoned_at(room_class, 300, 400)
+        with pytest.raises(DataFaultError, match=fault_message(room_class, 300)):
+            decrease_heatmap(cls, room_solution, ROOM_21)
+
+    def test_no_child_outlives_the_call(
+        self, tmp_path, room_class, room_solution, monkeypatch, heatmap_workers
+    ):
+        """After a success, a fault in either range, an oracle exception in
+        either range and an interrupt of the caller, the calling process has
+        no child left, reaped or not."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        heatmap_workers(2)
+        assert_no_child_left()
+        decrease_heatmap(room_class, room_solution, ROOM_21, csv_path=tmp_path / "heat.csv")
+        assert_no_child_left()
+        for point in (30, 300):
+            with pytest.raises(DataFaultError, match=fault_message(room_class, point)):
+                decrease_heatmap(poisoned_at(room_class, point), room_solution, ROOM_21)
+            assert_no_child_left()
+        caller = os.getpid()
+        for error, in_caller in ((KeyError, True), (KeyError, False), (KeyboardInterrupt, True)):
+
+            def failing(x, d):
+                if (os.getpid() == caller) == in_caller:
+                    raise error("oracle down")
+                return room_class.oracle.batch(x, d)
+
+            cls = replace(room_class, oracle=TransitionOracle(failing))
+            with pytest.raises(error, match="oracle down"):
+                decrease_heatmap(cls, room_solution, ROOM_21)
+            assert_no_child_left()
+
+    def test_unpicklable_child_exception_is_named(
+        self, room_class, room_solution, monkeypatch, heatmap_workers
+    ):
+        """An exception that cannot cross the pipe reaches the caller as a
+        RuntimeError naming it."""
+        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
+        heatmap_workers(2)
+        caller = os.getpid()
+
+        class Unpicklable(Exception):
+            pass
+
+        def failing(x, d):
+            if os.getpid() != caller:
+                raise Unpicklable("local class")
+            return room_class.oracle.batch(x, d)
+
+        cls = replace(room_class, oracle=TransitionOracle(failing))
+        with pytest.raises(RuntimeError, match="Unpicklable.*local class"):
+            decrease_heatmap(cls, room_solution, ROOM_21)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    def test_child_exits_when_the_caller_is_killed(self):
+        """A caller killed mid-heatmap, as at a benchmark's deadline, leaves
+        no process running: its child sees between blocks that the caller is
+        gone and exits within 2 s."""
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        with subprocess.Popen(
+            [sys.executable, "-c", SLOW_HEATMAP], env=env, stdout=subprocess.PIPE, text=True
+        ) as caller:
+            try:
+                child = int(caller.stdout.readline())
+                time.sleep(0.2)
+            finally:
+                caller.kill()
+                caller.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while not process_gone(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        gone = process_gone(child)
+        if not gone:
+            os.kill(child, 9)
+        assert gone, "the forked child outlived its caller by 2 s"
 
     def test_memory_stays_per_worker_chunk(
-        self, room_class, room_solution, monkeypatch, heatmap_threads
+        self, room_class, room_solution, monkeypatch, heatmap_workers
     ):
-        """Two threads on a 16x larger grid keep the allocation peak within
-        1.5x of one block per thread."""
+        """Each process holds one workspace, so the caller's allocation peak
+        with two workers on a 16x larger grid stays within 1.5x of one
+        worker's (tracemalloc sees the calling process only)."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 2_000)
         peaks = []
-        for threads, counts in ((1, (60, 60)), (2, (240, 240))):
-            heatmap_threads(threads)
+        for workers, counts in ((1, (60, 60)), (2, (240, 240))):
+            heatmap_workers(workers)
             tracemalloc.start()
             try:
                 decrease_heatmap(room_class, room_solution, counts)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 2 * 1.5 * peaks[0]
-
-    def test_workspaces_are_not_shared_in_flight(
-        self, tmp_path, room_class, room_solution, monkeypatch, heatmap_threads
-    ):
-        """Each block in flight has a workspace of its own: four threads on
-        51 blocks of 97 rows, switching every microsecond, give the bytes of
-        one thread in every run.  Runs repeat for about two seconds."""
-        monkeypatch.setattr(verify_mod, "_CHUNK", 97)
-        counts = (70, 70)
-        heatmap_threads(1)
-        single = heatmap_outputs(room_class, room_solution, counts, tmp_path / "one.csv")
-        heatmap_threads(4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            deadline = time.monotonic() + 2.0
-            for run in range(50):
-                csv_path = tmp_path / f"four{run}.csv"
-                assert heatmap_outputs(room_class, room_solution, counts, csv_path) == single
-                if time.monotonic() > deadline:
-                    break
-        finally:
-            sys.setswitchinterval(interval)
+        assert peaks[1] <= 1.5 * peaks[0]
 
     @pytest.mark.parametrize(
-        "cpus, points, threads",
+        "cpus, points, workers",
         [(4, 441, 1), (4, 2**16, 1), (4, 2**16 + 1, 2), (4, 9_000_000, 2), (1, 9_000_000, 1)],
     )
-    def test_pool_size(self, monkeypatch, cpus, points, threads):
-        """One thread per 2^16 points rounded up, no more than the CPUs or
+    def test_pool_size(self, monkeypatch, cpus, points, workers):
+        """One worker per 2^16 points rounded up, no more than the CPUs or
         the cap of two."""
         monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: cpus)
-        assert verify_mod._heatmap_workers(points) == threads
+        assert verify_mod._heatmap_workers(points) == workers
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert verify_mod._heatmap_workers(9_000_000) == 1
 
     def test_small_grids_stay_on_one_thread(self, room_class, room_solution, monkeypatch):
+        """441 points take one worker, the calling process, which forks no
+        child."""
+
+        def forbidden():
+            raise AssertionError("a heatmap of 441 points forked")
+
         monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: 4)
-        threads = set()
-
-        def recording(x, d):
-            threads.add(threading.get_ident())
-            return room_class.oracle.batch(x, d)
-
-        cls = replace(room_class, oracle=TransitionOracle(recording))
+        monkeypatch.setattr(os, "fork", forbidden)
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
-        decrease_heatmap(cls, room_solution, (21, 21))  # 441 points in 5 blocks
-        assert len(threads) == 1
+        decrease_heatmap(room_class, room_solution, ROOM_21)  # 441 points in 5 blocks
 
     def test_one_blas_thread_restores_one_thread_bytes(
         self, numpy_blas, tmp_path, platoon_class, platoon_solution
