@@ -70,6 +70,10 @@ def _affine_oracle(a: np.ndarray, e: np.ndarray, c: np.ndarray) -> TransitionOra
     c = np.asarray(c, float)
 
     def step_batch(x, d):
+        if x.shape[0] == 1:
+            # a 1-row matmul takes NumPy's vector-matrix path, which rounds
+            # some rows differently from a longer call; evaluate it as 2 rows
+            return step_batch(np.repeat(x, 2, axis=0), np.repeat(d, 2, axis=0))[:1]
         return x @ a.T + d @ e.T + c
 
     return TransitionOracle(step_batch)

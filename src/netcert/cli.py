@@ -9,26 +9,12 @@
 Exit status of ``synth`` is 0 exactly when the verdict is certified.
 Configuration comes only from the file and explicit flags; environment
 variables are never consulted, so runs are reproducible by construction.
-The bundled BLAS runs on one thread, the setting the dense heatmap's
-workers are sized for.  Importing this module sets ``OPENBLAS_NUM_THREADS``
-to 1 before numpy loads, and of scipy loads only the HiGHS extension, which
-links no BLAS; scipy's L-BFGS-B extension and the OpenBLAS copy it links
-load at the first slope fit, after the scenario solve, under the same
-variable.  So neither copy starts worker threads, and the process has one
-thread when the heatmap forks its worker.  ``main`` still calls
-``verify.one_blas_thread`` for a process that loaded numpy or scipy before
-this module.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields, replace
-
-# read by each bundled OpenBLAS as it loads; set over any inherited value, since
-# main forces one thread anyway and a larger count only starts idle workers
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -53,7 +39,7 @@ from .pipeline import (
     render_report,
 )
 from .sampling import CoverageError, DataFaultError
-from .verify import one_blas_thread, phase_portrait, write_trajectories_csv
+from .verify import phase_portrait, write_trajectories_csv
 
 EXIT_CERTIFIED = 0
 EXIT_NOT_CERTIFIED = 1
@@ -331,7 +317,6 @@ def main(argv=None) -> int:
     """Run a command.  A configuration or certificate it cannot use exits 2,
     a computation at fault 3, each with one line on stderr that starts with
     the command's ``faults`` prefix for that case."""
-    one_blas_thread()
     args = build_parser().parse_args(argv)
     config_fault, compute_fault = args.faults
     try:

@@ -9,11 +9,9 @@ continuum; the formal statement is the margin check in ``compose``.
 """
 from __future__ import annotations
 
-import ctypes
 import os
 import pickle
 import shutil
-import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -48,43 +46,6 @@ _POINTS_PER_WORKER = 2**16
 # SIGKILL's number on every platform with fork; the signal module is not
 # otherwise loaded, and importing it would add to every run's start-up
 _SIGKILL = 9
-
-# extension module -> the thread setter of the OpenBLAS copy it links:
-# numpy's 64-bit-index copy and scipy's own
-BLAS_THREAD_SETTERS = {
-    "numpy._core._multiarray_umath": "scipy_openblas_set_num_threads64_",
-    "scipy.linalg._fblas": "scipy_openblas_set_num_threads",
-    "scipy.optimize._lbfgsb": "scipy_openblas_set_num_threads",
-}
-
-
-def one_blas_thread() -> None:
-    """Run every loaded bundled OpenBLAS on one thread.
-
-    A second BLAS thread burns CPU without saving wall time on these
-    matrix shapes, and it would compete with the heatmap's second worker
-    for the CPUs.  The symbol is resolved through the extension's own
-    dependencies, so no library path is searched.  A copy that is not
-    loaded, or that lacks the setter, keeps its threads.  This changes the
-    whole process, so it is left to the caller (``cli.main`` calls it).
-    Importing ``netcert.cli`` loads numpy's copy on one thread, and scipy's
-    copy, which scipy's L-BFGS-B extension links and which loads with it at
-    the first slope fit, starts under the same setting; this call covers a
-    process that loaded numpy or scipy first, such as the test suite or
-    ``perfbench/traced.py``, whose copies started their worker threads then.
-    scipy's copy is found through ``scipy.linalg`` or, where only the fit
-    loaded it, through the L-BFGS-B extension.
-    """
-    for module, setter in BLAS_THREAD_SETTERS.items():
-        ext = sys.modules.get(module)
-        if ext is None:
-            continue
-        try:
-            set_threads = getattr(ctypes.CDLL(ext.__file__), setter)
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
 
 
 def _cpu_budget() -> int:
@@ -199,12 +160,9 @@ def decrease_heatmap(
     however large the grid grows.  The ranges are merged in grid order, so
     the first fault and the first maximum in grid order win and the result
     does not depend on the worker count.  The workers are sized for BLAS
-    on one thread, which ``one_blas_thread`` sets and ``cli.main`` calls.
-    A library caller should call it first: with BLAS on more threads, a
-    gemv split between threads can round some rows differently, and the
-    workers may oversubscribe the CPUs.  A worker calls the oracle in a
-    process of its own, so what the oracle changes there does not reach
-    the caller.
+    on one thread, which importing netcert sets (see ``netcert``).  A
+    worker calls the oracle in a process of its own, so what the oracle
+    changes there does not reach the caller.
 
     Pass ``csv_path`` to also persist the full table (x..., d..., value).
     A non-finite oracle output or decrease value raises ``DataFaultError``

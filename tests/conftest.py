@@ -1,3 +1,7 @@
+# first: importing netcert puts each bundled OpenBLAS on one thread, which
+# holds only if numpy has not loaded yet
+import netcert  # noqa: F401
+
 import ctypes
 
 import numpy as np
@@ -28,19 +32,24 @@ from netcert.core import (
 )
 from netcert.sampling import collect_pairs
 from netcert.scp import ScpOptions, ScpSolution, build_scp, solve_scp
-from netcert.verify import one_blas_thread
 
 
 @pytest.fixture(scope="session", autouse=True)
 def blas_on_one_thread():
-    """Every test runs with BLAS on one thread, as ``cli.main`` runs it.
+    """Every test runs with numpy's BLAS on one thread, as the CLI runs it.
 
     The evaluators' bits are pinned for one thread: a gemv split between
-    BLAS threads can round some rows differently.  Without this, the first
-    in-process ``main`` call would switch the setting partway through the
-    session, and a bit-for-bit test would depend on which tests ran before
-    it."""
-    one_blas_thread()
+    BLAS threads can round some rows differently.  Importing netcert before
+    numpy sets that, so a plugin or an import that loads numpy first fails
+    every test here instead of changing bits.  A numpy that links no
+    bundled OpenBLAS has no count to check."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return
+    assert get_threads() == 1, "numpy loaded before netcert: its BLAS runs several threads"
+
 
 # Values reported for the room case study, reused as fixed arithmetic inputs.
 ROOM_COEFFS = (0.0151, -0.7, -0.7)
@@ -138,17 +147,3 @@ def drift_solution(drift_class, drift_samples):
     sol = solve_scp(build_scp(drift_class, drift_samples, ScpOptions()))
     return sol
 
-
-@pytest.fixture()
-def numpy_blas():
-    """(get, set) thread count of numpy's bundled OpenBLAS, restored after
-    the test."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        pytest.skip("numpy does not link a bundled OpenBLAS")
-    before = get()
-    yield get, set_threads
-    set_threads(before)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcert.blackbox import (
     TOPOLOGY_KINDS,
@@ -63,6 +65,35 @@ class TestPlatoonStep:
     def test_low_corner(self):
         out = self.oracle.batch([[0.8, 0.8]], [[0.8, 0.8]])[0]
         assert np.allclose(out, [0.802, 0.830], atol=1e-12)
+
+
+def random_batch(cls, rows=500, seed=0):
+    """``rows`` uniform (x, d) pairs from the class's boxes."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(cls.state_box.lower, cls.state_box.upper, (rows, cls.state_dim))
+    d = rng.uniform(cls.input_box.lower, cls.input_box.upper, (rows, cls.input_dim))
+    return x, d
+
+
+class TestOracleRows:
+    """A built-in oracle gives each row the next state it has in any batch:
+    a 1-row call, which NumPy's matmul would take down its vector-matrix
+    path, is evaluated as 2 rows."""
+
+    batches = {
+        cls.id: (cls.oracle, *random_batch(cls))
+        for cls in (build_room_class(), build_platoon_class())
+    }
+    full = {name: oracle.batch(x, d) for name, (oracle, x, d) in batches.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["room", "platoon"]),
+        rows=st.lists(st.integers(0, 499), min_size=1, max_size=6, unique=True),
+    )
+    def test_subset_equals_full_batch(self, name, rows):
+        oracle, x, d = self.batches[name]
+        assert np.array_equal(oracle.batch(x[rows], d[rows]), self.full[name][rows])
 
 
 class TestInternalInputs:

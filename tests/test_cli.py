@@ -1,6 +1,5 @@
 import copy
 import csv
-import ctypes
 import io
 import json
 import os
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 import netcert.pipeline
 import netcert.scp
-import netcert.verify
 from netcert.blackbox import TOPOLOGY_KINDS, Topology, build_room_class, simulate_network
 from netcert.cli import _load_config, build_parser, main
 from netcert.compose import ClassCertificate, NetworkCertificate
@@ -1604,37 +1602,3 @@ class TestOtherSubcommands:
         assert main(["synth", "--config", config, "--output-dir", str(out)]) == 1
         assert sorted(os.listdir(tmp_path)) == ["config.json", "new"]
         assert (out / "certificate.json").exists()
-
-
-class NoSymbols:
-    """A loader whose libraries export nothing."""
-
-    def __init__(self, path):
-        pass
-
-
-def missing_library(path):
-    raise OSError(f"cannot load {path}")
-
-
-class TestBlasThreads:
-    def test_main_runs_blas_on_one_thread(self, numpy_blas, capsys):
-        get, set_threads = numpy_blas
-        set_threads(2)
-        assert main(MARGINS_ARGS) == 0
-        assert get() == 1
-        fblas = sys.modules.get("scipy.linalg._fblas")
-        if fblas is not None:
-            assert ctypes.CDLL(fblas.__file__).scipy_openblas_get_num_threads() == 1
-
-    @pytest.mark.parametrize(
-        "loader", [NoSymbols, missing_library], ids=["no-symbol", "no-library"]
-    )
-    def test_main_runs_without_the_setter(self, numpy_blas, monkeypatch, capsys, loader):
-        get, set_threads = numpy_blas
-        set_threads(2)
-        before = get()
-        monkeypatch.setattr(netcert.verify.ctypes, "CDLL", loader)
-        assert main(MARGINS_ARGS) == 0
-        assert "m1 = " in capsys.readouterr().out
-        assert get() == before  # threads left as they were

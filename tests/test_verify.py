@@ -27,7 +27,6 @@ import netcert.verify as verify_mod
 from netcert.verify import (
     check_level_sets,
     decrease_heatmap,
-    one_blas_thread,
     phase_portrait,
     surface_data,
     write_surface_csv,
@@ -36,16 +35,22 @@ from netcert.verify import (
 from tests.test_benchmark_hooks import REPO_ROOT, run_python
 from tests.test_blackbox import first_steps
 
-# Loads scipy's L-BFGS-B extension in a fresh interpreter, then prints the
-# thread count of the OpenBLAS it links before and after one_blas_thread,
-# and whether scipy.linalg was loaded.
-LBFGSB_BLAS = """
+# Imports netcert.verify, without netcert.cli, then numpy, and loads scipy's
+# L-BFGS-B extension; prints the thread count of numpy's OpenBLAS and of the
+# one the extension links, and whether netcert.cli was loaded.
+LIBRARY_BLAS = """
 import ctypes, json, sys
-from netcert import scp, verify
-lib = ctypes.CDLL(scp.load_scipy_extension("scipy.optimize._lbfgsb").__file__)
-before = lib.scipy_openblas_get_num_threads()
-verify.one_blas_thread()
-print(json.dumps([before, lib.scipy_openblas_get_num_threads(), "scipy.linalg" in sys.modules]))
+import netcert.verify
+import numpy as np
+from netcert import scp
+lbfgsb = scp.load_scipy_extension("scipy.optimize._lbfgsb")
+numpy_blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+scipy_blas = ctypes.CDLL(lbfgsb.__file__)
+print(json.dumps([
+    numpy_blas.scipy_openblas_get_num_threads64_(),
+    scipy_blas.scipy_openblas_get_num_threads(),
+    "netcert.cli" in sys.modules,
+]))
 """
 
 
@@ -153,21 +158,17 @@ class TestDecreaseHeatmap:
         assert len(rows) == 1 + 36
 
 
-def joint_grid_heatmap(cls, solution, counts, chunk, csv_path):
+def joint_grid_heatmap(cls, solution, counts, csv_path):
     """Reference for ``decrease_heatmap``: the joint grid materialised, fed
-    to the evaluators ``chunk`` rows at a time, and written row by row."""
+    to the evaluators in one call, and written row by row."""
     pts = grid_samples(cls.joint_box, counts)
     n = cls.state_dim
-    vals = []
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        x, d = block[:, :n], block[:, n:]
-        vals.append(
-            eval_template(cls.template, solution.coeffs, cls.oracle.batch(x, d))
-            - eval_template(cls.template, solution.coeffs, x)
-            - eval_supply(solution.supply, d, x)
-        )
-    vals = np.concatenate(vals)
+    x, d = pts[:, :n], pts[:, n:]
+    vals = (
+        eval_template(cls.template, solution.coeffs, cls.oracle.batch(x, d))
+        - eval_template(cls.template, solution.coeffs, x)
+        - eval_supply(solution.supply, d, x)
+    )
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -198,12 +199,10 @@ JOINT_GRID_IDS = [
 class TestProductGridHeatmap:
     """The heatmap cuts the X x D product grid into blocks from runs of
     state rows and slices of the input grid; it must reproduce the
-    materialised joint grid bit for bit.  The reference feeds the joint
-    grid to the evaluators in the heatmap's blocks, not in one call: the
-    evaluators give each row the value it has in any batch, but the
-    built-in platoon oracle does not.  Its ``x @ a.T`` on a 1-row call
-    takes NumPy's vector-matrix path, which rounds some rows differently
-    from a longer call."""
+    materialised joint grid bit for bit.  The reference feeds the whole
+    joint grid to the evaluators in one call: they and the built-in oracles
+    give each row the value it has in any batch, so blocks of any size,
+    1-row blocks included, must give the same bytes."""
 
     @pytest.mark.parametrize("chunk", CHUNKS, ids=[f"chunk{c}" for c in CHUNKS])
     @pytest.mark.parametrize("name, counts", JOINT_GRIDS, ids=JOINT_GRID_IDS)
@@ -211,7 +210,7 @@ class TestProductGridHeatmap:
         cls = request.getfixturevalue(f"{name}_class")
         solution = request.getfixturevalue(f"{name}_solution")
         monkeypatch.setattr(verify_mod, "_CHUNK", chunk)
-        pts, vals = joint_grid_heatmap(cls, solution, counts, chunk, tmp_path / "ref.csv")
+        pts, vals = joint_grid_heatmap(cls, solution, counts, tmp_path / "ref.csv")
         heat = decrease_heatmap(cls, solution, counts, csv_path=tmp_path / "heat.csv")
         i = int(np.argmax(vals))
         assert heat.max_value == vals[i]
@@ -577,29 +576,14 @@ class TestHeatmapPool:
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
         decrease_heatmap(room_class, room_solution, ROOM_21)  # 441 points in 5 blocks
 
-    def test_one_blas_thread_restores_one_thread_bytes(
-        self, numpy_blas, tmp_path, platoon_class, platoon_solution
-    ):
-        """A gemv split between BLAS threads may round some rows differently,
-        so the heatmap's bits are pinned on one thread only: after a caller
-        put BLAS on two threads, ``one_blas_thread`` gives back the bytes of
-        a run that never left one thread."""
-        get_threads, set_threads = numpy_blas
-        counts = POOL_GRIDS[1][1]
-        single = heatmap_outputs(platoon_class, platoon_solution, counts, tmp_path / "1.csv")
-        set_threads(2)
-        one_blas_thread()
-        assert get_threads() == 1
-        again = heatmap_outputs(platoon_class, platoon_solution, counts, tmp_path / "2.csv")
-        assert again == single
-
-
-    def test_one_blas_thread_finds_scipys_copy_through_lbfgsb(self):
-        """scipy's OpenBLAS can come in with the L-BFGS-B extension alone,
-        without ``scipy.linalg``; ``one_blas_thread`` puts it on one thread."""
-        proc = run_python(["-c", LBFGSB_BLAS], OPENBLAS_NUM_THREADS="2")
+    def test_library_import_puts_blas_on_one_thread(self):
+        """Importing a netcert module other than the CLI sets one BLAS
+        thread over an inherited count: numpy's OpenBLAS, which loads after
+        it, and scipy's, which the L-BFGS-B extension brings in later, both
+        run one thread, as the heatmap's workers are sized for."""
+        proc = run_python(["-c", LIBRARY_BLAS], OPENBLAS_NUM_THREADS="4")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [2, 1, False]
+        assert json.loads(proc.stdout) == [1, 1, False]
 
 
 class TestSurfaceData:
