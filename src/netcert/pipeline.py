@@ -564,10 +564,10 @@ def portrait_line(class_id: str, topology_kind: str, portrait: SurrogateRuns) ->
 
 def program_line(class_id: str, program: LinearProgram) -> str:
     """The shape of the class's scenario program: the rows built, the rows of
-    the HiGHS model that solved it, and the columns."""
+    the HiGHS model that solved it, the columns and the model's nonzeros."""
     return (
-        f"[{class_id}] LP: {program.a_ub.shape[0]} rows built, {program.kept.size} in "
-        f"the HiGHS model, {program.c.size} columns"
+        f"[{class_id}] LP: {program.rows} rows built, {program.kept.size} in the HiGHS "
+        f"model, {program.c.size} columns, {program.column_counts.sum()} nonzeros"
     )
 
 

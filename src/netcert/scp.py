@@ -12,9 +12,9 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .core import (
     frozen_array,
 )
 from .sampling import CoverageError, SampleSet
-
-ROW_GROUPS = ("initial", "unsafe", "decrease", "supply", "gap")
-
 
 def load_scipy_extension(name: str):
     """scipy's compiled module ``name`` (dotted, under ``scipy``), loaded
@@ -172,20 +169,29 @@ class VariableLayout:
             + [("s22", i, j) for i in range(n) for j in range(i, n)]
         )
 
-    def supply_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Coefficients of the supply value d'S11 d + 2 d'S12 x + x'S22 x as a
-        linear function of the stored block entries, one (size,) row per
-        matching row of ``d`` and ``x``."""
+    def zero_rows(self, count: int) -> np.ndarray:
+        """``count`` zero rows of the program, each column contiguous."""
+        return np.zeros((self.size, count)).T
+
+    @cached_property
+    def _supply_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per stored supply entry, its operand pair in z = [d, x] and its
+        factor: an off-diagonal entry appears twice in the quadratic form."""
         p = self.input_dim
-        # operand pair of z = [d, x] per stored entry
         offsets = {"s11": (0, 0), "s12": (0, p), "s22": (p, p)}
         pairs = [(offsets[b][0] + i, offsets[b][1] + j) for b, i, j in self.supply_entries]
         left, right = np.array(pairs).T
-        z = np.hstack([d, x])
-        rows = np.zeros((z.shape[0], self.size))
-        # an off-diagonal entry appears twice in the quadratic form
-        factor = np.where(left == right, 1.0, 2.0)
-        rows[:, self.supply] = factor * z[:, left] * z[:, right]
+        return left, right, np.where(left == right, 1.0, 2.0)
+
+    def supply_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Coefficients of the supply value d'S11 d + 2 d'S12 x + x'S22 x as a
+        linear function of the stored block entries, one (size,) row per
+        matching row of ``d`` and ``x`` (``zero_rows`` elsewhere)."""
+        z = np.vstack([d.T, x.T])  # one row per operand
+        rows = self.zero_rows(z.shape[1])
+        operands = zip(*self._supply_operands)
+        for column, (left, right, factor) in enumerate(operands, self.supply.start):
+            np.multiply(factor * z[left], z[right], out=rows[:, column])
         return rows
 
     def unpack(self, v: np.ndarray) -> ScpSolution:
@@ -205,25 +211,125 @@ class VariableLayout:
         )
 
 
+@dataclass(frozen=True)
+class RowGroup:
+    """The rows ``name`` of a program, one per key, in increasing key order.
+    ``rows(keys)`` gives the dense rows of the given keys, one (columns,)
+    row each, and their upper bounds; a row is a function of its key alone.
+    ``keys`` gives every key (0, ..., count - 1 when it is None), and
+    ``kept`` the keys of the rows in the HiGHS model (every row when it is
+    None)."""
+
+    name: str
+    count: int
+    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    keys: Optional[Callable[[], np.ndarray]] = None
+    kept: Optional[np.ndarray] = None
+
+    def all_keys(self) -> np.ndarray:
+        return np.arange(self.count) if self.keys is None else self.keys()
+
+    def model_keys(self) -> np.ndarray:
+        return self.all_keys() if self.kept is None else self.kept
+
+
+# Dense rows that the column builder holds at a time, whatever the program's size.
+_ROW_CHUNK = 4096
+
+
 @dataclass
 class LinearProgram:
     """min c'v  subject to  a_ub @ v <= b_ub  and  bounds[:, 0] <= v <= bounds[:, 1]
-    (-inf or +inf where a column is free), its rows named by (group, count)
-    pairs in row order.  ``kept`` holds, in increasing order, the rows of the
-    HiGHS model that ``linprog`` solves without presolve: every row, unless
-    the builder states less."""
+    (-inf or +inf where a column is free), its rows given group by group, in
+    row order.  No matrix is stored: ``linprog`` builds the compressed
+    columns of the groups' kept rows (``model_columns``), and ``a_ub`` and
+    ``b_ub`` are built from the same rows on each read."""
 
     c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
     bounds: np.ndarray
-    row_groups: list[tuple[str, int]] = field(default_factory=list)
-    kept: Optional[np.ndarray] = None
+    groups: list[RowGroup]
     layout: Optional[VariableLayout] = None
 
-    def __post_init__(self):
-        if self.kept is None:
-            self.kept = np.arange(self.a_ub.shape[0])
+    @property
+    def row_groups(self) -> list[tuple[str, int]]:
+        return [(g.name, g.count) for g in self.groups]
+
+    @property
+    def rows(self) -> int:
+        return sum(g.count for g in self.groups)
+
+    @property
+    def kept(self) -> np.ndarray:
+        """The rows of the HiGHS model, as increasing row indices."""
+        parts, offset = [], 0
+        for g in self.groups:
+            rows = np.arange(g.count) if g.kept is None else np.searchsorted(g.all_keys(), g.kept)
+            parts.append(offset + rows)
+            offset += g.count
+        return np.concatenate(parts)
+
+    @property
+    def a_ub(self) -> np.ndarray:
+        return np.ascontiguousarray(np.vstack([g.rows(g.all_keys())[0] for g in self.groups]))
+
+    @property
+    def b_ub(self) -> np.ndarray:
+        return np.concatenate([g.rows(g.all_keys())[1] for g in self.groups])
+
+    def model_blocks(self):
+        """The HiGHS model's rows, in row order, as (dense rows, upper
+        bounds) blocks of at most ``_ROW_CHUNK`` rows."""
+        for g in self.groups:
+            keys = g.model_keys()
+            for start in range(0, keys.size, _ROW_CHUNK):
+                yield g.rows(keys[start : start + _ROW_CHUNK])
+
+    @cached_property
+    def column_counts(self) -> np.ndarray:
+        """The nonzeros of each column of the HiGHS model."""
+        counts = np.zeros(self.c.size, dtype=np.int64)
+        for block, _ in self.model_blocks():
+            counts += np.count_nonzero(block, axis=0)
+        return counts
+
+
+def model_columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The compressed-column arrays (indptr, indices, data) of the HiGHS
+    model's matrix, those scipy's ``csc_array(lp.a_ub[lp.kept])`` holds:
+    each column's row indices in increasing order, zeros (-0.0 among them)
+    dropped.  Then the model rows' upper bounds.
+
+    The rows are built twice, a block at a time: once to count each
+    column's nonzeros (``lp.column_counts``), once to copy them into their
+    columns.  So beside the arrays only one block of dense rows exists, and
+    ``scipy.sparse`` is never imported."""
+    indptr = np.zeros(lp.c.size + 1, dtype=np.int32)
+    np.cumsum(lp.column_counts, out=indptr[1:])
+    nonzeros = int(indptr[-1])
+    rows = sum(g.count if g.kept is None else g.kept.size for g in lp.groups)
+    # data, upper bounds and indices share one allocation, freed at once after
+    # passModel.  It is larger than any copy HiGHS makes of the matrix, and
+    # glibc's malloc raises its mmap threshold to the size of a larger mapped
+    # block when it is freed, so HiGHS's copies then come from the heap, not
+    # from fresh mappings that fault in every page (room-x8: 14,000 fewer
+    # page faults in the first run, 0.03-0.05 s).
+    memory = np.empty(12 * nonzeros + 8 * rows, dtype=np.uint8)
+    data = memory[: 8 * nonzeros].view(np.float64)
+    upper = memory[8 * nonzeros : 8 * (nonzeros + rows)].view(np.float64)
+    indices = memory[8 * (nonzeros + rows) :].view(np.int32)
+    fill = indptr[:-1].copy()  # where each column's next nonzero goes
+    row = 0
+    for block, bound in lp.model_blocks():
+        for j, column in enumerate(block.T):
+            nonzero = np.flatnonzero(column)
+            end = fill[j] + nonzero.size
+            data[fill[j] : end] = column[nonzero]
+            indices[fill[j] : end] = row + nonzero
+            fill[j] = end
+        upper[row : row + bound.size] = bound
+        row += bound.size
+        del block, column  # before the next block is built
+    return indptr, indices, data, upper
 
 
 class ScpSolveError(RuntimeError):
@@ -263,37 +369,32 @@ class HighsRun:
     phase2_nit: int
 
 
-def _csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The compressed-column arrays (indptr, indices, data) of ``a`` that
-    scipy's ``csc_array(a)`` holds: each column's row indices in increasing
-    order, zeros (-0.0 among them) dropped.  numpy builds them, so
-    ``scipy.sparse`` is never imported."""
-    columns = a.T
-    col, row = np.nonzero(columns)  # column by column, rows increasing
-    indptr = np.searchsorted(col, np.arange(a.shape[1] + 1))
-    return indptr.astype(np.int32), row.astype(np.int32), columns[col, row]
-
-
-def _pass_kept_rows(solver: highs._Highs, lp: LinearProgram) -> highs.HighsStatus:
-    """Load the rows ``lp.kept`` of ``lp`` into ``solver``, the matrix in
-    the arrays scipy's ``linprog`` would hand HiGHS."""
-    indptr, indices, data = _csc(lp.a_ub[lp.kept])
-    return solver.passModel(
+def _load_model(solver: highs._Highs, lp: LinearProgram) -> bool:
+    """Load the kept rows of ``lp`` into ``solver``, the matrix in the
+    arrays scipy's ``linprog`` would hand HiGHS.  False, and no model loaded,
+    when a coefficient is not finite: HiGHS would take a NaN, where scipy's
+    linprog refused it.  The arrays are freed on return, once HiGHS has
+    copied them."""
+    indptr, indices, data, upper = model_columns(lp)
+    if not np.isfinite(data).all():
+        return False
+    status = solver.passModel(
         lp.c.size,
-        lp.kept.size,
+        upper.size,
         data.size,
         int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize),
         0.0,
         lp.c,
         *np.ascontiguousarray(lp.bounds.T),  # the columns' lower, then upper bounds
-        np.full(lp.kept.size, -highs.kHighsInf),
-        lp.b_ub[lp.kept],
+        np.full(upper.size, -highs.kHighsInf),
+        upper,
         indptr,
         indices,
         data,
         np.zeros(lp.c.size, dtype=np.int32),  # every column continuous
     )
+    return status != highs.HighsStatus.kError
 
 
 def _pivots(solver: highs._Highs) -> int:
@@ -337,14 +438,13 @@ def linprog(lp: LinearProgram) -> HighsRun:
     for name, value in _HIGHS_OPTIONS:
         solver.setOptionValue(name, value)
     solver.setOptionValue("time_limit", TIME_LIMIT_S)
-    # HiGHS would take a NaN coefficient, where scipy's linprog refused it
-    if not np.isfinite(lp.a_ub).all() or _pass_kept_rows(solver, lp) == highs.HighsStatus.kError:
+    if not _load_model(solver, lp):
         status = highs.HighsModelStatus.kModelError
         return HighsRun(None, status, solver.modelStatusToString(status), 0, 0)
     ran = solver.run()
     nit, phase2_nit = _pivots(solver), 0
     status = solver.getModelStatus()
-    if status == highs.HighsModelStatus.kOptimal and lp.kept.size < lp.a_ub.shape[0]:
+    if status == highs.HighsModelStatus.kOptimal and solver.getNumRow() < lp.rows:
         solver.setBasis(solver.getBasis())
         ran = solver.run()
         phase2_nit = _pivots(solver)
@@ -394,60 +494,64 @@ def build_scp(
         state_dim=cls.state_dim,
         input_dim=cls.input_dim,
     )
-    phi_x = cls.template.basis_values(samples.x)
-    phi_fx = cls.template.basis_values(samples.fx)
-    in_initial = cls.safety.initial.contains(samples.x)
-    in_unsafe = cls.safety.unsafe.contains(samples.x)
-    if not np.any(in_initial):
-        raise CoverageError(
-            f"no sampled state lies in the initial box of class {cls.id!r}; "
-            "use a denser state grid"
-        )
-    if not np.any(in_unsafe):
-        raise CoverageError(
-            f"no sampled state lies in the unsafe box of class {cls.id!r}; "
-            "use a denser state grid"
-        )
+    basis = cls.template.basis_values
 
-    initial_x, unsafe_x = phi_x[in_initial], phi_x[in_unsafe]
-    counts = (len(initial_x), len(unsafe_x), samples.count, samples.count, 1)
-    a_ub = np.zeros((sum(counts), layout.size))
-    b_ub = np.zeros(a_ub.shape[0])
-    initial, unsafe, decrease, supply, gap = np.split(a_ub, np.cumsum(counts)[:-1])
-    initial[:, layout.theta] = initial_x
-    initial[:, layout.sigma] = -1.0
-    initial[:, layout.eta] = -1.0
-    unsafe[:, layout.theta] = -unsafe_x
-    unsafe[:, layout.phi] = 1.0
-    unsafe[:, layout.eta] = -1.0
-    supply[:] = layout.supply_rows(samples.d, samples.x)
-    decrease[:] = -supply
-    decrease[:, layout.theta] = phi_fx - phi_x
-    decrease[:, layout.eta] = -1.0
-    supply[:, layout.beta] = -1.0
-    gap[:, layout.sigma] = 1.0
-    gap[:, layout.phi] = -1.0
-    b_ub[-1] = -options.gap
+    def level_group(name: str, box, level: int, sign: float) -> RowGroup:
+        """One row per sample in ``box``, keyed by the sample's index.  A
+        level row depends only on its state's basis, so it recurs once per
+        sampled input: the model keeps its first occurrence."""
 
-    # a level row depends only on its state, so it recurs once per sampled input;
-    # the solve keeps its first occurrence and every decrease, supply and gap row
-    first = [np.sort(np.unique(v, axis=0, return_index=True)[1]) for v in (initial_x, unsafe_x)]
-    kept = np.concatenate([first[0], counts[0] + first[1], np.arange(sum(counts[:2]), b_ub.size)])
+        def rows(keys):
+            a = layout.zero_rows(keys.size)
+            phi = basis(samples.x[keys])
+            a[:, layout.theta] = phi if sign > 0 else -phi
+            a[:, level] = -sign
+            a[:, layout.eta] = -1.0
+            return a, np.zeros(keys.size)
 
+        def keys():
+            return np.flatnonzero(box.contains(samples.x))
+
+        members = keys()
+        if not members.size:
+            raise CoverageError(
+                f"no sampled state lies in the {name} box of class {cls.id!r}; "
+                "use a denser state grid"
+            )
+        first = np.unique(basis(samples.x[members]), axis=0, return_index=True)[1]
+        return RowGroup(name, members.size, rows, keys, members[np.sort(first)])
+
+    def decrease(keys):
+        x = samples.x[keys]
+        a = layout.supply_rows(samples.d[keys], x)
+        np.negative(a, out=a)
+        np.subtract(basis(samples.fx[keys]), basis(x), out=a[:, layout.theta])
+        a[:, layout.eta] = -1.0
+        return a, np.zeros(keys.size)
+
+    def supply(keys):
+        a = layout.supply_rows(samples.d[keys], samples.x[keys])
+        a[:, layout.beta] = -1.0
+        return a, np.zeros(keys.size)
+
+    def gap(keys):
+        a = layout.zero_rows(keys.size)
+        a[:, layout.sigma] = 1.0
+        a[:, layout.phi] = -1.0
+        return a, np.full(keys.size, -options.gap)
+
+    groups = [
+        level_group("initial", cls.safety.initial, layout.sigma, 1.0),
+        level_group("unsafe", cls.safety.unsafe, layout.phi, -1.0),
+        RowGroup("decrease", samples.count, decrease),
+        RowGroup("supply", samples.count, supply),
+        RowGroup("gap", 1, gap),
+    ]
     bounds = np.full((layout.size, 2), (-options.coeff_bound, options.coeff_bound))
     bounds[[layout.eta, layout.beta]] = (-np.inf, np.inf)  # determined by the rows
     c = np.zeros(layout.size)
     c[[layout.eta, layout.beta]] = 1.0
-
-    return LinearProgram(
-        c=c,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        bounds=bounds,
-        row_groups=list(zip(ROW_GROUPS, counts)),
-        kept=kept,
-        layout=layout,
-    )
+    return LinearProgram(c=c, bounds=bounds, groups=groups, layout=layout)
 
 
 def solve_scp(lp: LinearProgram) -> ScpSolution:
@@ -514,9 +618,9 @@ def export_lp_text(lp: LinearProgram, path) -> None:
         term(c, names[j]) for j, c in enumerate(lp.c) if c != 0.0
     ), "Subject To"]
     groups = (group for group, count in lp.row_groups for _ in range(count))
-    for i, group in enumerate(groups):
-        body = "".join(term(v, names[j]) for j, v in enumerate(lp.a_ub[i]) if v != 0.0)
-        lines.append(f" {group}_{i}:{body} <= {lp.b_ub[i]:.17g}")
+    for i, (group, row, bound) in enumerate(zip(groups, lp.a_ub, lp.b_ub)):
+        body = "".join(term(v, names[j]) for j, v in enumerate(row) if v != 0.0)
+        lines.append(f" {group}_{i}:{body} <= {bound:.17g}")
     lines.append("Bounds")
     for name, (lo, hi) in zip(names, lp.bounds):
         hi_s = "+inf" if hi == np.inf else f"{hi:.17g}"  # the format signs infinity

@@ -137,9 +137,9 @@ def decrease_heatmap(
     The joint grid is the product of a state grid and an input grid, rows
     in state-major order.  B(x) and the supply's x^T s22 x are computed
     once per state point and d^T s11 d once per input point.  A block of
-    ``_CHUNK`` rows spans a run of state rows, the first and last maybe in
-    part, and takes its states, B(x) and x^T s22 x by repeating each state
-    row as often as the block holds it.  It takes its inputs and d^T s11 d
+    rows spans a run of state rows, the first and last maybe in part, and
+    takes its states, B(x) and x^T s22 x by repeating each state row as
+    often as the block holds it.  It takes its inputs and d^T s11 d
     as one slice of the input grid repeated to cover any block's offset;
     that grid is shared by every block and read-only, so an oracle that
     writes into its ``d`` raises ``ValueError``.  Only the cross term d^T
@@ -148,21 +148,23 @@ def decrease_heatmap(
     every value is bit-identical to the evaluators on the materialised
     joint grid, block by block.
 
-    The blocks are cut into contiguous ranges, one per worker: up to
+    The grid is cut into contiguous ranges, one per worker: up to
     ``_MAX_WORKERS``, no more than the CPUs this process may use, one per
     ``_POINTS_PER_WORKER`` points rounded up, and one where the platform
-    cannot fork.  The calling process scans the first range itself, and
-    each other range is scanned by a child process forked for it (see
-    ``_forked_scan``), so the workers share no interpreter lock.  Each
-    process scans its range in grid order with one workspace, made once:
-    the basis of f(x, d) of a sub-block (``eval_template``'s
-    ``basis_out``) and a block's values.  Memory stays O(workers x chunk)
-    however large the grid grows.  The ranges are merged in grid order, so
-    the first fault and the first maximum in grid order win and the result
-    does not depend on the worker count.  The workers are sized for BLAS
-    on one thread, which importing netcert sets (see ``netcert``).  A
-    worker calls the oracle in a process of its own, so what the oracle
-    changes there does not reach the caller.
+    cannot fork.  Each range holds the same number of blocks, every block but
+    the last the same number of points, at most ``_CHUNK``, so the ranges
+    differ by less than a block.  The calling process scans the first range
+    itself, and each other range is scanned by a child process forked for it
+    (see ``_forked_scan``), so the workers share no interpreter lock.  Each
+    process scans its range in grid order with one workspace, made once: the
+    basis of f(x, d) of a sub-block (``eval_template``'s ``basis_out``) and
+    a block's values.  Memory stays O(workers x chunk) however large the grid
+    grows.  The ranges are merged in grid order, so the first fault and the
+    first maximum in grid order win and the result does not depend on the
+    worker count.  The workers are sized for BLAS on one thread, which
+    importing netcert sets (see ``netcert``).  A worker calls the oracle in a
+    process of its own, so what the oracle changes there does not reach the
+    caller.
 
     Pass ``csv_path`` to also persist the full table (x..., d..., value).
     A non-finite oracle output or decrease value raises ``DataFaultError``
@@ -180,13 +182,14 @@ def decrease_heatmap(
     quad_x = rowwise_bilinear(xs, rate.s22, xs)
     n_d = ds.shape[0]
     total = xs.shape[0] * n_d
-    chunk = min(_CHUNK, total)
+    workers = _heatmap_workers(total)
+    # the same number of blocks per worker, each of at most _CHUNK points
+    blocks = workers * -(-total // (workers * _CHUNK))
+    chunk = -(-total // blocks)
     # the input grid repeated: a block starting at input k takes rows k.. of it
     cycle = np.arange(n_d - 1 + chunk) % n_d
     d_grid, quad_d_grid = ds[cycle], quad_d[cycle]
     d_grid.flags.writeable = False
-    blocks = -(-total // _CHUNK)
-    workers = min(_heatmap_workers(total), blocks)
     # this process's workspace: a sub-block's basis and a block's values
     basis = np.empty((min(chunk, _BASIS_BLOCK), cls.template.term_count))
     values = np.empty(chunk)
@@ -196,11 +199,10 @@ def decrease_heatmap(
         rows written to ``fh``.  A child scanning for ``parent`` exits
         between blocks once that process is gone."""
         best_val, best_pt = -np.inf, None
-        for block in range(first_block, stop_block):
+        for start in range(first_block * chunk, min(stop_block * chunk, total), chunk):
             if parent is not None and os.getppid() != parent:
                 os._exit(1)
-            start = block * _CHUNK
-            stop = min(start + _CHUNK, total)
+            stop = min(start + chunk, total)
             m, offset = stop - start, start % n_d
             # the block spans a run of state rows, the first and last maybe in part
             first, last = start // n_d, (stop - 1) // n_d

@@ -934,7 +934,8 @@ class TestSynthRoomBenchmark:
         assert "m2" in conditions
         # of the 2,605 rows built, HiGHS gets the 1,945 that repeat no level row
         report = (tmp_path / "room" / "report.txt").read_text().splitlines()
-        assert "[room] LP: 2605 rows built, 1945 in the HiGHS model, 10 columns" in report
+        line = "[room] LP: 2605 rows built, 1945 in the HiGHS model, 10 columns, 9712 nonzeros"
+        assert line in report
 
     def test_every_csv_has_csv_writer_bytes(self, tmp_path):
         """Each CSV that synth writes is what ``csv.writer`` writes for the
@@ -1008,7 +1009,8 @@ class TestSynthRoomBenchmark:
         report = (out / "report.txt").read_text().splitlines()
         assert report[: len(summary)] == summary
         program, *diagnostics = report[len(summary) :]
-        assert program == "[room] LP: 71 rows built, 55 in the HiGHS model, 10 columns"
+        shape = "71 rows built, 55 in the HiGHS model, 10 columns, 270 nonzeros"
+        assert program == f"[room] LP: {shape}"
         assert [line.split(":")[0] for line in diagnostics] == [
             "[room] decrease heatmap",
             "[room] phase portrait (ring)",

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from netcert.pipeline import PipelineConfig, PipelineError, certify_class
 from netcert.sampling import CoverageError, SampleSet, collect_pairs
 from netcert.scp import (
     LinearProgram,
+    RowGroup,
     ScpOptions,
     ScpSolution,
     ScpSolveError,
@@ -76,6 +78,19 @@ def brute_force_lp_minimum(lp: LinearProgram, tol: float = 1e-9):
     return best
 
 
+def dense_program(c, a_ub, b_ub, bounds, row_groups=None) -> LinearProgram:
+    """A hand-made program whose rows are given dense, split into
+    ``row_groups`` ((name, count) pairs; one group "rows" by default), every
+    row in the HiGHS model."""
+    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    groups, start = [], 0
+    for name, count in row_groups or [("rows", b_ub.size)]:
+        a, b = a_ub[start : start + count], b_ub[start : start + count]
+        groups.append(RowGroup(name, count, lambda keys, a=a, b=b: (a[keys], b[keys])))
+        start += count
+    return LinearProgram(np.asarray(c, dtype=float), np.asarray(bounds, dtype=float), groups)
+
+
 def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     """Feasible, bounded instance with at most 4 variables."""
     n = int(rng.integers(2, 5))
@@ -84,13 +99,7 @@ def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     interior = rng.uniform(-1, 1, size=n)
     b = a @ interior + rng.uniform(0.1, 1.0, size=m)
     c = rng.normal(size=n)
-    return LinearProgram(
-        c=c,
-        a_ub=a,
-        b_ub=b,
-        bounds=np.full((n, 2), (-2.0, 2.0)),
-        row_groups=[("random", m)],
-    )
+    return dense_program(c, a, b, np.full((n, 2), (-2.0, 2.0)), [("random", m)])
 
 
 def make_trivial_instance():
@@ -232,25 +241,14 @@ class TestSolveScp:
 
     def test_infeasible_reports_group(self):
         # contradictory handmade rows: v0 <= -1 and -v0 <= -1
-        lp = LinearProgram(
-            c=np.array([1.0]),
-            a_ub=np.array([[1.0], [-1.0]]),
-            b_ub=np.array([-1.0, -1.0]),
-            bounds=np.array([[-5.0, 5.0]]),
-            row_groups=[("upper", 1), ("lower", 1)],
-        )
+        groups = [("upper", 1), ("lower", 1)]
+        lp = dense_program([1.0], [[1.0], [-1.0]], [-1.0, -1.0], [[-5.0, 5.0]], groups)
         with pytest.raises(ScpSolveError, match="^scenario program infeasible: "):
             solve_lp(lp)
 
     def test_unbounded_reports_status(self):
         # a free column with negative cost and no row to stop it
-        lp = LinearProgram(
-            c=np.array([-1.0, 1.0]),
-            a_ub=np.array([[0.0, 1.0]]),
-            b_ub=np.array([1.0]),
-            bounds=np.array([[-np.inf, np.inf], [0.0, 2.0]]),
-            row_groups=[("upper", 1)],
-        )
+        lp = dense_program([-1.0, 1.0], [[0.0, 1.0]], [1.0], [[-np.inf, np.inf], [0.0, 2.0]])
         with pytest.raises(ScpSolveError, match="^scenario program unbounded: Unbounded$"):
             solve_lp(lp)
 
@@ -259,13 +257,7 @@ class TestSolveScp:
         is refused before any model is loaded."""
 
         models = recorded_models(monkeypatch)
-        lp = LinearProgram(
-            c=np.array([1.0]),
-            a_ub=np.array([[np.nan]]),
-            b_ub=np.array([1.0]),
-            bounds=np.array([[-5.0, 5.0]]),
-            row_groups=[("upper", 1)],
-        )
+        lp = dense_program([1.0], [[np.nan]], [1.0], [[-5.0, 5.0]])
         with pytest.raises(ScpSolveError, match="^scenario program failed: Model error$"):
             solve_lp(lp)
         assert all(model.rows is None for model in models)
@@ -319,7 +311,7 @@ def presolve_status(lp: LinearProgram) -> highs.HighsPresolveStatus:
     """What HiGHS's presolve makes of the model that ``scp.linprog`` loads."""
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
-    scp._pass_kept_rows(solver, lp)
+    scp._load_model(solver, lp)
     solver.presolve()
     return solver.getModelPresolveStatus()
 
@@ -557,7 +549,8 @@ TINY_SOLVES = """
 import json, sys
 import numpy as np
 from netcert import scp
-lp = scp.LinearProgram(np.ones(1), -np.ones((1, 1)), np.full(1, -0.5), np.array([[-1.0, 1.0]]))
+lower = scp.RowGroup("lower", 1, lambda keys: (-np.ones((keys.size, 1)), np.full(keys.size, -0.5)))
+lp = scp.LinearProgram(np.ones(1), np.array([[-1.0, 1.0]]), [lower])
 scp_x = scp.solve_lp(lp).tolist()
 optimize_before = "scipy.optimize" in sys.modules
 import scipy.optimize
@@ -585,18 +578,8 @@ print(json.dumps([[e in sys.modules for e in EXTENSIONS], others]))
 class TestHighsInput:
     """``scp.load_scipy_extension`` loads scipy's HiGHS extension (and, for
     the slope fit, its L-BFGS-B extension) from its file, so that
-    ``scipy.optimize`` is not imported for it, and ``scp`` builds the
-    model's compressed columns in numpy; HiGHS gets the module and the
-    arrays that scipy's linprog would hand it."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=MATRIX_ENTRIES))
-    def test_same_columns_as_csc_array(self, a):
-        expected = csc_array(a)
-        indptr, indices, data = scp._csc(a)
-        assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
-        assert np.array_equal(indptr, expected.indptr) and np.array_equal(indices, expected.indices)
-        assert data.tobytes() == expected.data.tobytes()
+    ``scipy.optimize`` is not imported for it; HiGHS gets the module that
+    scipy's linprog would use."""
 
     def test_the_extension_file_is_found(self):
         """The installed scipy has the files of both extensions that netcert
@@ -624,6 +607,111 @@ class TestHighsInput:
         optimize_before, same, scp_x, scipy_x = json.loads(proc.stdout)
         assert optimize_before and same
         assert scp_x == scipy_x == [0.5]
+
+
+def dense_fill(cls, samples: SampleSet, options: ScpOptions):
+    """(a_ub, b_ub, kept) of the scenario program as ``build_scp`` once
+    filled them: one dense matrix of every row, from the bases of every
+    sample, and the kept rows found from them."""
+    layout = VariableLayout(cls.template.term_count, cls.state_dim, cls.input_dim)
+    phi_x = cls.template.basis_values(samples.x)
+    phi_fx = cls.template.basis_values(samples.fx)
+    initial_x = phi_x[cls.safety.initial.contains(samples.x)]
+    unsafe_x = phi_x[cls.safety.unsafe.contains(samples.x)]
+    counts = (len(initial_x), len(unsafe_x), samples.count, samples.count, 1)
+    a_ub = np.zeros((sum(counts), layout.size))
+    b_ub = np.zeros(a_ub.shape[0])
+    initial, unsafe, decrease, supply, gap = np.split(a_ub, np.cumsum(counts)[:-1])
+    initial[:, layout.theta] = initial_x
+    initial[:, layout.sigma] = -1.0
+    initial[:, layout.eta] = -1.0
+    unsafe[:, layout.theta] = -unsafe_x
+    unsafe[:, layout.phi] = 1.0
+    unsafe[:, layout.eta] = -1.0
+    p = cls.input_dim
+    offsets = {"s11": (0, 0), "s12": (0, p), "s22": (p, p)}
+    pairs = [(offsets[b][0] + i, offsets[b][1] + j) for b, i, j in layout.supply_entries]
+    left, right = np.array(pairs).T
+    z = np.hstack([samples.d, samples.x])
+    supply[:, layout.supply] = np.where(left == right, 1.0, 2.0) * z[:, left] * z[:, right]
+    decrease[:] = -supply
+    decrease[:, layout.theta] = phi_fx - phi_x
+    decrease[:, layout.eta] = -1.0
+    supply[:, layout.beta] = -1.0
+    gap[:, layout.sigma] = 1.0
+    gap[:, layout.phi] = -1.0
+    b_ub[-1] = -options.gap
+    first = [np.sort(np.unique(v, axis=0, return_index=True)[1]) for v in (initial_x, unsafe_x)]
+    kept = np.concatenate([first[0], counts[0] + first[1], np.arange(sum(counts[:2]), b_ub.size)])
+    return a_ub, b_ub, kept
+
+
+def assert_csc_array_of(expected: np.ndarray, columns):
+    """``columns`` are the (indptr, indices, data) that ``csc_array`` holds
+    for ``expected``: the same dtypes and the same bits."""
+    indptr, indices, data = columns
+    csc = csc_array(expected)
+    assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+    assert np.array_equal(indptr, csc.indptr) and np.array_equal(indices, csc.indices)
+    assert data.tobytes() == csc.data.tobytes()
+
+
+class TestModelColumns:
+    """HiGHS gets the compressed columns of the kept rows, built a block of
+    rows at a time from the sampled bases; no dense matrix of every row
+    exists, and ``a_ub`` builds one from the same rows when read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["room", "platoon", "drift"]))
+    def test_same_bits_as_the_dense_fill(self, room_class, platoon_class, drift_class, data, name):
+        """On any grid, template and block size, ``a_ub`` is the dense fill
+        bit for bit, -0.0 included, and the model's columns are those of
+        ``csc_array(a_ub[kept])``.  The drift grids hold states, inputs and
+        successors that are exactly 0."""
+        cls = {"room": room_class, "platoon": platoon_class, "drift": drift_class}[name]
+        shape = (data.draw(st.integers(1, 5), label="terms"), cls.state_dim)
+        exponents = data.draw(arrays(np.int64, shape, elements=st.integers(0, 3)), label="exponents")
+        cls = replace(cls, template=StcTemplate(cls.state_dim, exponents))
+        samples = collect_pairs(cls, *draw_grid(data, cls))
+        options = ScpOptions()
+        a_ub, b_ub, kept = dense_fill(cls, samples, options)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scp, "_ROW_CHUNK", data.draw(st.integers(1, 300), label="chunk"))
+            lp = build_scp(cls, samples, options)
+            *columns, upper = scp.model_columns(lp)
+            dense_a, dense_b = lp.a_ub, lp.b_ub
+        assert dense_a.shape == a_ub.shape and dense_a.tobytes() == a_ub.tobytes()
+        assert dense_b.tobytes() == b_ub.tobytes() and upper.tobytes() == b_ub[kept].tobytes()
+        assert np.array_equal(lp.kept, kept)
+        assert lp.column_counts.sum() == columns[2].size
+        assert_csc_array_of(dense_a[lp.kept], columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=MATRIX_ENTRIES),
+        chunk=st.integers(1, 4),
+    )
+    def test_hand_made_rows_give_the_csc_arrays(self, a, chunk):
+        """Zeros of both signs, subnormals and entries near zero, kept or
+        dropped as ``csc_array`` keeps or drops them."""
+        lp = dense_program(np.zeros(a.shape[1]), a, np.zeros(a.shape[0]), np.zeros((a.shape[1], 2)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scp, "_ROW_CHUNK", chunk)
+            *columns, _ = scp.model_columns(lp)
+        assert_csc_array_of(a, columns)
+
+    def test_no_dense_matrix_while_solving(self, room_class):
+        """Room at 124 x 124 samples: numpy's peak while the program is built
+        and solved stays below the dense matrix of its rows alone."""
+        samples = collect_pairs(room_class, (124,), (124,))
+        tracemalloc.start()
+        try:
+            lp = build_scp(room_class, samples, ScpOptions())
+            solve_scp(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lp.rows * lp.c.size * 8
 
 
 class TestScpOptions:

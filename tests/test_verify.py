@@ -219,7 +219,8 @@ class TestProductGridHeatmap:
         assert (tmp_path / "heat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_one_nan_is_a_data_fault(self, room_class, room_solution, monkeypatch):
-        # the poisoned point sits in the fourth block, after blocks of finite values
+        # the poisoned point (flat 377) sits in the last of 5 blocks of 89 rows,
+        # after blocks of finite values
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
         target = float(grid_samples(room_class.state_box, (21,))[17, 0])
 
@@ -302,7 +303,9 @@ class TestProductGridHeatmap:
         rows = {key: sorted(r for m, r in calls if m is block) for key, block in blocks.items()}
         assert rows["s11"] == [int(np.prod(counts[n:]))]
         assert rows["s22"] == [int(np.prod(counts[:n]))]
-        assert rows["s12"] == sorted(min(97, total - start) for start in range(0, total, 97))
+        # one worker: ceil(total / 97) blocks of equal size, the last maybe shorter
+        size = -(-total // -(-total // 97))
+        assert rows["s12"] == sorted(min(size, total - start) for start in range(0, total, size))
         assert len(calls) == 2 + len(rows["s12"])
 
     def test_memory_stays_per_chunk(self, room_class, room_solution, monkeypatch):
@@ -338,9 +341,10 @@ def heatmap_workers(monkeypatch):
 # grids of two shipped-size blocks
 POOL_GRIDS = [("room", (200, 200)), ("platoon", (16, 15, 14, 10))]
 
-# The room grid of 21 x 21 points in blocks of 97 rows: 5 blocks, so with two
-# workers the caller scans blocks 0-1 (flat points 0-193) and a forked child
-# blocks 2-4 (194-440).  Flat point i is x = xs[i // 21], d = xs[i % 21].
+# The room grid of 21 x 21 points in blocks of at most 97 rows: with two
+# workers, 6 blocks of 74 rows (the last of 71), so the caller scans blocks
+# 0-2 (flat points 0-221) and a forked child blocks 3-5 (222-440).  Flat
+# point i is x = xs[i // 21], d = xs[i % 21].
 ROOM_21 = (21, 21)
 
 
@@ -443,8 +447,8 @@ class TestHeatmapPool:
         names the caller's point, the first in grid order."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
         heatmap_workers(2)
-        cls = poisoned_at(room_class, 150, 200)
-        with pytest.raises(DataFaultError, match=fault_message(room_class, 150)):
+        cls = poisoned_at(room_class, 100, 250)
+        with pytest.raises(DataFaultError, match=fault_message(room_class, 100)):
             decrease_heatmap(cls, room_solution, ROOM_21)
 
     def test_fault_in_the_child_range_is_named(
@@ -574,7 +578,7 @@ class TestHeatmapPool:
         monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: 4)
         monkeypatch.setattr(os, "fork", forbidden)
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
-        decrease_heatmap(room_class, room_solution, ROOM_21)  # 441 points in 5 blocks
+        decrease_heatmap(room_class, room_solution, ROOM_21)  # 441 points in 5 blocks of 89
 
     def test_library_import_puts_blas_on_one_thread(self):
         """Importing a netcert module other than the CLI sets one BLAS
