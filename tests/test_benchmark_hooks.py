@@ -218,6 +218,20 @@ def test_cli_process_starts_no_blas_thread(tmp_path):
     assert certificates[0] == certificates[1]
 
 
+def test_import_keeps_the_bytecode_setting(tmp_path):
+    """Importing netcert.cli leaves whether the process writes bytecode as
+    the process was started: a process that may not write it compiles
+    netcert's source at every start, and one that may keeps the cache."""
+    for value, expected in ((None, "False"), ("1", "True")):
+        proc = run_python(
+            ["-c", "import sys, netcert.cli; print(sys.dont_write_bytecode)"],
+            PYTHONDONTWRITEBYTECODE=value,
+            PYTHONPYCACHEPREFIX=str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 @pytest.mark.skipif(verify_mod._cpu_budget() < 2, reason="the heatmap takes one worker")
 def test_synth_forks_its_heatmap_worker_from_one_thread(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from netcert.blackbox import TOPOLOGY_KINDS, Topology, TransitionOracle, simulate_network
 from netcert.core import (
+    _BASIS_BLOCK,
     IntervalBox,
     SafetySpec,
     StcTemplate,
@@ -196,6 +197,24 @@ JOINT_GRID_IDS = [
 ]
 
 
+# Grids of 3 or more blocks of the shipped size: on one worker room's 19,519
+# points in blocks of 6,507 against 131 inputs, platoon's 23,023 in blocks of
+# 7,675 against 161; on two workers 4 blocks of 4,880 and of 5,756.
+SHIPPED_GRIDS = [("room", (149, 131)), ("platoon", (13, 11, 7, 23))]
+
+
+def assert_matches_joint_grid(cls, solution, counts, tmp_path):
+    """The heatmap's max, argmax, point count and CSV bytes are those of
+    ``joint_grid_heatmap``."""
+    pts, vals = joint_grid_heatmap(cls, solution, counts, tmp_path / "ref.csv")
+    heat = decrease_heatmap(cls, solution, counts, csv_path=tmp_path / "heat.csv")
+    i = int(np.argmax(vals))
+    assert heat.max_value == vals[i]
+    assert np.array_equal(heat.argmax, pts[i])
+    assert heat.point_count == pts.shape[0]
+    assert (tmp_path / "heat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestProductGridHeatmap:
     """The heatmap cuts the X x D product grid into blocks from runs of
     state rows and slices of the input grid; it must reproduce the
@@ -210,13 +229,24 @@ class TestProductGridHeatmap:
         cls = request.getfixturevalue(f"{name}_class")
         solution = request.getfixturevalue(f"{name}_solution")
         monkeypatch.setattr(verify_mod, "_CHUNK", chunk)
-        pts, vals = joint_grid_heatmap(cls, solution, counts, tmp_path / "ref.csv")
-        heat = decrease_heatmap(cls, solution, counts, csv_path=tmp_path / "heat.csv")
-        i = int(np.argmax(vals))
-        assert heat.max_value == vals[i]
-        assert np.array_equal(heat.argmax, pts[i])
-        assert heat.point_count == pts.shape[0]
-        assert (tmp_path / "heat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_matches_joint_grid(cls, solution, counts, tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
+    @pytest.mark.parametrize("name, counts", SHIPPED_GRIDS, ids=["room", "platoon"])
+    def test_shipped_blocks_match_joint_grid(
+        self, request, tmp_path, heatmap_workers, name, counts, workers
+    ):
+        """At the shipped block size, on grids of three or more blocks that
+        the input grid does not divide and whose last block is partial."""
+        cls = request.getfixturevalue(f"{name}_class")
+        solution = request.getfixturevalue(f"{name}_solution")
+        heatmap_workers(workers)
+        # the layout decrease_heatmap makes, checked to be the one meant here
+        n_d, total = int(np.prod(counts[cls.state_dim :])), int(np.prod(counts))
+        blocks = workers * -(-total // (workers * verify_mod._CHUNK))
+        chunk = -(-total // blocks)
+        assert blocks >= 3 and chunk % n_d and total % chunk
+        assert_matches_joint_grid(cls, solution, counts, tmp_path)
 
     def test_one_nan_is_a_data_fault(self, room_class, room_solution, monkeypatch):
         # the poisoned point (flat 377) sits in the last of 5 blocks of 89 rows,
@@ -321,6 +351,31 @@ class TestProductGridHeatmap:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_workspace_is_one_evaluator_block(
+        self, platoon_class, platoon_solution, heatmap_workers
+    ):
+        """At the shipped block size, on one worker and grids of 11 and 44
+        blocks, numpy's traced peak stays within the arrays of one
+        ``_BASIS_BLOCK``-row block, the basis workspace and 20 float columns
+        (about 15 are live at the peak), plus 8 floats per state and input
+        grid row.  Growing the state grid 4x at a fixed input grid raises it
+        by no more than what lives through the scan per state row: the
+        state, B(x) and x^T s22 x, with 16 KiB to spare."""
+        heatmap_workers(1)
+        n_x, n_d = (15, 20), (15, 20)  # 300 states and 300 inputs
+        peaks = []
+        for x_counts in (n_x, (2 * n_x[0], 2 * n_x[1])):
+            tracemalloc.start()
+            try:
+                decrease_heatmap(platoon_class, platoon_solution, x_counts + n_d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        n, terms = platoon_class.state_dim, platoon_class.template.term_count
+        states, inputs = int(np.prod(n_x)), int(np.prod(n_d))
+        assert peaks[0] <= 8 * (_BASIS_BLOCK * (terms + 20) + 8 * (states + inputs))
+        assert peaks[1] - peaks[0] <= 8 * (n + 2) * 3 * states + 2**14
 
 
 def heatmap_outputs(cls, solution, counts, csv_path):
