@@ -213,24 +213,22 @@ class VariableLayout:
 
 @dataclass(frozen=True)
 class RowGroup:
-    """The rows ``name`` of a program, one per key, in increasing key order.
+    """The rows ``name`` of a program, one per key of ``keys`` (increasing).
     ``rows(keys)`` gives the dense rows of the given keys, one (columns,)
     row each, and their upper bounds; a row is a function of its key alone.
-    ``keys`` gives every key (0, ..., count - 1 when it is None), and
-    ``kept`` the keys of the rows in the HiGHS model (every row when it is
-    None)."""
+    ``kept`` holds the keys of the rows in the HiGHS model, a subset of
+    ``keys``."""
 
     name: str
-    count: int
     rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    keys: Optional[Callable[[], np.ndarray]] = None
-    kept: Optional[np.ndarray] = None
+    keys: np.ndarray
+    kept: np.ndarray
 
-    def all_keys(self) -> np.ndarray:
-        return np.arange(self.count) if self.keys is None else self.keys()
-
-    def model_keys(self) -> np.ndarray:
-        return self.all_keys() if self.kept is None else self.kept
+    def blocks(self, keys: np.ndarray):
+        """The rows of ``keys``, as (dense rows, upper bounds) blocks of at
+        most ``_ROW_CHUNK`` rows."""
+        for start in range(0, keys.size, _ROW_CHUNK):
+            yield self.rows(keys[start : start + _ROW_CHUNK])
 
 
 # Dense rows that the column builder holds at a time, whatever the program's size.
@@ -252,37 +250,34 @@ class LinearProgram:
 
     @property
     def row_groups(self) -> list[tuple[str, int]]:
-        return [(g.name, g.count) for g in self.groups]
+        return [(g.name, g.keys.size) for g in self.groups]
 
     @property
     def rows(self) -> int:
-        return sum(g.count for g in self.groups)
+        return sum(g.keys.size for g in self.groups)
 
     @property
     def kept(self) -> np.ndarray:
         """The rows of the HiGHS model, as increasing row indices."""
         parts, offset = [], 0
         for g in self.groups:
-            rows = np.arange(g.count) if g.kept is None else np.searchsorted(g.all_keys(), g.kept)
-            parts.append(offset + rows)
-            offset += g.count
+            parts.append(offset + np.searchsorted(g.keys, g.kept))
+            offset += g.keys.size
         return np.concatenate(parts)
 
     @property
     def a_ub(self) -> np.ndarray:
-        return np.ascontiguousarray(np.vstack([g.rows(g.all_keys())[0] for g in self.groups]))
+        return np.ascontiguousarray(np.vstack([g.rows(g.keys)[0] for g in self.groups]))
 
     @property
     def b_ub(self) -> np.ndarray:
-        return np.concatenate([g.rows(g.all_keys())[1] for g in self.groups])
+        return np.concatenate([g.rows(g.keys)[1] for g in self.groups])
 
     def model_blocks(self):
         """The HiGHS model's rows, in row order, as (dense rows, upper
         bounds) blocks of at most ``_ROW_CHUNK`` rows."""
         for g in self.groups:
-            keys = g.model_keys()
-            for start in range(0, keys.size, _ROW_CHUNK):
-                yield g.rows(keys[start : start + _ROW_CHUNK])
+            yield from g.blocks(g.kept)
 
     @cached_property
     def column_counts(self) -> np.ndarray:
@@ -306,7 +301,7 @@ def model_columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray
     indptr = np.zeros(lp.c.size + 1, dtype=np.int32)
     np.cumsum(lp.column_counts, out=indptr[1:])
     nonzeros = int(indptr[-1])
-    rows = sum(g.count if g.kept is None else g.kept.size for g in lp.groups)
+    rows = sum(g.kept.size for g in lp.groups)
     # data, upper bounds and indices share one allocation, freed at once after
     # passModel.  It is larger than any copy HiGHS makes of the matrix, and
     # glibc's malloc raises its mmap threshold to the size of a larger mapped
@@ -509,17 +504,14 @@ def build_scp(
             a[:, layout.eta] = -1.0
             return a, np.zeros(keys.size)
 
-        def keys():
-            return np.flatnonzero(box.contains(samples.x))
-
-        members = keys()
+        members = np.flatnonzero(box.contains(samples.x))
         if not members.size:
             raise CoverageError(
                 f"no sampled state lies in the {name} box of class {cls.id!r}; "
                 "use a denser state grid"
             )
         first = np.unique(basis(samples.x[members]), axis=0, return_index=True)[1]
-        return RowGroup(name, members.size, rows, keys, members[np.sort(first)])
+        return RowGroup(name, rows, members, members[np.sort(first)])
 
     def decrease(keys):
         x = samples.x[keys]
@@ -540,12 +532,13 @@ def build_scp(
         a[:, layout.phi] = -1.0
         return a, np.full(keys.size, -options.gap)
 
+    every, one = np.arange(samples.count), np.arange(1)
     groups = [
         level_group("initial", cls.safety.initial, layout.sigma, 1.0),
         level_group("unsafe", cls.safety.unsafe, layout.phi, -1.0),
-        RowGroup("decrease", samples.count, decrease),
-        RowGroup("supply", samples.count, supply),
-        RowGroup("gap", 1, gap),
+        RowGroup("decrease", decrease, every, every),
+        RowGroup("supply", supply, every, every),
+        RowGroup("gap", gap, one, one),
     ]
     bounds = np.full((layout.size, 2), (-options.coeff_bound, options.coeff_bound))
     bounds[[layout.eta, layout.beta]] = (-np.inf, np.inf)  # determined by the rows
@@ -614,17 +607,18 @@ def export_lp_text(lp: LinearProgram, path) -> None:
         sign = "+" if coef >= 0 else "-"
         return f" {sign} {abs(coef):.17g} {name}"
 
-    lines = ["Minimize", " obj:" + "".join(
-        term(c, names[j]) for j, c in enumerate(lp.c) if c != 0.0
-    ), "Subject To"]
-    groups = (group for group, count in lp.row_groups for _ in range(count))
-    for i, (group, row, bound) in enumerate(zip(groups, lp.a_ub, lp.b_ub)):
-        body = "".join(term(v, names[j]) for j, v in enumerate(row) if v != 0.0)
-        lines.append(f" {group}_{i}:{body} <= {bound:.17g}")
-    lines.append("Bounds")
-    for name, (lo, hi) in zip(names, lp.bounds):
-        hi_s = "+inf" if hi == np.inf else f"{hi:.17g}"  # the format signs infinity
-        lines.append(f" {lo:.17g} <= {name} <= {hi_s}")
-    lines.append("End")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        objective = "".join(term(c, names[j]) for j, c in enumerate(lp.c) if c != 0.0)
+        fh.write(f"Minimize\n obj:{objective}\nSubject To\n")
+        i = 0
+        for g in lp.groups:
+            for block, bounds in g.blocks(g.keys):
+                for row, bound in zip(block.tolist(), bounds.tolist()):
+                    body = "".join(term(v, names[j]) for j, v in enumerate(row) if v != 0.0)
+                    fh.write(f" {g.name}_{i}:{body} <= {bound:.17g}\n")
+                    i += 1
+        fh.write("Bounds\n")
+        for name, (lo, hi) in zip(names, lp.bounds):
+            hi_s = "+inf" if hi == np.inf else f"{hi:.17g}"  # the format signs infinity
+            fh.write(f" {lo:.17g} <= {name} <= {hi_s}\n")
+        fh.write("End\n")

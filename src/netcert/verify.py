@@ -31,8 +31,8 @@ from .core import (
 from .sampling import DataFaultError, csv_line, dense_counts, grid_samples, write_csv_rows
 from .scp import ScpSolution
 
-# Dense joint grids are evaluated in blocks of this many points: one
-# sub-block of ``eval_template``, so a block's arrays are no larger than the
+# Dense joint grids are evaluated in tiles of at most this many points: one
+# sub-block of ``eval_template``, so a tile's arrays are no larger than the
 # evaluator's own.  On the 9M-point platoon heatmap (2-CPU host, BLAS on one
 # thread) numpy's traced peak in the calling process was 2.3 MB, against 4.8
 # MB with blocks of 32,768 points, and its wall time did not move: medians of
@@ -43,11 +43,13 @@ _CHUNK = _BASIS_BLOCK
 # count measured for time and peak RSS (on a 2-CPU host).
 _MAX_WORKERS = 2
 # One heatmap worker per this many points, rounded up.  Measured on a 2-CPU
-# host with BLAS on one thread, when the workers were threads, alternating
-# one- and two-thread runs in process.  At an earlier cost per block,
-# platoon grids of three or four blocks ran 3-19% faster on two threads.  On
-# grids of two blocks, series of 40 pairs never gave two threads the 36 wins
-# that would move the boundary (20 to 29 of 40 at 50,625 and 65,536 points).
+# host with BLAS on one thread, 40 alternating one- and two-worker pairs in
+# process per grid, no CSV written.  Forking the second worker costs about
+# 6 ms, so two workers won 0 of 40 pairs at 2^15 points (room and platoon),
+# 0 (room) and 3 (platoon) at 2^16, and 2 (room) and 33 (platoon) at 2^17:
+# never the 36 of 40 that would move the boundary.  Two won all 40 on
+# platoon's 2^18 points but 6 of 40 on room's.  With room's CSV written two
+# won 39 of 40 pairs at 2^16 points (92 against 151 ms, medians).
 _POINTS_PER_WORKER = 2**16
 # SIGKILL's number on every platform with fork; the signal module is not
 # otherwise loaded, and importing it would add to every run's start-up
@@ -142,37 +144,37 @@ def decrease_heatmap(
 
     The joint grid is the product of a state grid and an input grid, rows
     in state-major order.  B(x) and the supply's x^T s22 x are computed
-    once per state point and d^T s11 d once per input point.  A block of
-    rows spans a run of state rows, the first and last maybe in part, and
-    takes its states, B(x) and x^T s22 x by repeating each state row as
-    often as the block holds it.  It takes its inputs and d^T s11 d
-    as one slice of the input grid repeated to cover any block's offset;
-    that grid is shared by every block and read-only, so an oracle that
-    writes into its ``d`` raises ``ValueError``.  Only the cross term d^T
-    s12 x is computed per pair.  ``eval_template`` and ``rowwise_bilinear``
-    give each row the value it has in any batch, so on one BLAS thread
-    every value is bit-identical to the evaluators on the materialised
-    joint grid, block by block.
+    once per state point and d^T s11 d once per input point.  The grid is
+    cut into tiles of ``per`` = ``_CHUNK`` // |D| whole state rows (at
+    least one, at most |X|) against the whole input grid, or, where |D|
+    exceeds ``_CHUNK``, of one state row against a ``_CHUNK``-wide slice of
+    the input grid, so a tile is at most ``_CHUNK`` points, one evaluator
+    sub-block.  A tile takes its states, B(x) and x^T s22 x by repeating
+    each of its state rows once per input, and its inputs and d^T s11 d
+    from the input grid tiled ``per`` times.  That grid is shared by every
+    tile and read-only, so an oracle that writes into its ``d`` raises
+    ``ValueError``.  Only the cross term d^T s12 x is computed per pair.
+    ``eval_template`` and ``rowwise_bilinear`` give each row the value it
+    has in any batch, so on one BLAS thread every value is bit-identical to
+    the evaluators on the materialised joint grid, tile by tile.
 
-    The grid is cut into contiguous ranges, one per worker: up to
-    ``_MAX_WORKERS``, no more than the CPUs this process may use, one per
-    ``_POINTS_PER_WORKER`` points rounded up, and one where the platform
-    cannot fork.  Each range holds the same number of blocks, every block but
-    the last the same number of points, at most ``_CHUNK``, so the ranges
-    differ by less than a block.  The calling process scans the first range
-    itself, and each other range is scanned by a child process forked for it
-    (see ``_forked_scan``), so the workers share no interpreter lock.  Each
-    process scans its range in grid order with one workspace, made once: the
-    basis of f(x, d) of a block (``eval_template``'s ``basis_out``; a block
-    is at most one of its sub-blocks) and a block's values.  Each process
-    also holds the state grid with its B(x) and x^T s22 x, and the input
-    grid repeated to cover a block with its d^T s11 d, so memory is O(|X| +
-    |D| + block) per worker, however many points |X| x |D| the grid has.
-    The ranges are merged in grid order, so the first fault and the first
-    maximum in grid order win and the result does not depend on the worker
-    count.  The workers are sized for BLAS on one thread, which importing
-    netcert sets (see ``netcert``).  A worker calls the oracle in a process
-    of its own, so what the oracle changes there does not reach the caller.
+    The state rows are split evenly into contiguous ranges, one per worker:
+    up to ``_MAX_WORKERS``, no more than the CPUs this process may use or
+    the state rows, one per ``_POINTS_PER_WORKER`` points rounded up, and
+    one where the platform cannot fork.  The calling process scans the
+    first range itself, and each other range is scanned by a child process
+    forked for it (see ``_forked_scan``), so the workers share no
+    interpreter lock.  Each process walks its range tile by tile in grid
+    order with one workspace, made once: a tile's basis of f(x, d)
+    (``eval_template``'s ``basis_out``) and its values.  Each process also
+    holds the state grid with its B(x) and x^T s22 x and the tiled input
+    grid with its d^T s11 d, so memory is O(|X| + |D| + tile) per worker,
+    however many points |X| x |D| the grid has.  The ranges are merged in
+    grid order, so the first fault and the first maximum in grid order win
+    and the result does not depend on the worker count.  The workers are
+    sized for BLAS on one thread, which importing netcert sets (see
+    ``netcert``).  A worker calls the oracle in a process of its own, so
+    what the oracle changes there does not reach the caller.
 
     Pass ``csv_path`` to also persist the full table (x..., d..., value).
     A non-finite oracle output or decrease value raises ``DataFaultError``
@@ -188,64 +190,56 @@ def decrease_heatmap(
     rate = solution.supply
     quad_d = rowwise_bilinear(ds, rate.s11, ds)
     quad_x = rowwise_bilinear(xs, rate.s22, xs)
-    n_d = ds.shape[0]
-    total = xs.shape[0] * n_d
-    workers = _heatmap_workers(total)
-    # the same number of blocks per worker, each of at most _CHUNK points
-    blocks = workers * -(-total // (workers * _CHUNK))
-    chunk = -(-total // blocks)
-    # the input grid repeated: a block starting at input k takes rows k.. of it
-    cycle = np.arange(n_d - 1 + chunk) % n_d
-    d_grid, quad_d_grid = ds[cycle], quad_d[cycle]
-    del cycle
+    n_x, n_d = xs.shape[0], ds.shape[0]
+    workers = min(_heatmap_workers(n_x * n_d), n_x)
+    # a tile: `per` state rows against the input grid, or one state row
+    # against `width` inputs
+    per, width = max(1, min(_CHUNK // n_d, n_x)), min(n_d, _CHUNK)
+    d_grid, quad_d_grid = np.tile(ds, (per, 1)), np.tile(quad_d, per)
     d_grid.flags.writeable = False
-    # this process's workspace: a block's basis and its values
-    basis = np.empty((chunk, cls.template.term_count))
-    values = np.empty(chunk)
+    # this process's workspace: a tile's basis and its values
+    basis = np.empty((per * width, cls.template.term_count))
+    values = np.empty(per * width)
 
-    def scan(first_block: int, stop_block: int, fh, parent: Optional[int] = None):
-        """(max, argmax) over blocks [first_block, stop_block), their CSV
+    def scan(first_row: int, stop_row: int, fh, parent: Optional[int] = None):
+        """(max, argmax) over state rows [first_row, stop_row), their CSV
         rows written to ``fh``.  A child scanning for ``parent`` exits
-        between blocks once that process is gone."""
+        between tiles once that process is gone."""
         best_val, best_pt = -np.inf, None
-        for start in range(first_block * chunk, min(stop_block * chunk, total), chunk):
-            if parent is not None and os.getppid() != parent:
-                os._exit(1)
-            stop = min(start + chunk, total)
-            m, offset = stop - start, start % n_d
-            # the block spans a run of state rows, the first and last maybe in part
-            first, last = start // n_d, (stop - 1) // n_d
-            runs = np.full(last - first + 1, n_d)
-            runs[0] -= offset
-            runs[-1] -= (last + 1) * n_d - stop
-            states = slice(first, last + 1)
-            x = xs[states].repeat(runs, axis=0)
-            d = d_grid[offset : offset + m]
-            # a non-finite value is reported below
-            with np.errstate(all="ignore"):
-                supply = supply_sum(
-                    quad_d_grid[offset : offset + m],
-                    rowwise_bilinear(d, rate.s12, x),
-                    quad_x[states].repeat(runs),
-                )
-                fx = cls.oracle.batch(x, d)
-                vals = eval_template(cls.template, coeffs, fx, out=values[:m], basis_out=basis)
-                vals -= b_grid[states].repeat(runs)
-                vals -= supply
-            if not (np.isfinite(vals).all() and np.isfinite(fx).all()):
-                i = int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
-                raise DataFaultError(
-                    f"non-finite oracle output or decrease value at x={x[i].tolist()}, "
-                    f"d={d[i].tolist()}"
-                )
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_pt = float(vals[i]), np.concatenate([x[i], d[i]])
-            if fh is not None:
-                write_csv_rows(fh, x, d, vals)
+        for row in range(first_row, stop_row, per):
+            states = slice(row, min(row + per, stop_row))
+            for start in range(0, n_d, width):
+                if parent is not None and os.getppid() != parent:
+                    os._exit(1)
+                w = min(width, n_d - start)
+                m = (states.stop - row) * w
+                x = xs[states].repeat(w, axis=0)
+                d = d_grid[start : start + m]
+                # a non-finite value is reported below
+                with np.errstate(all="ignore"):
+                    supply = supply_sum(
+                        quad_d_grid[start : start + m],
+                        rowwise_bilinear(d, rate.s12, x),
+                        quad_x[states].repeat(w),
+                    )
+                    fx = cls.oracle.batch(x, d)
+                    vals = eval_template(cls.template, coeffs, fx, out=values[:m], basis_out=basis)
+                    vals -= b_grid[states].repeat(w)
+                    vals -= supply
+                if not (np.isfinite(vals).all() and np.isfinite(fx).all()):
+                    i = int(np.argmax(~(np.isfinite(vals) & np.isfinite(fx).all(axis=1))))
+                    raise DataFaultError(
+                        f"non-finite oracle output or decrease value at x={x[i].tolist()}, "
+                        f"d={d[i].tolist()}"
+                    )
+                i = int(np.argmax(vals))
+                if vals[i] > best_val:
+                    best_val, best_pt = float(vals[i]), np.concatenate([x[i], d[i]])
+                if fh is not None:
+                    write_csv_rows(fh, x, d, vals)
         return best_val, best_pt
 
-    bounds = [blocks * k // workers for k in range(workers + 1)]
+    bounds = [n_x * k // workers for k in range(workers + 1)]
     with ExitStack() as stack:
         fh = None
         if csv_path is not None:
@@ -259,18 +253,18 @@ def decrease_heatmap(
         ranges = [scan(bounds[0], bounds[1], fh)] + [result() for result in children]
     # max keeps the first of equal maxima, the first in grid order
     best_val, best_pt = max(ranges, key=lambda best: best[0])
-    return HeatmapSummary(max_value=best_val, argmax=best_pt, point_count=total)
+    return HeatmapSummary(max_value=best_val, argmax=best_pt, point_count=n_x * n_d)
 
 
 @contextmanager
-def _forked_scan(scan, first_block: int, stop_block: int, csv):
-    """Run ``scan`` over blocks [first_block, stop_block) in a forked child
+def _forked_scan(scan, first_row: int, stop_row: int, csv):
+    """Run ``scan`` over state rows [first_row, stop_row) in a forked child
     process.  Yields a call that waits for the child and returns its (max,
     argmax), after appending its CSV rows to ``csv`` (when not None), or
     raises the exception the child raised.
 
     The child sends its outcome pickled through a pipe and writes its CSV
-    rows to an unnamed temporary file.  It exits between blocks once the
+    rows to an unnamed temporary file.  It exits between tiles once the
     calling process is gone, and it leaves by ``os._exit``, so it runs no
     cleanup or ``atexit`` handler of the caller, such as the removal of a
     staging directory, and flushes no file the caller has open, standard
@@ -305,7 +299,7 @@ def _forked_scan(scan, first_block: int, stop_block: int, csv):
         if pid == 0:
             try:
                 try:
-                    outcome = scan(first_block, stop_block, rows, parent)
+                    outcome = scan(first_row, stop_row, rows, parent)
                     if rows is not None:
                         rows.flush()
                 except BaseException as exc:

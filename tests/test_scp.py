@@ -86,7 +86,8 @@ def dense_program(c, a_ub, b_ub, bounds, row_groups=None) -> LinearProgram:
     groups, start = [], 0
     for name, count in row_groups or [("rows", b_ub.size)]:
         a, b = a_ub[start : start + count], b_ub[start : start + count]
-        groups.append(RowGroup(name, count, lambda keys, a=a, b=b: (a[keys], b[keys])))
+        keys = np.arange(count)
+        groups.append(RowGroup(name, lambda keys, a=a, b=b: (a[keys], b[keys]), keys, keys))
         start += count
     return LinearProgram(np.asarray(c, dtype=float), np.asarray(bounds, dtype=float), groups)
 
@@ -549,7 +550,8 @@ TINY_SOLVES = """
 import json, sys
 import numpy as np
 from netcert import scp
-lower = scp.RowGroup("lower", 1, lambda keys: (-np.ones((keys.size, 1)), np.full(keys.size, -0.5)))
+rows = lambda keys: (-np.ones((keys.size, 1)), np.full(keys.size, -0.5))
+lower = scp.RowGroup("lower", rows, np.arange(1), np.arange(1))
 lp = scp.LinearProgram(np.ones(1), np.array([[-1.0, 1.0]]), [lower])
 scp_x = scp.solve_lp(lp).tolist()
 optimize_before = "scipy.optimize" in sys.modules
@@ -891,7 +893,51 @@ class TestSlacksFromTheEvaluators:
             assert (again.eta, again.beta) == (report.eta, report.beta)
 
 
+def lp_text_of_dense_rows(lp: LinearProgram) -> str:
+    """The LP text of ``lp`` rebuilt row by row from its dense ``a_ub`` and
+    ``b_ub``, in one string."""
+    names = lp.layout.names
+
+    def term(coef, name):
+        return f" {'+' if coef >= 0 else '-'} {abs(coef):.17g} {name}"
+
+    lines = ["Minimize", " obj:" + "".join(
+        term(c, names[j]) for j, c in enumerate(lp.c) if c != 0.0
+    ), "Subject To"]
+    groups = [name for name, count in lp.row_groups for _ in range(count)]
+    for i, (group, row, bound) in enumerate(zip(groups, lp.a_ub, lp.b_ub)):
+        body = "".join(term(v, names[j]) for j, v in enumerate(row) if v != 0.0)
+        lines.append(f" {group}_{i}:{body} <= {bound:.17g}")
+    lines.append("Bounds")
+    for name, (lo, hi) in zip(names, lp.bounds):
+        lines.append(f" {lo:.17g} <= {name} <= {'+inf' if hi == np.inf else f'{hi:.17g}'}")
+    return "\n".join(lines + ["End"]) + "\n"
+
+
 class TestLpExport:
+    @pytest.mark.parametrize(
+        "name, counts",
+        [("room", ((31,), (31,))), ("platoon", ((5, 6), (5, 6)))],
+        ids=["room", "platoon"],
+    )
+    def test_export_is_the_dense_rows_text(
+        self, request, tmp_path, monkeypatch, name, counts
+    ):
+        """The export, written group by group in blocks of rows, has the
+        bytes of the text rebuilt row by row from ``a_ub`` and ``b_ub``,
+        also where a group spans several blocks."""
+        cls = request.getfixturevalue(f"{name}_class")
+        monkeypatch.setattr(scp, "_ROW_CHUNK", 97)
+        lp = build_scp(cls, collect_pairs(cls, *counts), ScpOptions())
+        assert max(count for _, count in lp.row_groups) > 97
+        export_lp_text(lp, tmp_path / "program.lp")
+        written = (tmp_path / "program.lp").read_text().splitlines(keepends=True)
+        expected = lp_text_of_dense_rows(lp).splitlines(keepends=True)
+        # a short message: pytest's own diff of 10^4 lines takes minutes
+        differ = [i for i, pair in enumerate(zip(written, expected)) if pair[0] != pair[1]]
+        same = not differ and len(written) == len(expected)
+        assert same, f"{len(written)} lines against {len(expected)}, first differing {differ[:1]}"
+
     def test_written_file_mentions_all_groups(self, tmp_path, room_class):
         samples = collect_pairs(room_class, (3,), (3,))
         lp = build_scp(room_class, samples, ScpOptions())

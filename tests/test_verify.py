@@ -180,7 +180,7 @@ def joint_grid_heatmap(cls, solution, counts, csv_path):
     return pts, vals
 
 
-# blocks of every size mod 4, shorter than 4 rows included
+# tiles of every size mod 4, shorter than 4 rows included
 CHUNKS = [*range(1, 10), 97]
 # state grids of every size mod 4: room 13, 14, 15; platoon 12, 9, 10, 15
 JOINT_GRIDS = [
@@ -197,10 +197,19 @@ JOINT_GRID_IDS = [
 ]
 
 
-# Grids of 3 or more blocks of the shipped size: on one worker room's 19,519
-# points in blocks of 6,507 against 131 inputs, platoon's 23,023 in blocks of
-# 7,675 against 161; on two workers 4 blocks of 4,880 and of 5,756.
-SHIPPED_GRIDS = [("room", (149, 131)), ("platoon", (13, 11, 7, 23))]
+# Grids of 3 or more shipped-size tiles per worker, each range ending in a
+# short tile: 21 states in tiles of 4 state rows against 1,999 inputs (room)
+# or 1,845 (platoon); on one worker 5 tiles of 4 rows and one of 1, on two
+# ranges of 10 and 11 states, each ending in a tile of 2 or 3 rows.
+SHIPPED_GRIDS = [("room", (21, 1999)), ("platoon", (3, 7, 41, 45))]
+# Grids wider than a tile: each state row is cut into slices of the input
+# grid, at the shipped tile size (8,192, 8,192 and 3,616 inputs per state) and
+# at 97 (97 and 53), and a grid of one state row, which runs on one worker.
+WIDE_GRIDS = [
+    ("room", (3, 20_000), None),
+    ("room", (40, 150), 97),
+    ("room", (1, 30_000), None),
+]
 
 
 def assert_matches_joint_grid(cls, solution, counts, tmp_path):
@@ -216,12 +225,12 @@ def assert_matches_joint_grid(cls, solution, counts, tmp_path):
 
 
 class TestProductGridHeatmap:
-    """The heatmap cuts the X x D product grid into blocks from runs of
-    state rows and slices of the input grid; it must reproduce the
-    materialised joint grid bit for bit.  The reference feeds the whole
-    joint grid to the evaluators in one call: they and the built-in oracles
-    give each row the value it has in any batch, so blocks of any size,
-    1-row blocks included, must give the same bytes."""
+    """The heatmap cuts the X x D product grid into tiles of whole state
+    rows against the input grid, or of one state row against a slice of it;
+    it must reproduce the materialised joint grid bit for bit.  The
+    reference feeds the whole joint grid to the evaluators in one call: they
+    and the built-in oracles give each row the value it has in any batch, so
+    tiles of any size, 1-row tiles included, must give the same bytes."""
 
     @pytest.mark.parametrize("chunk", CHUNKS, ids=[f"chunk{c}" for c in CHUNKS])
     @pytest.mark.parametrize("name, counts", JOINT_GRIDS, ids=JOINT_GRID_IDS)
@@ -236,21 +245,45 @@ class TestProductGridHeatmap:
     def test_shipped_blocks_match_joint_grid(
         self, request, tmp_path, heatmap_workers, name, counts, workers
     ):
-        """At the shipped block size, on grids of three or more blocks that
-        the input grid does not divide and whose last block is partial."""
+        """At the shipped tile size, on grids of an odd state count whose
+        every worker walks three or more tiles, the last of them short."""
         cls = request.getfixturevalue(f"{name}_class")
         solution = request.getfixturevalue(f"{name}_solution")
         heatmap_workers(workers)
         # the layout decrease_heatmap makes, checked to be the one meant here
-        n_d, total = int(np.prod(counts[cls.state_dim :])), int(np.prod(counts))
-        blocks = workers * -(-total // (workers * verify_mod._CHUNK))
-        chunk = -(-total // blocks)
-        assert blocks >= 3 and chunk % n_d and total % chunk
+        n = cls.state_dim
+        n_x, n_d = int(np.prod(counts[:n])), int(np.prod(counts[n:]))
+        per = verify_mod._CHUNK // n_d
+        ranges = np.diff([n_x * k // workers for k in range(workers + 1)])
+        assert n_x % 2 and all(r > 2 * per and r % per for r in ranges)
+        assert_matches_joint_grid(cls, solution, counts, tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
+    @pytest.mark.parametrize(
+        "name, counts, chunk", WIDE_GRIDS, ids=["room-3x20000", "room-chunk97", "room-1x30000"]
+    )
+    def test_wide_grids_match_joint_grid(
+        self, request, tmp_path, monkeypatch, heatmap_workers, name, counts, chunk, workers
+    ):
+        """Where the input grid is wider than a tile, and where the grid has
+        one state row: that grid runs on one worker, which forks no child."""
+        cls = request.getfixturevalue(f"{name}_class")
+        solution = request.getfixturevalue(f"{name}_solution")
+        if chunk is not None:
+            monkeypatch.setattr(verify_mod, "_CHUNK", chunk)
+        assert int(np.prod(counts[cls.state_dim :])) > verify_mod._CHUNK
+        heatmap_workers(workers)
+        if counts[0] == 1:
+
+            def forbidden():
+                raise AssertionError("a heatmap of one state row forked")
+
+            monkeypatch.setattr(os, "fork", forbidden)
         assert_matches_joint_grid(cls, solution, counts, tmp_path)
 
     def test_one_nan_is_a_data_fault(self, room_class, room_solution, monkeypatch):
-        # the poisoned point (flat 377) sits in the last of 5 blocks of 89 rows,
-        # after blocks of finite values
+        # the poisoned point (flat 377, state 17) sits in the fifth of 6 tiles
+        # of 4 state rows against 21 inputs, after tiles of finite values
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
         target = float(grid_samples(room_class.state_box, (21,))[17, 0])
 
@@ -272,8 +305,8 @@ class TestProductGridHeatmap:
     def test_oracle_cannot_write_the_input_grid(
         self, room_class, room_solution, monkeypatch, heatmap_workers
     ):
-        """Every block's inputs are a view of one input grid, so an oracle
-        that writes into its ``d`` raises instead of changing later blocks.
+        """Every tile's inputs are a view of one input grid, so an oracle
+        that writes into its ``d`` raises instead of changing later tiles.
         On two workers only the forked child writes, and its ``ValueError``
         reaches the caller with its type and message."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
@@ -315,7 +348,7 @@ class TestProductGridHeatmap:
     )
     def test_supply_forms_once_per_factor(self, request, monkeypatch, name, counts):
         """d^T s11 d is evaluated once over the input grid and x^T s22 x once
-        over the state grid; only d^T s12 x is evaluated per block of pairs."""
+        over the state grid; only d^T s12 x is evaluated per tile of pairs."""
         cls = request.getfixturevalue(f"{name}_class")
         solution = request.getfixturevalue(f"{name}_solution")
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
@@ -328,14 +361,16 @@ class TestProductGridHeatmap:
 
         monkeypatch.setattr(verify_mod, "rowwise_bilinear", recording)
         decrease_heatmap(cls, solution, counts)
-        n, total, rate = cls.state_dim, int(np.prod(counts)), solution.supply
+        n, rate = cls.state_dim, solution.supply
         blocks = {"s11": rate.s11, "s12": rate.s12, "s22": rate.s22}
         rows = {key: sorted(r for m, r in calls if m is block) for key, block in blocks.items()}
         assert rows["s11"] == [int(np.prod(counts[n:]))]
         assert rows["s22"] == [int(np.prod(counts[:n]))]
-        # one worker: ceil(total / 97) blocks of equal size, the last maybe shorter
-        size = -(-total // -(-total // 97))
-        assert rows["s12"] == sorted(min(size, total - start) for start in range(0, total, size))
+        # one worker: tiles of 97 // |D| state rows against the |D| inputs,
+        # the last maybe shorter
+        n_x, n_d = int(np.prod(counts[:n])), int(np.prod(counts[n:]))
+        per = 97 // n_d
+        assert rows["s12"] == sorted(min(per, n_x - row) * n_d for row in range(0, n_x, per))
         assert len(calls) == 2 + len(rows["s12"])
 
     def test_memory_stays_per_chunk(self, room_class, room_solution, monkeypatch):
@@ -355,9 +390,9 @@ class TestProductGridHeatmap:
     def test_workspace_is_one_evaluator_block(
         self, platoon_class, platoon_solution, heatmap_workers
     ):
-        """At the shipped block size, on one worker and grids of 11 and 44
-        blocks, numpy's traced peak stays within the arrays of one
-        ``_BASIS_BLOCK``-row block, the basis workspace and 20 float columns
+        """At the shipped tile size, on one worker and grids of 12 and 45
+        tiles, numpy's traced peak stays within the arrays of one
+        ``_BASIS_BLOCK``-row tile, the basis workspace and 20 float columns
         (about 15 are live at the peak), plus 8 floats per state and input
         grid row.  Growing the state grid 4x at a fixed input grid raises it
         by no more than what lives through the scan per state row: the
@@ -377,6 +412,24 @@ class TestProductGridHeatmap:
         assert peaks[0] <= 8 * (_BASIS_BLOCK * (terms + 20) + 8 * (states + inputs))
         assert peaks[1] - peaks[0] <= 8 * (n + 2) * 3 * states + 2**14
 
+    def test_wide_grid_workspace_is_one_tile(self, room_class, room_solution, heatmap_workers):
+        """An input grid wider than a tile is walked in slices of it: on one
+        worker and 2,000,000 points, numpy's traced peak stays within one
+        ``_BASIS_BLOCK``-point tile (the basis workspace and 20 float
+        columns) plus 8 floats per state and input grid row, a quarter of
+        the joint grid's x and d columns alone."""
+        heatmap_workers(1)
+        counts = (20, 100_000)
+        tracemalloc.start()
+        try:
+            decrease_heatmap(room_class, room_solution, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms = room_class.template.term_count
+        assert counts[1] > verify_mod._CHUNK
+        assert peak <= 8 * (_BASIS_BLOCK * (terms + 20) + 8 * sum(counts))
+
 
 def heatmap_outputs(cls, solution, counts, csv_path):
     heat = decrease_heatmap(cls, solution, counts, csv_path=csv_path)
@@ -393,13 +446,14 @@ def heatmap_workers(monkeypatch):
     return set_workers
 
 
-# grids of two shipped-size blocks
+# grids of 5 shipped-size tiles: 40 state rows of room's 200, 58 of platoon's 240
 POOL_GRIDS = [("room", (200, 200)), ("platoon", (16, 15, 14, 10))]
 
-# The room grid of 21 x 21 points in blocks of at most 97 rows: with two
-# workers, 6 blocks of 74 rows (the last of 71), so the caller scans blocks
-# 0-2 (flat points 0-221) and a forked child blocks 3-5 (222-440).  Flat
-# point i is x = xs[i // 21], d = xs[i % 21].
+# The room grid of 21 x 21 points in tiles of at most 97 points: 4 state rows
+# against the 21 inputs.  With two workers the caller scans states 0-9 (flat
+# points 0-209, tiles of 4, 4 and 2 states) and a forked child states 10-20
+# (210-440, tiles of 4, 4 and 3 states).  Flat point i is x = xs[i // 21],
+# d = xs[i % 21].
 ROOM_21 = (21, 21)
 
 
@@ -432,8 +486,8 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# Runs a heatmap on two workers in blocks of 97 rows, with an oracle that
-# sleeps 20 ms per block, and prints the pid of the child it forks.
+# Runs a heatmap on two workers in tiles of at most 97 points, with an oracle
+# that sleeps 20 ms per tile, and prints the pid of the child it forks.
 SLOW_HEATMAP = """
 import dataclasses, os, time
 import numpy as np
@@ -476,7 +530,7 @@ def process_gone(pid):
 
 
 class TestHeatmapPool:
-    """Contiguous ranges of blocks run in the calling process and in forked
+    """Contiguous ranges of state rows run in the calling process and in forked
     children; the caller merges them in grid order, so nothing may depend
     on the number of workers."""
 
@@ -497,7 +551,7 @@ class TestHeatmapPool:
     def test_first_fault_in_grid_order(
         self, room_class, room_solution, monkeypatch, heatmap_workers
     ):
-        """The caller's range holds a NaN in its second block and the
+        """The caller's range holds a NaN in its second tile and the
         child's range in its first, which the child reaches first; the error
         names the caller's point, the first in grid order."""
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
@@ -570,7 +624,7 @@ class TestHeatmapPool:
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
     def test_child_exits_when_the_caller_is_killed(self):
         """A caller killed mid-heatmap, as at a benchmark's deadline, leaves
-        no process running: its child sees between blocks that the caller is
+        no process running: its child sees between tiles that the caller is
         gone and exits within 2 s."""
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
         with subprocess.Popen(
@@ -633,7 +687,7 @@ class TestHeatmapPool:
         monkeypatch.setattr(verify_mod, "_cpu_budget", lambda: 4)
         monkeypatch.setattr(os, "fork", forbidden)
         monkeypatch.setattr(verify_mod, "_CHUNK", 97)
-        decrease_heatmap(room_class, room_solution, ROOM_21)  # 441 points in 5 blocks of 89
+        decrease_heatmap(room_class, room_solution, ROOM_21)  # 441 points in 6 tiles
 
     def test_library_import_puts_blas_on_one_thread(self):
         """Importing a netcert module other than the CLI sets one BLAS
